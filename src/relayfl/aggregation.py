@@ -150,13 +150,17 @@ def norelay_optimum(h: np.ndarray, weights: DeviceWeights, p0_total: float,
     return a, complex(c), mse
 
 
+def _relay_path(config: TransceiverConfig, channels: ChannelRealization):
+    """Per-device gain of the amplify-and-forward path, sum_n g_kn f_n b_n (0 without relays)."""
+    return channels.g @ (channels.f * config.b) if config.b.size else 0.0
+
+
 def alignment_gains(config: TransceiverConfig,
                     channels: ChannelRealization) -> np.ndarray:
     """Effective per-device gain combining direct and relayed paths over both phases."""
-    relay_path = channels.g @ (channels.f * config.b) if config.b.size else 0.0
     return (config.c1 * channels.h * config.a1
             + config.c2 * channels.h * config.a2
-            + config.c2 * config.a1 * relay_path)
+            + config.c2 * config.a1 * _relay_path(config, channels))
 
 
 def noise_power_gain(config: TransceiverConfig, channels: ChannelRealization) -> float:

@@ -20,6 +20,7 @@ from .aggregation import (
     PowerBudget,
     SingularChannelError,
     TransceiverConfig,
+    _relay_path,
     relay_mse,
 )
 from .geometry import ChannelRealization
@@ -105,8 +106,7 @@ def init_config(channels: ChannelRealization, weights: DeviceWeights,
 def _theta_phi(config: TransceiverConfig,
                channels: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
     """Per-device effective gains multiplying a1 and a2 in the combined estimate."""
-    relay_path = channels.g @ (channels.f * config.b) if config.b.size else 0.0
-    theta = config.c1 * channels.h + config.c2 * relay_path
+    theta = config.c1 * channels.h + config.c2 * _relay_path(config, channels)
     phi = config.c2 * channels.h
     return np.asarray(theta, dtype=complex), np.asarray(phi, dtype=complex)
 
@@ -404,9 +404,8 @@ def update_relay_scalars(config: TransceiverConfig, channels: ChannelRealization
 def update_c1(config: TransceiverConfig, channels: ChannelRealization,
               weights: DeviceWeights, sigma2: float) -> complex:
     """Exact minimizer of the MSE over the phase-1 receive scalar."""
-    relay_path = channels.g @ (channels.f * config.b) if config.b.size else 0.0
     direct1 = channels.h * config.a1
-    rest = config.c2 * (channels.h * config.a2 + config.a1 * relay_path)
+    rest = config.c2 * (channels.h * config.a2 + config.a1 * _relay_path(config, channels))
     numerator = np.sum((weights.rho - rest) * np.conj(direct1))
     denominator = float(np.sum(np.abs(direct1) ** 2)) + sigma2
     return complex(numerator / denominator)
@@ -415,8 +414,7 @@ def update_c1(config: TransceiverConfig, channels: ChannelRealization,
 def update_c2(config: TransceiverConfig, channels: ChannelRealization,
               weights: DeviceWeights, sigma2: float) -> complex:
     """Exact minimizer of the MSE over the phase-2 receive scalar."""
-    relay_path = channels.g @ (channels.f * config.b) if config.b.size else 0.0
-    phase2 = channels.h * config.a2 + config.a1 * relay_path
+    phase2 = channels.h * config.a2 + config.a1 * _relay_path(config, channels)
     forwarded = float(np.sum(np.abs(channels.f * config.b) ** 2)) if config.b.size else 0.0
     numerator = np.sum((weights.rho - config.c1 * channels.h * config.a1) * np.conj(phase2))
     denominator = float(np.sum(np.abs(phase2) ** 2)) + (1.0 + forwarded) * sigma2
