@@ -22,6 +22,10 @@ class DegenerateUpdateError(ValueError):
     """All local updates are identical constants; the symbol map is undefined."""
 
 
+class InconsistentMseError(RuntimeError):
+    """Two computations of the same configuration's MSE disagree beyond rounding."""
+
+
 @dataclass(frozen=True)
 class DeviceWeights:
     """Aggregation weights rho_k = D_k / D, strictly positive and summing to one."""

@@ -131,6 +131,15 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     if lay.device_x_min <= 0 or lay.device_x_max <= lay.device_x_min:
         raise ConfigError("layout device x range must be positive and increasing")
     s = config.solver
+    for name in ("j_max", "qcqp_max_iter"):
+        value = getattr(s, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"solver.{name} must be an integer")
+    for name in ("epsilon", "qcqp_tol"):
+        value = getattr(s, name)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ConfigError(f"solver.{name} must be a finite number")
     if s.j_max < 1 or s.qcqp_max_iter < 1 or s.epsilon <= 0 or s.qcqp_tol <= 0:
         raise ConfigError("solver limits must be positive")
     fl = config.fl

@@ -13,6 +13,7 @@ import numpy as np
 
 from .aggregation import (
     DeviceWeights,
+    InconsistentMseError,
     PowerBudget,
     SingularChannelError,
     TransceiverConfig,
@@ -156,6 +157,6 @@ def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,
     mse = (eta + gamma * f2) * budget.sigma2
     cross = relay_mse(config, channels, weights, budget.sigma2)
     if abs(cross - mse) > 1e-9 * max(mse, 1e-300):
-        raise AssertionError("analytic MSE and signal-chain MSE disagree")
+        raise InconsistentMseError("analytic MSE and signal-chain MSE disagree")
     return AnalyticConstruction(alpha=alpha, beta=beta, gamma=gamma, eta=eta,
                                 alpha_bar=alpha_bar, config=config, mse=mse, case=case)

@@ -59,6 +59,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config({"trials": 0})
 
+    @pytest.mark.parametrize("solver", [
+        {"epsilon": float("nan")}, {"qcqp_tol": float("nan")},
+        {"epsilon": float("inf")}, {"qcqp_tol": float("-inf")}, {"epsilon": "1e-4"},
+        {"qcqp_max_iter": 1.5}, {"j_max": 2.0}, {"j_max": True}, {"qcqp_max_iter": False},
+    ])
+    def test_bad_solver_values_rejected(self, solver):
+        with pytest.raises(ConfigError, match="solver"):
+            parse_config({"solver": solver})
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="colour"):
             parse_config({"colour": "red"})
@@ -238,6 +247,16 @@ class TestCli:
         cfg_path.write_text(json.dumps({"scheme": "nope"}))
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("solver", [{"epsilon": float("nan"), "qcqp_tol": float("nan")},
+                                        {"qcqp_max_iter": 1.5}])
+    def test_bad_solver_section_is_config_error(self, tmp_path, capsys, solver):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"solver": solver}))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: solver.")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

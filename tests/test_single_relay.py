@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from relayfl import single_relay
 from relayfl.aggregation import (
     DeviceWeights,
+    InconsistentMseError,
     PowerBudget,
     max_constraint_violation,
     norelay_optimum,
@@ -139,6 +141,13 @@ class TestAnalyticConstruction:
             solved, trace = solve(ch, weights, budget, SolverConfig(),
                                   SchemeVariant.FULL, warm_start=built.config)
             assert trace.objectives[-1] <= built.mse + 1e-9
+
+    def test_signal_chain_disagreement_raises_typed_error(self, monkeypatch):
+        ch, weights, budget = single_relay_instance(11)
+        monkeypatch.setattr(single_relay, "relay_mse",
+                            lambda config, *args: 2.0 * relay_mse(config, *args))
+        with pytest.raises(InconsistentMseError, match="disagree"):
+            analytic_construction(ch, weights, budget)
 
     def test_nonuniform_weights_rejected(self):
         ch, _, budget = single_relay_instance(3, num_devices=2)
