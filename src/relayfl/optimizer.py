@@ -120,74 +120,36 @@ def _clamp_disc(a: np.ndarray, radius: float) -> np.ndarray:
     if radius <= 0:
         return np.zeros_like(a)
     mag = np.abs(a)
-    scale = np.where(mag > radius, radius / np.where(mag == 0, 1.0, mag), 1.0)
-    return a * scale
+    outside = mag > radius
+    if not outside.any():
+        return a
+    return a * np.where(outside, radius / np.where(mag == 0, 1.0, mag), 1.0)
 
 
-def _relay_ellipsoids(config: TransceiverConfig, channels: ChannelRealization,
-                      budget: PowerBudget):
-    """Per-relay quadratic constraints on a1 induced by the fixed relay scalars."""
-    out = []
-    for n in range(config.b.size):
-        bn = abs(config.b[n])
-        if bn == 0:
-            continue
-        w = np.abs(channels.g[:, n]) ** 2
-        r2 = budget.pr / bn**2 - budget.sigma2
-        out.append((w, max(r2, 0.0)))
-    return out
+def _transmit_scalars(copy, coef, coef2, dead=0.0):
+    """Scalars a with coef * a = copy, where coef2 = |coef|^2; dead where coef = 0."""
+    if coef2.all():
+        return copy * np.conj(coef) / coef2
+    return np.where(coef2 > 0, copy * np.conj(coef) / np.where(coef2 > 0, coef2, 1.0), dead)
 
 
-def _box_candidate(theta, phi, rho, a1_in, a2_in, r1: float, r2: float):
+def _box_copies(rho, th2, ph2, w1, w2):
     """Exact minimizer of the device objective under the per-device power boxes only.
 
-    Per device the objective depends on u = theta * a1 and v = phi * a2, which
-    range over discs of radii |theta| r1 and |phi| r2; the best feasible u + v
-    is the point of that disc sum closest to rho.  Among zero-error splits the
-    minimum-norm one is chosen so the output is deterministic.
+    Per device the objective depends on the copies u = theta * a1 and
+    v = phi * a2, which range over discs of radii w1 = |theta| r1 and
+    w2 = |phi| r2; the best feasible u + v is the point of that disc sum
+    closest to rho.  Among zero-error splits the minimum-norm one is chosen so
+    the output is deterministic.  Returns the copy magnitudes (u, v).
     """
-    w1 = np.abs(theta) * r1
-    w2 = np.abs(phi) * r2
-    m = rho
-    power = np.abs(theta) ** 2 + np.abs(phi) ** 2
-    u_star = np.where(power > 0, m * np.abs(theta) ** 2 / np.where(power > 0, power, 1.0), 0.0)
-    lo = np.maximum(0.0, m - w2)
-    hi = np.minimum(w1, m)
-    reachable = w1 + w2 >= m
+    power = th2 + ph2
+    u_star = np.where(power > 0, rho * th2 / np.where(power > 0, power, 1.0), 0.0)
+    lo = np.maximum(0.0, rho - w2)
+    hi = np.minimum(w1, rho)
+    reachable = w1 + w2 >= rho
     u = np.where(reachable, np.minimum(np.maximum(u_star, lo), hi), w1)
-    v = np.where(reachable, m - u, w2)
-
-    th_ok = np.abs(theta) > 0
-    ph_ok = np.abs(phi) > 0
-    a1 = np.where(th_ok, u * np.conj(theta) / np.where(th_ok, np.abs(theta) ** 2, 1.0),
-                  _clamp_disc(a1_in, r1))
-    a2 = np.where(ph_ok, v * np.conj(phi) / np.where(ph_ok, np.abs(phi) ** 2, 1.0),
-                  _clamp_disc(a2_in, r2))
-    return a1, a2
-
-
-def _penalized_split(theta, phi, rho, mu, r1: float, r2: float):
-    """Per-device minimizer of |theta a1 + phi a2 - rho|^2 + mu |a1|^2 on the boxes.
-
-    With the relay constraints priced into the quadratic penalty mu >= 0, the
-    optimum per device aligns both copies with the (positive real) target:
-    the direct phase-2 copy absorbs as much as it can for free, the remainder
-    goes through a1 shrunk by the penalty-to-curvature ratio.
-    """
-    w1 = np.abs(theta) * r1
-    w2 = np.abs(phi) * r2
-    th2 = np.abs(theta) ** 2
-    th_ok = th2 > 0
-    c = np.where(th_ok, mu / np.where(th_ok, th2, 1.0), np.inf)
-    short = np.maximum(rho - w2, 0.0)
-    with np.errstate(invalid="ignore"):
-        u = np.where(th_ok, np.minimum(short / (1.0 + c), w1), 0.0)
-    u = np.where(np.isfinite(u), u, 0.0)
-    v = np.minimum(np.maximum(rho - u, 0.0), w2)
-    ph_ok = np.abs(phi) > 0
-    a1 = np.where(th_ok, u * np.conj(theta) / np.where(th_ok, th2, 1.0), 0.0)
-    a2 = np.where(ph_ok, v * np.conj(phi) / np.where(ph_ok, np.abs(phi) ** 2, 1.0), 0.0)
-    return a1, a2
+    v = np.where(reachable, rho - u, w2)
+    return u, v
 
 
 def update_device_scalars(config: TransceiverConfig, channels: ChannelRealization,
@@ -199,13 +161,22 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     Returns (a1, a2, converged).  The feasible set is the per-device power
     boxes intersected with the per-relay quadratic constraints on a1.  When
     the relay constraints are slack at the box-only optimum that closed form
-    is returned directly.  Otherwise the relay constraints are dualized: for
-    fixed multipliers the problem separates into per-device closed forms; the
-    multipliers are driven to complementary slackness by monotone coordinate
-    bisection with a Newton polish on the active set.  The result is feasible
-    and never has a larger objective than the input; `converged` is False only
-    if the duality gap could not be pushed below ``qcqp_tol`` (relative to the
-    squared weight norm) within the iteration budget.
+    is returned directly.  Otherwise the relay constraints are dualized with
+    multipliers lam >= 0.  For fixed lam each device aligns both copies with
+    its weight: the direct phase-2 copy absorbs what it can for free and the
+    relayed copy u_k = |theta_k a1_k| takes the rest, shrunk by the penalty
+    mu_k = sum_n |g_kn|^2 lam_n and capped by the device box.  The relay
+    powers h(lam) decrease in lam and are smooth between the breakpoints
+    where a device leaves its cap, so one safeguarded Newton iteration on the
+    concave dual, with the analytic Jacobian, finds the multipliers.  With
+    one relay the root is first bracketed between two breakpoints; Newton
+    then runs from the left on the secular form (free relay power)^(-1/2),
+    which is exact when one device is free, and bisects if a step leaves the
+    bracket.  With several relays, projected Newton steps on the active set
+    are backtracked until the dual value rises.  The result is feasible
+    and never has a larger objective than the input; `converged` is False
+    only if the duality gap could not be pushed below ``qcqp_tol`` (relative
+    to the squared weight norm) within ``qcqp_max_iter`` Newton iterations.
     """
     rho = weights.rho
     theta, phi = _theta_phi(config, channels)
@@ -214,142 +185,117 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     r2 = 0.0 if pin_a2_zero else float(np.sqrt(budget.p0))
     if pin_a2_zero:
         phi = np.zeros_like(phi)
-    ellipsoids = _relay_ellipsoids(config, channels, budget)
+    abs_th, abs_ph = np.abs(theta), np.abs(phi)
+    th2, ph2 = abs_th**2, abs_ph**2
+    w1, w2 = abs_th * r1, abs_ph * r2
+    # Relay n bounds sum_k g2[n, k] |a1_k|^2 by radii_sq[n]; silent relays bound nothing.
+    live = np.abs(config.b) > 0
+    g2 = np.ascontiguousarray(np.abs(channels.g[:, live].T) ** 2)  # (Na, K)
+    radii_sq = np.array([max(budget.pr / abs(bn) ** 2 - budget.sigma2, 0.0)
+                         for bn in config.b[live]])
 
-    def constraint_values(a1):
-        return np.array([float(np.sum(w * np.abs(a1) ** 2)) - rsq
-                         for w, rsq in ellipsoids])
-
-    cand1, cand2 = _box_candidate(theta, phi, rho, config.a1, config.a2, r1, r2)
-    if not ellipsoids or np.all(constraint_values(cand1) <= 0):
+    u, v = _box_copies(rho, th2, ph2, w1, w2)
+    cand1 = _transmit_scalars(u, theta, th2, 0.0 if th2.all() else _clamp_disc(config.a1, r1))
+    cand2 = _transmit_scalars(v, phi, ph2, 0.0 if ph2.all() else _clamp_disc(config.a2, r2))
+    if ((g2 * np.abs(cand1) ** 2).sum(axis=1) <= radii_sq).all():
         return cand1, cand2, True
 
-    weights_mat = np.stack([w for w, _ in ellipsoids], axis=1)  # (K, Na)
-    radii_sq = np.array([rsq for _, rsq in ellipsoids])
-    if np.any(radii_sq <= 0):
+    direct = np.minimum(rho, w2)  # the free direct copy carries all it can
+    short = rho - direct  # and the relayed copy the rest
+    if (radii_sq <= 0).any():
         # A relay already spends its whole budget on forwarded noise; phase-1
         # transmission must stop entirely.
-        a1, a2 = _penalized_split(theta, phi, rho, np.full(rho.size, np.inf), r1, r2)
-        return a1, a2, True
+        return np.zeros_like(config.a1), _transmit_scalars(direct, phi, ph2), True
 
-    def primal(lam):
-        mu = weights_mat @ lam
-        a1, a2 = _penalized_split(theta, phi, rho, mu, r1, r2)
-        return a1, a2, (np.abs(a1) ** 2) @ weights_mat - radii_sq
-
-    def make_feasible(a1, a2, h):
-        if np.all(h <= 0):
-            return a1, a2
-        shrink = float(np.min(np.sqrt(radii_sq / (radii_sq + np.maximum(h, 0.0)))))
-        a1 = a1 * shrink
-        # Re-balance the free direct copy for the shrunk relayed copy.
-        v = np.minimum(np.maximum(rho - np.abs(theta * a1), 0.0), np.abs(phi) * r2)
-        ph_ok = np.abs(phi) > 0
-        a2 = np.where(ph_ok, v * np.conj(phi) / np.where(ph_ok, np.abs(phi) ** 2, 1.0),
-                      0.0)
-        return a1, a2
-
-    # Penalty scale at which even the strongest device would be halved.
-    th2 = np.abs(theta) ** 2
-    lam_scale = np.array([
-        max(float(np.max(th2[w > 0] / w[w > 0], initial=1.0)), 1e-300)
-        for w, _ in ellipsoids
-    ])
-    obj_scale = float(np.sum(rho**2))
-    gap_tol = solver_cfg.qcqp_tol * obj_scale
-    short = np.maximum(rho - np.abs(phi) * r2, 0.0)
-
-    def duality_gap(lam):
-        a1, a2, h = primal(lam)
-        dual_value = _misalignment(theta, phi, a1, a2, rho) + float(lam @ h)
-        f1, f2 = make_feasible(a1, a2, h)
-        return _misalignment(theta, phi, f1, f2, rho) - dual_value, (f1, f2), h
-
-    def bisect_cycle(lam):
-        for n in range(len(ellipsoids)):
-            def at(value):
-                probe = lam.copy()
-                probe[n] = value
-                return primal(probe)[2][n]
-
-            if at(0.0) <= 0:
-                lam[n] = 0.0
-                continue
-            lo, hi = 0.0, max(lam[n], lam_scale[n])
-            for _ in range(200):
-                if at(hi) <= 0:
-                    break
-                lo, hi = hi, hi * 8.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if at(mid) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-13 * hi:
-                    break
-            lam[n] = hi
-        return lam
-
-    def newton_polish(lam, gap, point):
-        # Solve the active complementarity system h(lam) = 0 with the analytic
-        # Jacobian; degenerate multiplier trade-offs that stall coordinate
-        # ascent collapse in a few least-squares steps.  Steps are accepted
-        # only if they shrink the duality gap.
-        for _ in range(30):
-            mu = weights_mat @ lam
-            denom = th2 + mu
-            u = np.where(th2 > 0, np.minimum(short * th2 / np.where(denom > 0, denom, 1.0),
-                                             np.abs(theta) * r1), 0.0)
-            interior = (u > 0) & (u < np.abs(theta) * r1 - 1e-300) & (th2 > 0)
-            sensitivity = np.where(interior, -2.0 * u**2 / (th2 * denom), 0.0)
-            _, _, h = primal(lam)
-            active = lam > 0
-            if not np.any(active):
-                break
-            jac = (weights_mat.T * sensitivity) @ weights_mat
-            step = np.zeros_like(lam)
-            sub = np.ix_(active, active)
-            sol, *_ = np.linalg.lstsq(jac[sub], -h[active], rcond=None)
-            step[active] = sol
-            if not np.all(np.isfinite(step)):
-                break
-            improved = False
-            scale = 1.0
-            for _ in range(3):
-                cand = np.maximum(lam + scale * step, 0.0)
-                cand_gap, cand_point, _ = duality_gap(cand)
-                if cand_gap < gap:
-                    lam, gap, point = cand, cand_gap, cand_point
-                    improved = True
-                    break
-                scale *= 0.25
-            if not improved or gap <= gap_tol:
-                break
-        return lam, gap, point
-
-    lam = np.zeros(len(ellipsoids))
-    gap = np.inf
-    point = None
+    # With penalty mu the relayed copy is u = min(gain / (th2 + mu), w1); a
+    # device leaves its cap once mu reaches mu_free.
+    gain = short * th2
+    linked = th2 > 0
+    th2_den = np.where(linked, th2, 1.0)
+    inv_th2 = linked / th2_den
+    mu_free = abs_th * (short / r1 - abs_th)
+    gap_tol = solver_cfg.qcqp_tol * float(rho @ rho)
+    single = radii_sq.size == 1
+    # Start each relay at the left end of its smooth piece around the root
+    # of h_n with the other multipliers at zero; with one relay that piece
+    # brackets the root.
+    lo, hi = np.zeros(radii_sq.size), np.full(radii_sq.size, np.inf)
+    for n, row in enumerate(g2):
+        capped = (mu_free > 0) & (row > 0)
+        # Two ulps up, so that every device counts as free at its own breakpoint.
+        breaks = np.nextafter(np.nextafter(mu_free[capped] / row[capped], np.inf), np.inf)
+        u_at = np.minimum(gain[:, None] / (th2_den[:, None] + row[:, None] * breaks),
+                          w1[:, None])
+        h_at = (row * inv_th2) @ u_at**2 - radii_sq[n]
+        lo[n] = breaks[h_at > 0].max(initial=0.0)
+        hi[n] = breaks[h_at <= 0].min(initial=np.inf)
+    lam = lo.copy()
+    base, step, scale = lam, np.zeros_like(lam), 1.0
+    base_dual, best_gap = -np.inf, np.inf
+    best = np.zeros_like(rho)  # a silent phase 1 is always feasible
     converged = False
-    stalled = 0
     for _ in range(solver_cfg.qcqp_max_iter):
-        lam = bisect_cycle(lam)
-        new_gap, new_point, _ = duality_gap(lam)
-        if new_point is not None and new_gap < gap:
-            gap, point = new_gap, new_point
-        if gap > gap_tol:
-            lam, gap, point = newton_polish(lam, gap, point)
-        if gap <= gap_tol:
-            converged = True
-            break
-        if new_gap >= gap * (1.0 - 1e-6):
-            stalled += 1
-            if stalled >= 2:
+        mu = lam @ g2
+        denom = th2_den + mu
+        u = np.minimum(gain / denom, w1)
+        power = u * u * inv_th2
+        h = g2 @ power - radii_sq
+        err = short - u
+        dual = float(err @ err + lam @ h)
+        # Nearest feasible point: shrink every relayed copy until all relays
+        # fit; the direct copy already carries all it can.
+        feasible = u * np.sqrt((radii_sq / (radii_sq + np.maximum(h, 0.0))).min())
+        err = short - feasible
+        gap = float(err @ err) - dual
+        if gap < best_gap:
+            best_gap, best = gap, feasible
+        if best_gap <= gap_tol:
+            # One more Newton step from inside the tolerance lands on the
+            # root to rounding, so the result does not depend on qcqp_tol.
+            if converged:
                 break
+            converged = True
+
+        if single:
+            accepted = h[0] > 0
+            if not accepted:
+                hi = lam
         else:
-            stalled = 0
-    a1, a2 = point
+            accepted = dual > base_dual
+        if accepted:
+            moving = power * (mu >= mu_free)  # right derivative at a breakpoint
+            slope = (g2 * (-2.0 * moving / denom)) @ g2.T
+            if single:
+                # Newton on (free relay power)^(-1/2): exact for one free device.
+                free_power = float(g2[0] @ moving)
+                target = free_power - h[0]
+                step = (2.0 * free_power * (np.sqrt(free_power / target) - 1.0) / -slope[0]
+                        if target > 0 and slope[0, 0] < 0 else np.full(1, np.inf))
+                lo = lam
+            else:
+                free = (lam > 0) | (h > 0)
+                step = np.zeros_like(lam)
+                step[free] = np.linalg.lstsq(slope[np.ix_(free, free)], -h[free],
+                                             rcond=None)[0]
+            base, base_dual, scale = lam, dual, 1.0
+        else:
+            scale *= 0.25
+            if scale < 1e-3:
+                break
+        cand = np.maximum(base + scale * step, 0.0)
+        if single and not lo[0] < cand[0] < hi[0]:
+            if np.isfinite(hi[0]):
+                cand = lo + 0.5 * (hi - lo)
+            else:
+                # Penalty at which even the strongest device would be halved.
+                heard = g2[0] > 0
+                lam_scale = (th2[heard] / g2[0, heard]).max(initial=1e-300)
+                cand = 8.0 * np.maximum(lo, lam_scale)
+        if (cand == lam).all():
+            break
+        lam = cand
+    a1 = _transmit_scalars(best, theta, th2)
+    a2 = _transmit_scalars(direct, phi, ph2)
 
     # The incoming point is feasible by the solve-loop invariant; never return
     # anything worse than it, even when the multiplier search exits early.

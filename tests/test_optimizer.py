@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from relayfl.aggregation import (
     DeviceWeights,
@@ -13,7 +13,14 @@ from relayfl.aggregation import (
     relay_mse,
     relay_power_used,
 )
-from relayfl.geometry import ChannelRealization, stream
+from relayfl.geometry import (
+    ChannelRealization,
+    PathLossParams,
+    cell_layout,
+    line_layout,
+    realize_channels,
+    stream,
+)
 from relayfl.optimizer import (
     SchemeVariant,
     SolverConfig,
@@ -127,6 +134,73 @@ class TestDeviceUpdate:
             after = misalignment_of(replace(cfg, a1=a1, a2=a2), ch, weights)
             assert after <= before * (1 + 1e-12) + 1e-15
             assert max_constraint_violation(replace(cfg, a1=a1, a2=a2), ch, budget) <= 1e-9
+
+
+def off_start(ch, weights, budget):
+    """Channel-inversion start with both receive scalars moved to their optima."""
+    cfg = init_config(ch, weights, budget)
+    cfg = replace(cfg, c1=update_c1(cfg, ch, weights, budget.sigma2))
+    return replace(cfg, c2=update_c2(cfg, ch, weights, budget.sigma2))
+
+
+class TestDualSolveAtScale:
+    """Device updates at the paper's sizes, certified by weak duality instead of SLSQP."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_single_relay_line_matches_dual_bound(self, seed):
+        budget = PowerBudget(p0=0.05, pr=0.01, sigma2=1e-10)
+        weights = DeviceWeights.uniform(20)
+        rng = stream(7100, seed)
+        ch = realize_channels(line_layout(20, rng), PathLossParams(), rng)
+        cfg = off_start(ch, weights, budget)
+        a1, a2, ok = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+
+        # Lagrangian of the relay constraint, minimized per device in closed
+        # form: the direct copy covers what it can, the relayed copy the rest.
+        theta = cfg.c1 * ch.h + cfg.c2 * (ch.g @ (ch.f * cfg.b))
+        t2 = np.abs(theta) ** 2
+        r1 = r2 = np.sqrt(budget.p0)
+        w = np.abs(ch.g[:, 0]) ** 2
+        cap = budget.pr / abs(cfg.b[0]) ** 2 - budget.sigma2
+        short = np.maximum(weights.rho - np.abs(cfg.c2 * ch.h) * r2, 0.0)
+
+        def relayed(lam):
+            return np.minimum(short * t2 / (t2 + w * lam), np.sqrt(t2) * r1)
+
+        def h(lam):
+            return float(np.sum(w * np.minimum(short**2 * t2 / (t2 + w * lam) ** 2, r1**2))
+                         - cap)
+
+        assert h(0.0) > 0  # the relay constraint binds
+        hi = 1.0
+        while h(hi) > 0:
+            hi *= 8.0
+        lam = brentq(h, 0.0, hi, xtol=1e-300, rtol=1e-15, maxiter=500)
+        u = relayed(lam)
+        saturated = np.isclose(u, np.sqrt(t2) * r1, rtol=1e-12)
+        assert saturated.any() and (~saturated & (u > 0)).any()
+        dual = float(np.sum((short - u) ** 2 + w * lam * u**2 / t2)) - lam * cap
+
+        final = replace(cfg, a1=a1, a2=a2)
+        assert ok
+        assert misalignment_of(final, ch, weights) <= dual + SOLVER.qcqp_tol * np.sum(
+            weights.rho**2)
+        assert max_constraint_violation(final, ch, budget) <= 1e-9
+
+    def test_four_relay_cell_converges_feasible_and_descends(self):
+        budget = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
+        weights = DeviceWeights.uniform(20)
+        rng = stream(7200, 0)
+        ch = realize_channels(cell_layout(20, 4, rng), PathLossParams(), rng)
+        cfg = off_start(ch, weights, budget)
+        a1, a2, ok = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+        final = replace(cfg, a1=a1, a2=a2)
+        assert ok
+        assert max_constraint_violation(final, ch, budget) <= 1e-9
+        # every relay ends at its power cap, so all four multipliers were searched
+        used = relay_power_used(final, ch, budget.sigma2)
+        assert used == pytest.approx(np.full(4, budget.pr), rel=1e-9)
+        assert misalignment_of(final, ch, weights) <= misalignment_of(cfg, ch, weights)
 
 
 class TestRelayUpdate:
