@@ -152,6 +152,25 @@ def _box_copies(rho, th2, ph2, w1, w2):
     return u, v
 
 
+def _bounded_newton_step(lam, grad, hessian):
+    """Newton step for the dual at lam >= 0 that keeps lam + step >= 0.
+
+    Multipliers at zero whose gradient points down stay put; a multiplier
+    the step would push below zero is pinned there and the rest re-solved.
+    """
+    free = (lam > 0) | (grad > 0)
+    step = np.zeros_like(lam)
+    while free.any():
+        rhs = -grad[free] - hessian[np.ix_(free, ~free)] @ step[~free]
+        step[free] = np.linalg.lstsq(hessian[np.ix_(free, free)], rhs, rcond=None)[0]
+        blocked = free & (lam + step < 0)
+        if not blocked.any():
+            break
+        free &= ~blocked
+        step[blocked] = -lam[blocked]
+    return step
+
+
 def update_device_scalars(config: TransceiverConfig, channels: ChannelRealization,
                           weights: DeviceWeights, budget: PowerBudget,
                           solver_cfg: SolverConfig, *, phase1_budget: float | None = None,
@@ -172,8 +191,9 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     one relay the root is first bracketed between two breakpoints; Newton
     then runs from the left on the secular form (free relay power)^(-1/2),
     which is exact when one device is free, and bisects if a step leaves the
-    bracket.  With several relays, projected Newton steps on the active set
-    are backtracked until the dual value rises.  The result is feasible
+    bracket.  With several relays, Newton steps on the active set stop at
+    lam = 0, and a Levenberg-Marquardt term damps them until the dual value
+    rises.  The result is feasible
     and never has a larger objective than the input; `converged` is False
     only if the duality gap could not be pushed below ``qcqp_tol`` (relative
     to the squared weight norm) within ``qcqp_max_iter`` Newton iterations.
@@ -230,7 +250,7 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
         lo[n] = breaks[h_at > 0].max(initial=0.0)
         hi[n] = breaks[h_at <= 0].min(initial=np.inf)
     lam = lo.copy()
-    base, step, scale = lam, np.zeros_like(lam), 1.0
+    base, step, damping = lam, np.zeros_like(lam), 0.0
     base_dual, best_gap = -np.inf, np.inf
     best = np.zeros_like(rho)  # a silent phase 1 is always feasible
     converged = False
@@ -265,6 +285,7 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
         if accepted:
             moving = power * (mu >= mu_free)  # right derivative at a breakpoint
             slope = (g2 * (-2.0 * moving / denom)) @ g2.T
+            base, base_dual, base_h, base_slope, damping = lam, dual, h, slope, 0.0
             if single:
                 # Newton on (free relay power)^(-1/2): exact for one free device.
                 free_power = float(g2[0] @ moving)
@@ -272,17 +293,16 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
                 step = (2.0 * free_power * (np.sqrt(free_power / target) - 1.0) / -slope[0]
                         if target > 0 and slope[0, 0] < 0 else np.full(1, np.inf))
                 lo = lam
-            else:
-                free = (lam > 0) | (h > 0)
-                step = np.zeros_like(lam)
-                step[free] = np.linalg.lstsq(slope[np.ix_(free, free)], -h[free],
-                                             rcond=None)[0]
-            base, base_dual, scale = lam, dual, 1.0
-        else:
-            scale *= 0.25
-            if scale < 1e-3:
+        elif not single:
+            # Levenberg-Marquardt: lean the next step towards scaled gradient ascent.
+            damping = 4.0 * damping if damping else 1e-3
+            if damping > 1e6:
                 break
-        cand = np.maximum(base + scale * step, 0.0)
+        if not single:
+            curvature = np.maximum(-np.diag(base_slope), 1e-300)
+            step = _bounded_newton_step(base, base_h,
+                                        base_slope - damping * np.diag(curvature))
+        cand = np.maximum(base + step, 0.0)
         if single and not lo[0] < cand[0] < hi[0]:
             if np.isfinite(hi[0]):
                 cand = lo + 0.5 * (hi - lo)

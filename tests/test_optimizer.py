@@ -202,6 +202,19 @@ class TestDualSolveAtScale:
         assert used == pytest.approx(np.full(4, budget.pr), rel=1e-9)
         assert misalignment_of(final, ch, weights) <= misalignment_of(cfg, ch, weights)
 
+    @pytest.mark.parametrize("seed", [7, 12])
+    def test_four_relay_solves_meet_the_gap_tolerance(self, seed):
+        # Instances whose nearly collinear relay constraints left earlier
+        # multiplier searches above qcqp_tol on several sweeps.
+        budget = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
+        weights = DeviceWeights.uniform(20)
+        rng = stream(5000, seed)
+        ch = realize_channels(cell_layout(20, 4, rng), PathLossParams(), rng)
+        cfg, trace = solve(ch, weights, budget, SOLVER)
+        assert not [w for w in trace.warnings if "QCQP" in w]
+        assert np.all(np.diff(trace.objectives) <= 1e-9 * np.abs(trace.objectives[:-1]))
+        assert max_constraint_violation(cfg, ch, budget) <= 1e-9
+
 
 class TestRelayUpdate:
     def test_radial_projection_worked_example(self):
