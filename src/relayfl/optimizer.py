@@ -193,10 +193,10 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     which is exact when one device is free, and bisects if a step leaves the
     bracket.  With several relays, Newton steps on the active set stop at
     lam = 0, and a Levenberg-Marquardt term damps them until the dual value
-    rises.  The result is feasible
-    and never has a larger objective than the input; `converged` is False
-    only if the duality gap could not be pushed below ``qcqp_tol`` (relative
-    to the squared weight norm) within ``qcqp_max_iter`` Newton iterations.
+    rises.  The result is feasible and never has a larger objective than the
+    input; `converged` is False only if the duality gap could not be pushed
+    below ``qcqp_tol`` (relative to the squared weight norm) within
+    ``qcqp_max_iter`` Newton iterations.
     """
     rho = weights.rho
     theta, phi = _theta_phi(config, channels)
@@ -211,6 +211,8 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     # Relay n bounds sum_k g2[n, k] |a1_k|^2 by radii_sq[n]; silent relays bound nothing.
     live = np.abs(config.b) > 0
     g2 = np.ascontiguousarray(np.abs(channels.g[:, live].T) ** 2)  # (Na, K)
+    # Python scalars on purpose: array abs and squares round differently, and
+    # at a cap the previous sweep made tight that rounding decides the shortcut.
     radii_sq = np.array([max(budget.pr / abs(bn) ** 2 - budget.sigma2, 0.0)
                          for bn in config.b[live]])
 
