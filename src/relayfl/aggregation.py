@@ -154,7 +154,7 @@ def norelay_optimum(h: np.ndarray, weights: DeviceWeights, p0_total: float,
     return a, complex(c), mse
 
 
-def _relay_path(config: TransceiverConfig, channels: ChannelRealization):
+def relay_path(config: TransceiverConfig, channels: ChannelRealization):
     """Per-device gain of the amplify-and-forward path, sum_n g_kn f_n b_n (0 without relays)."""
     return channels.g @ (channels.f * config.b) if config.b.size else 0.0
 
@@ -164,7 +164,7 @@ def alignment_gains(config: TransceiverConfig,
     """Effective per-device gain combining direct and relayed paths over both phases."""
     return (config.c1 * channels.h * config.a1
             + config.c2 * channels.h * config.a2
-            + config.c2 * config.a1 * _relay_path(config, channels))
+            + config.c2 * config.a1 * relay_path(config, channels))
 
 
 def noise_power_gain(config: TransceiverConfig, channels: ChannelRealization) -> float:

@@ -20,8 +20,8 @@ from .aggregation import (
     PowerBudget,
     SingularChannelError,
     TransceiverConfig,
-    _relay_path,
     relay_mse,
+    relay_path,
 )
 from .geometry import ChannelRealization
 
@@ -106,7 +106,7 @@ def init_config(channels: ChannelRealization, weights: DeviceWeights,
 def _theta_phi(config: TransceiverConfig,
                channels: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
     """Per-device effective gains multiplying a1 and a2 in the combined estimate."""
-    theta = config.c1 * channels.h + config.c2 * _relay_path(config, channels)
+    theta = config.c1 * channels.h + config.c2 * relay_path(config, channels)
     phi = config.c2 * channels.h
     return np.asarray(theta, dtype=complex), np.asarray(phi, dtype=complex)
 
@@ -120,16 +120,12 @@ def _clamp_disc(a: np.ndarray, radius: float) -> np.ndarray:
     if radius <= 0:
         return np.zeros_like(a)
     mag = np.abs(a)
-    outside = mag > radius
-    if not outside.any():
-        return a
-    return a * np.where(outside, radius / np.where(mag == 0, 1.0, mag), 1.0)
+    scale = np.where(mag > radius, radius / np.where(mag == 0, 1.0, mag), 1.0)
+    return a * scale
 
 
 def _transmit_scalars(copy, coef, coef2, dead=0.0):
     """Scalars a with coef * a = copy, where coef2 = |coef|^2; dead where coef = 0."""
-    if coef2.all():
-        return copy * np.conj(coef) / coef2
     return np.where(coef2 > 0, copy * np.conj(coef) / np.where(coef2 > 0, coef2, 1.0), dead)
 
 
@@ -152,18 +148,20 @@ def _box_copies(rho, th2, ph2, w1, w2):
     return u, v
 
 
-def _bounded_newton_step(lam, grad, hessian):
-    """Newton step for the dual at lam >= 0 that keeps lam + step >= 0.
+def _bounded_newton_step(lam, rhs, system):
+    """Step solving system @ step = -rhs for lam >= 0 that keeps lam + step >= 0.
 
-    Multipliers at zero whose gradient points down stay put; a multiplier
-    the step would push below zero is pinned there and the rest re-solved.
+    Multipliers at zero whose right-hand side points down stay put; a
+    multiplier the step would push below zero is pinned there and the rest
+    re-solved.
     """
-    free = (lam > 0) | (grad > 0)
-    step = np.zeros_like(lam)
+    free = (lam > 0) | (rhs > 0)
+    step = -lam  # every multiplier that is not free ends at zero
     while free.any():
-        rhs = -grad[free] - hessian[np.ix_(free, ~free)] @ step[~free]
-        step[free] = np.linalg.lstsq(hessian[np.ix_(free, free)], rhs, rcond=None)[0]
-        blocked = free & (lam + step < 0)
+        rows = system[free]
+        step[free] = np.linalg.lstsq(rows[:, free], -rhs[free] - rows[:, ~free] @ step[~free],
+                                     rcond=None)[0]
+        blocked = lam + step < 0
         if not blocked.any():
             break
         free &= ~blocked
@@ -186,16 +184,15 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     relayed copy u_k = |theta_k a1_k| takes the rest, shrunk by the penalty
     mu_k = sum_n |g_kn|^2 lam_n and capped by the device box.  The relay
     powers h(lam) decrease in lam and are smooth between the breakpoints
-    where a device leaves its cap, so one safeguarded Newton iteration on the
-    concave dual, with the analytic Jacobian, finds the multipliers.  With
-    one relay the root is first bracketed between two breakpoints; Newton
-    then runs from the left on the secular form (free relay power)^(-1/2),
-    which is exact when one device is free, and bisects if a step leaves the
-    bracket.  With several relays, Newton steps on the active set stop at
-    lam = 0, and a Levenberg-Marquardt term damps them until the dual value
-    rises.  The result is feasible and never has a larger objective than the
-    input; `converged` is False only if the duality gap could not be pushed
-    below ``qcqp_tol`` (relative to the squared weight norm) within
+    where a device leaves its cap.  Each multiplier starts at the left end
+    of the smooth piece that holds its own root, and one safeguarded Newton
+    iteration on the concave dual finds them all: it solves the analytic
+    Jacobian against the secular form (free relay power)^(-1/2), which is
+    exact when one device per relay is free, stops multipliers at lam = 0,
+    and adds a Levenberg-Marquardt term until the dual value rises.  The
+    result is feasible and never has a larger objective than the input;
+    `converged` is False only if the duality gap could not be pushed below
+    ``qcqp_tol`` (relative to the squared weight norm) within
     ``qcqp_max_iter`` Newton iterations.
     """
     rho = weights.rho
@@ -217,8 +214,8 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
                          for bn in config.b[live]])
 
     u, v = _box_copies(rho, th2, ph2, w1, w2)
-    cand1 = _transmit_scalars(u, theta, th2, 0.0 if th2.all() else _clamp_disc(config.a1, r1))
-    cand2 = _transmit_scalars(v, phi, ph2, 0.0 if ph2.all() else _clamp_disc(config.a2, r2))
+    cand1 = _transmit_scalars(u, theta, th2, _clamp_disc(config.a1, r1))
+    cand2 = _transmit_scalars(v, phi, ph2, _clamp_disc(config.a2, r2))
     if ((g2 * np.abs(cand1) ** 2).sum(axis=1) <= radii_sq).all():
         return cand1, cand2, True
 
@@ -237,11 +234,9 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     inv_th2 = linked / th2_den
     mu_free = abs_th * (short / r1 - abs_th)
     gap_tol = solver_cfg.qcqp_tol * float(rho @ rho)
-    single = radii_sq.size == 1
     # Start each relay at the left end of its smooth piece around the root
-    # of h_n with the other multipliers at zero; with one relay that piece
-    # brackets the root.
-    lo, hi = np.zeros(radii_sq.size), np.full(radii_sq.size, np.inf)
+    # of h_n with the other multipliers at zero.
+    lam = np.zeros(radii_sq.size)
     for n, row in enumerate(g2):
         capped = (mu_free > 0) & (row > 0)
         # Two ulps up, so that every device counts as free at its own breakpoint.
@@ -249,11 +244,9 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
         u_at = np.minimum(gain[:, None] / (th2_den[:, None] + row[:, None] * breaks),
                           w1[:, None])
         h_at = (row * inv_th2) @ u_at**2 - radii_sq[n]
-        lo[n] = breaks[h_at > 0].max(initial=0.0)
-        hi[n] = breaks[h_at <= 0].min(initial=np.inf)
-    lam = lo.copy()
-    base, step, damping = lam, np.zeros_like(lam), 0.0
-    base_dual, best_gap = -np.inf, np.inf
+        lam[n] = breaks[h_at > 0].max(initial=0.0)
+    base, base_dual, damping = lam, -np.inf, 0.0
+    best_gap = np.inf
     best = np.zeros_like(rho)  # a silent phase 1 is always feasible
     converged = False
     for _ in range(solver_cfg.qcqp_max_iter):
@@ -277,42 +270,27 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
             if converged:
                 break
             converged = True
-
-        if single:
-            accepted = h[0] > 0
-            if not accepted:
-                hi = lam
-        else:
-            accepted = dual > base_dual
-        if accepted:
+        if dual > base_dual:
             moving = power * (mu >= mu_free)  # right derivative at a breakpoint
             slope = (g2 * (-2.0 * moving / denom)) @ g2.T
-            base, base_dual, base_h, base_slope, damping = lam, dual, h, slope, 0.0
-            if single:
-                # Newton on (free relay power)^(-1/2): exact for one free device.
-                free_power = float(g2[0] @ moving)
-                target = free_power - h[0]
-                step = (2.0 * free_power * (np.sqrt(free_power / target) - 1.0) / -slope[0]
-                        if target > 0 and slope[0, 0] < 0 else np.full(1, np.inf))
-                lo = lam
-        elif not single:
+            # Newton on the secular form F_n^(-1/2) = (F_n - h_n)^(-1/2), F_n the
+            # power of the free devices; plain Newton on h_n where it is undefined.
+            free_power = g2 @ moving
+            target = free_power - h
+            secular = (free_power > 0) & (target > 0)
+            rhs = np.where(secular, 2.0 * free_power
+                           * (np.sqrt(free_power / np.where(secular, target, 1.0)) - 1.0), h)
+            base, base_dual, base_rhs, base_slope, damping = lam, dual, rhs, slope, 0.0
+            system = slope
+        else:
             # Levenberg-Marquardt: lean the next step towards scaled gradient ascent.
             damping = 4.0 * damping if damping else 1e-3
             if damping > 1e6:
                 break
-        if not single:
             curvature = np.maximum(-np.diag(base_slope), 1e-300)
-            step = _bounded_newton_step(base, base_h,
-                                        base_slope - damping * np.diag(curvature))
+            system = base_slope - damping * np.diag(curvature)
+        step = _bounded_newton_step(base, base_rhs, system)
         cand = np.maximum(base + step, 0.0)
-        if single and not lo[0] < cand[0] < hi[0]:
-            if np.isfinite(hi[0]):
-                cand = lo + 0.5 * (hi - lo)
-            else:
-                # Penalty at which even the strongest device would be halved.
-                heard = g2[0] > 0
-                lam_scale = (th2[heard] / g2[0, heard]).max(initial=1e-300)
-                cand = 8.0 * np.maximum(lo, lam_scale)
         if (cand == lam).all():
             break
         lam = cand
@@ -373,7 +351,7 @@ def update_c1(config: TransceiverConfig, channels: ChannelRealization,
               weights: DeviceWeights, sigma2: float) -> complex:
     """Exact minimizer of the MSE over the phase-1 receive scalar."""
     direct1 = channels.h * config.a1
-    rest = config.c2 * (channels.h * config.a2 + config.a1 * _relay_path(config, channels))
+    rest = config.c2 * (channels.h * config.a2 + config.a1 * relay_path(config, channels))
     numerator = np.sum((weights.rho - rest) * np.conj(direct1))
     denominator = float(np.sum(np.abs(direct1) ** 2)) + sigma2
     return complex(numerator / denominator)
@@ -382,7 +360,7 @@ def update_c1(config: TransceiverConfig, channels: ChannelRealization,
 def update_c2(config: TransceiverConfig, channels: ChannelRealization,
               weights: DeviceWeights, sigma2: float) -> complex:
     """Exact minimizer of the MSE over the phase-2 receive scalar."""
-    phase2 = channels.h * config.a2 + config.a1 * _relay_path(config, channels)
+    phase2 = channels.h * config.a2 + config.a1 * relay_path(config, channels)
     forwarded = float(np.sum(np.abs(channels.f * config.b) ** 2)) if config.b.size else 0.0
     numerator = np.sum((weights.rho - config.c1 * channels.h * config.a1) * np.conj(phase2))
     denominator = float(np.sum(np.abs(phase2) ** 2)) + (1.0 + forwarded) * sigma2
