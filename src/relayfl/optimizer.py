@@ -213,9 +213,13 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     radii_sq = np.array([max(budget.pr / abs(bn) ** 2 - budget.sigma2, 0.0)
                          for bn in config.b[live]])
 
+    # The incoming point, feasible by the solve-loop invariant, also fills in
+    # scalars whose coefficient is zero.
+    incoming1 = _clamp_disc(config.a1, r1)
+    incoming2 = _clamp_disc(config.a2, r2)
     u, v = _box_copies(rho, th2, ph2, w1, w2)
-    cand1 = _transmit_scalars(u, theta, th2, _clamp_disc(config.a1, r1))
-    cand2 = _transmit_scalars(v, phi, ph2, _clamp_disc(config.a2, r2))
+    cand1 = _transmit_scalars(u, theta, th2, incoming1)
+    cand2 = _transmit_scalars(v, phi, ph2, incoming2)
     if ((g2 * np.abs(cand1) ** 2).sum(axis=1) <= radii_sq).all():
         return cand1, cand2, True
 
@@ -297,10 +301,8 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     a1 = _transmit_scalars(best, theta, th2)
     a2 = _transmit_scalars(direct, phi, ph2)
 
-    # The incoming point is feasible by the solve-loop invariant; never return
-    # anything worse than it, even when the multiplier search exits early.
-    incoming1 = _clamp_disc(config.a1, r1)
-    incoming2 = _clamp_disc(config.a2, r2)
+    # Never return anything worse than the incoming point, even when the
+    # multiplier search exits early.
     if (_misalignment(theta, phi, incoming1, incoming2, rho)
             < _misalignment(theta, phi, a1, a2, rho)):
         a1, a2 = incoming1, incoming2
