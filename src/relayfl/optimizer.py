@@ -119,9 +119,7 @@ def _clamp_disc(a: np.ndarray, radius: float) -> np.ndarray:
     """Project each entry onto the disc of the given radius."""
     if radius <= 0:
         return np.zeros_like(a)
-    mag = np.abs(a)
-    scale = np.where(mag > radius, radius / np.where(mag == 0, 1.0, mag), 1.0)
-    return a * scale
+    return a * (radius / np.maximum(np.abs(a), radius))
 
 
 def _transmit_scalars(copy, coef, coef2, dead=0.0):
@@ -153,9 +151,12 @@ def _bounded_newton_step(lam, rhs, system):
 
     Multipliers at zero whose right-hand side points down stay put; a
     multiplier the step would push below zero is pinned there and the rest
-    re-solved.
+    re-solved.  Singular systems take the least-norm step.
     """
     free = (lam > 0) | (rhs > 0)
+    if lam.size == 1:  # one multiplier: a scalar equation, no active set
+        step = -rhs / system[0] if free[0] and system[0, 0] else np.zeros(1)
+        return np.maximum(step, -lam)
     step = -lam  # every multiplier that is not free ends at zero
     while free.any():
         rows = system[free]
@@ -207,7 +208,7 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     w1, w2 = abs_th * r1, abs_ph * r2
     # Relay n bounds sum_k g2[n, k] |a1_k|^2 by radii_sq[n]; silent relays bound nothing.
     live = np.abs(config.b) > 0
-    g2 = np.ascontiguousarray(np.abs(channels.g[:, live].T) ** 2)  # (Na, K)
+    g2 = np.abs(channels.g.T[live]) ** 2  # (Na, K)
     # Python scalars on purpose: array abs and squares round differently, and
     # at a cap the previous sweep made tight that rounding decides the shortcut.
     radii_sq = np.array([max(budget.pr / abs(bn) ** 2 - budget.sigma2, 0.0)

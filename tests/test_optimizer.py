@@ -24,6 +24,7 @@ from relayfl.geometry import (
 from relayfl.optimizer import (
     SchemeVariant,
     SolverConfig,
+    _bounded_newton_step,
     init_config,
     solve,
     update_c1,
@@ -141,6 +142,26 @@ def off_start(ch, weights, budget):
     cfg = init_config(ch, weights, budget)
     cfg = replace(cfg, c1=update_c1(cfg, ch, weights, budget.sigma2))
     return replace(cfg, c2=update_c2(cfg, ch, weights, budget.sigma2))
+
+
+class TestBoundedNewtonStep:
+    @pytest.mark.parametrize("lam, rhs, slope, expected", [
+        (0.5, 1.0, -2.0, 0.5),     # free: the Newton step
+        (0.5, -3.0, -2.0, -0.5),   # the step would cross zero: pinned there
+        (0.0, -1.0, -2.0, 0.0),    # at zero and pointing down: stays
+        (0.0, 1e-25, 0.0, 0.0),    # flat (no free device): the least-norm step
+    ])
+    def test_one_multiplier(self, lam, rhs, slope, expected):
+        step = _bounded_newton_step(np.array([lam]), np.array([rhs]), np.array([[slope]]))
+        assert step == pytest.approx([expected])
+
+    def test_pins_a_multiplier_and_resolves_the_rest(self):
+        system = np.array([[-2.0, -1.0], [-1.0, -2.0]])
+        lam, rhs = np.array([0.1, 1.0]), np.array([-3.0, 0.0])
+        step = _bounded_newton_step(lam, rhs, system)
+        # the first multiplier would go negative, so it ends at zero and the
+        # second solves its own row with that step fixed
+        assert step == pytest.approx([-0.1, 0.05])
 
 
 class TestDualSolveAtScale:
