@@ -167,9 +167,14 @@ def alignment_gains(config: TransceiverConfig,
             + config.c2 * config.a1 * relay_path(config, channels))
 
 
+def forwarded_noise_gain(config: TransceiverConfig, channels: ChannelRealization) -> float:
+    """Gain of the relays' receive noise at the AP, sum |f_n b_n|^2 (0 without relays)."""
+    return float(np.sum(np.abs(channels.f * config.b) ** 2)) if config.b.size else 0.0
+
+
 def noise_power_gain(config: TransceiverConfig, channels: ChannelRealization) -> float:
     """Combined receive-noise amplification |c1|^2 + |c2|^2 (1 + sum |f_n b_n|^2)."""
-    forwarded = float(np.sum(np.abs(channels.f * config.b) ** 2)) if config.b.size else 0.0
+    forwarded = forwarded_noise_gain(config, channels)
     return abs(config.c1) ** 2 + abs(config.c2) ** 2 * (1.0 + forwarded)
 
 
@@ -180,14 +185,18 @@ def relay_mse(config: TransceiverConfig, channels: ChannelRealization,
     return float(np.sum(np.abs(misalign) ** 2) + noise_power_gain(config, channels) * sigma2)
 
 
+def relay_input_power(channels: ChannelRealization, a1: np.ndarray,
+                      sigma2: float) -> np.ndarray:
+    """Per-relay phase-1 receive power sum_k |g_kn|^2 |a1_k|^2 + sigma2."""
+    return (np.abs(channels.g) ** 2).T @ (np.abs(a1) ** 2) + sigma2
+
+
 def relay_power_used(config: TransceiverConfig, channels: ChannelRealization,
                      sigma2: float) -> np.ndarray:
     """Per-relay transmit power |b_n|^2 (sum_k |g_kn|^2 |a1_k|^2 + sigma2)."""
     if config.b.size == 0:
         return np.zeros(0)
-    received = np.abs(channels.g) ** 2
-    per_relay = received.T @ (np.abs(config.a1) ** 2) + sigma2
-    return np.abs(config.b) ** 2 * per_relay
+    return np.abs(config.b) ** 2 * relay_input_power(channels, config.a1, sigma2)
 
 
 def max_constraint_violation(config: TransceiverConfig, channels: ChannelRealization,

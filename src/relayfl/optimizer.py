@@ -20,6 +20,8 @@ from .aggregation import (
     PowerBudget,
     SingularChannelError,
     TransceiverConfig,
+    forwarded_noise_gain,
+    relay_input_power,
     relay_mse,
     relay_path,
 )
@@ -96,8 +98,7 @@ def init_config(channels: ChannelRealization, weights: DeviceWeights,
         c1 = c2 = complex(peak / (2.0 * np.sqrt(budget.p0)))
 
     if channels.num_relays:
-        received = (np.abs(channels.g) ** 2).T @ (np.abs(a1) ** 2) + budget.sigma2
-        b = np.sqrt(budget.pr / received).astype(complex)
+        b = np.sqrt(budget.pr / relay_input_power(channels, a1, budget.sigma2)).astype(complex)
     else:
         b = np.zeros(0, dtype=complex)
     return TransceiverConfig(a1=a1, a2=a2, b=b, c1=c1, c2=c2)
@@ -344,7 +345,7 @@ def update_relay_scalars(config: TransceiverConfig, channels: ChannelRealization
         b_hat = np.linalg.pinv(system) @ rhs
         warning = "singular relay stationarity system; least-norm solution used"
 
-    cap = budget.pr / ((np.abs(g) ** 2).T @ power1 + budget.sigma2)
+    cap = budget.pr / relay_input_power(channels, a1, budget.sigma2)
     mag = np.abs(b_hat)
     scale = np.where(mag > np.sqrt(cap), np.sqrt(cap) / np.where(mag == 0, 1.0, mag), 1.0)
     return b_hat * scale, warning
@@ -364,9 +365,9 @@ def update_c2(config: TransceiverConfig, channels: ChannelRealization,
               weights: DeviceWeights, sigma2: float) -> complex:
     """Exact minimizer of the MSE over the phase-2 receive scalar."""
     phase2 = channels.h * config.a2 + config.a1 * relay_path(config, channels)
-    forwarded = float(np.sum(np.abs(channels.f * config.b) ** 2)) if config.b.size else 0.0
     numerator = np.sum((weights.rho - config.c1 * channels.h * config.a1) * np.conj(phase2))
-    denominator = float(np.sum(np.abs(phase2) ** 2)) + (1.0 + forwarded) * sigma2
+    denominator = (float(np.sum(np.abs(phase2) ** 2))
+                   + (1.0 + forwarded_noise_gain(config, channels)) * sigma2)
     return complex(numerator / denominator)
 
 
