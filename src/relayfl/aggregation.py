@@ -185,8 +185,7 @@ def relay_mse(config: TransceiverConfig, channels: ChannelRealization,
     return float(np.sum(np.abs(misalign) ** 2) + noise_power_gain(config, channels) * sigma2)
 
 
-def relay_input_power(channels: ChannelRealization, a1: np.ndarray,
-                      sigma2: float) -> np.ndarray:
+def relay_input_power(channels: ChannelRealization, a1: np.ndarray, sigma2: float) -> np.ndarray:
     """Per-relay phase-1 receive power sum_k |g_kn|^2 |a1_k|^2 + sigma2."""
     return (np.abs(channels.g) ** 2).T @ (np.abs(a1) ** 2) + sigma2
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .experiment import ConfigError, load_config, run_experiment, theorem_sweep, write_csv
+from .experiment import (ConfigError, load_config, override, run_experiment, theorem_sweep,
+                         write_csv)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,7 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = replace(config, master_seed=args.seed)
+            config = override(config, "master_seed", args.seed)
         rows = run_experiment(config) if args.command == "run" else theorem_sweep(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Experiment configuration, Monte Carlo orchestration, and CSV emission.
 
-Configs are JSON documents whose top-level keys match the ExperimentConfig
-fields; unknown keys at any level are rejected so typos fail loudly.  Every
-trial derives its own random stream from (master_seed, sweep index, trial
-index), which makes runs reproducible and trial order irrelevant.
+Configs are JSON documents whose keys match the ExperimentConfig fields; one
+loader checks every value against its field's annotation and rejects unknown
+keys at any level so typos fail loudly.  Every trial derives its own random
+stream from (master_seed, sweep index, trial index), which makes runs
+reproducible and trial order irrelevant.
 """
 
 from __future__ import annotations
@@ -11,15 +12,22 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, replace
+import sys
+import types
+import typing
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import aggregation as agg
 from . import federated, geometry, optimizer, single_relay
 
-SWEEPABLE_KEYS = ("pr_watts", "p0_watts", "noise_dbm", "x_relay", "num_devices",
-                  "num_relays", "shards_c", "csi_kappa", "total_blocks")
+# Sweep key -> key path of the field each sweep value sets.
+SWEEP_PATHS = {"pr_watts": "budget.pr_watts", "p0_watts": "budget.p0_watts",
+               "noise_dbm": "budget.noise_dbm", "x_relay": "layout.x_relay",
+               "num_devices": "num_devices", "num_relays": "num_relays",
+               "shards_c": "fl.shards_c", "csi_kappa": "csi_kappa",
+               "total_blocks": "fl.total_blocks"}
 
 CSV_COLUMNS = ("sweep_key", "sweep_value", "trial", "round", "blocks_used",
                "nmse_db", "test_accuracy", "mse_predicted", "mse_norelay_bound",
@@ -56,14 +64,6 @@ class LayoutConfig:
 
 
 @dataclass(frozen=True)
-class SolverSection:
-    j_max: int = 100
-    epsilon: float = 1e-4
-    qcqp_tol: float = 1e-8
-    qcqp_max_iter: int = 300
-
-
-@dataclass(frozen=True)
 class FlConfig:
     total_blocks: int = 40
     tau: int = 1
@@ -92,7 +92,7 @@ class ExperimentConfig:
     num_relays: int = 1
     budget: BudgetConfig = field(default_factory=BudgetConfig)
     layout: LayoutConfig = field(default_factory=LayoutConfig)
-    solver: SolverSection = field(default_factory=SolverSection)
+    solver: optimizer.SolverConfig = field(default_factory=optimizer.SolverConfig)
     fl: FlConfig = field(default_factory=FlConfig)
     csi_kappa: float | None = None
     trials: int = 50
@@ -100,12 +100,46 @@ class ExperimentConfig:
     sweep: SweepConfig | None = None
 
 
-def _build_section(cls, data: dict, path: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
+def _check_value(kind, value, path: str):
+    """`value` checked against the annotation `kind`; sections are loaded recursively."""
+    if isinstance(kind, types.UnionType):  # X | None
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    if dataclasses.is_dataclass(kind):
+        return _load(kind, value, path + ".")
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and is_number and isinstance(value, int):
+        return value
+    # NaN and infinities fail; abs() compares ints exactly, so ints past the float range fail.
+    if kind is float and is_number and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is str and isinstance(value, str):
+        return value
+    if kind is tuple and isinstance(value, (list, tuple)):  # override() passes tuples
+        return tuple(value)
+    expected = {int: "an integer", float: "a finite number", str: "a string", tuple: "a list"}
+    raise ConfigError(f"{path} must be {expected[kind]}")
+
+
+def _load(cls, data, prefix: str = ""):
+    """Dataclass `cls` from a JSON object at `prefix`; its own ValueErrors name the section."""
+    section = prefix[:-1] or "configuration"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
     if unknown:
-        raise ConfigError(f"unknown key {path}.{sorted(unknown)[0]}")
-    return cls(**data)
+        raise ConfigError(f"unknown key {prefix}{unknown[0]}")
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in data
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing key {prefix}{missing[0]}")
+    values = {key: _check_value(hints[key], value, prefix + key) for key, value in data.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _validate(config: ExperimentConfig) -> ExperimentConfig:
@@ -117,9 +151,17 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("num_relays must be nonnegative")
     if config.trials < 1:
         raise ConfigError("trials must be at least 1")
+    if config.master_seed < 0:
+        raise ConfigError("master_seed must be nonnegative")
     b = config.budget
     if b.p0_watts <= 0 or b.pr_watts <= 0:
         raise ConfigError("budget.p0_watts and budget.pr_watts must be positive")
+    try:
+        sigma2 = dbm_to_watts(b.noise_dbm)
+    except OverflowError:
+        sigma2 = math.inf
+    if not 0.0 < sigma2 < math.inf:
+        raise ConfigError("budget.noise_dbm must give a positive, finite noise power")
     lay = config.layout
     if lay.kind not in ("line", "cell"):
         raise ConfigError("layout.kind must be 'line' or 'cell'")
@@ -130,32 +172,29 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("layout geometry and propagation values must be positive")
     if lay.device_x_min <= 0 or lay.device_x_max <= lay.device_x_min:
         raise ConfigError("layout device x range must be positive and increasing")
-    s = config.solver
-    for name in ("j_max", "qcqp_max_iter"):
-        value = getattr(s, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"solver.{name} must be an integer")
-    for name in ("epsilon", "qcqp_tol"):
-        value = getattr(s, name)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
-            raise ConfigError(f"solver.{name} must be a finite number")
-    if s.j_max < 1 or s.qcqp_max_iter < 1 or s.epsilon <= 0 or s.qcqp_tol <= 0:
-        raise ConfigError("solver limits must be positive")
+    if lay.device_y_half < 0:
+        raise ConfigError("layout.device_y_half must be nonnegative")
     fl = config.fl
     if fl.total_blocks < 1 or fl.tau < 1:
         raise ConfigError("fl.total_blocks and fl.tau must be at least 1")
     if fl.partition not in ("iid", "shards"):
         raise ConfigError("fl.partition must be 'iid' or 'shards'")
-    if min(fl.num_classes, fl.feature_dim, fl.samples_per_class, fl.shards_c) < 1:
+    if (min(fl.num_classes, fl.feature_dim, fl.samples_per_class, fl.shards_c) < 1
+            or fl.separation <= 0):
         raise ConfigError("fl task parameters must be positive")
     if fl.lr_base <= 0 or fl.lr_floor <= 0 or not 0 < fl.lr_decay <= 1 or fl.lr_step < 1:
         raise ConfigError("fl learning-rate schedule values are out of range")
+    shards = fl.partition == "shards"
+    needed = config.num_devices * (fl.shards_c if shards else 1)
+    available = federated.train_size(fl.num_classes * fl.samples_per_class)
+    if available < needed:
+        raise ConfigError(f"the fl task has {available} training samples but num_devices"
+                          f"{' x fl.shards_c' if shards else ''} needs {needed}")
     if config.csi_kappa is not None and not 0.0 <= config.csi_kappa <= 1.0:
         raise ConfigError("csi_kappa must lie in [0, 1]")
     if config.sweep is not None:
-        if config.sweep.key not in SWEEPABLE_KEYS:
-            raise ConfigError(f"sweep.key must be one of {SWEEPABLE_KEYS}")
+        if config.sweep.key not in SWEEP_PATHS:
+            raise ConfigError(f"sweep.key must be one of {tuple(SWEEP_PATHS)}")
         if not config.sweep.values:
             raise ConfigError("sweep.values must be nonempty")
     return config
@@ -163,40 +202,7 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Build a validated ExperimentConfig from a parsed JSON document."""
-    if not isinstance(data, dict):
-        raise ConfigError("configuration must be a JSON object")
-    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]}")
-    kwargs = {}
-    try:
-        for key, value in data.items():
-            if key == "budget":
-                kwargs[key] = _build_section(BudgetConfig, value, "budget")
-            elif key == "layout":
-                kwargs[key] = _build_section(LayoutConfig, value, "layout")
-            elif key == "solver":
-                kwargs[key] = _build_section(SolverSection, value, "solver")
-            elif key == "fl":
-                kwargs[key] = _build_section(FlConfig, value, "fl")
-            elif key == "sweep":
-                if value is None:
-                    kwargs[key] = None
-                else:
-                    unknown_sweep = set(value) - {"key", "values"}
-                    if unknown_sweep:
-                        raise ConfigError(f"unknown key sweep.{sorted(unknown_sweep)[0]}")
-                    kwargs[key] = SweepConfig(key=value["key"],
-                                              values=tuple(value["values"]))
-            else:
-                kwargs[key] = value
-        config = ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, KeyError) as exc:
-        raise ConfigError(f"malformed configuration: {exc}") from exc
-    return _validate(config)
+    return _validate(_load(ExperimentConfig, data))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -209,26 +215,27 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(data)
 
 
-def _apply_sweep(config: ExperimentConfig, key: str, value) -> ExperimentConfig:
-    if key == "pr_watts":
-        return replace(config, budget=replace(config.budget, pr_watts=float(value)))
-    if key == "p0_watts":
-        return replace(config, budget=replace(config.budget, p0_watts=float(value)))
-    if key == "noise_dbm":
-        return replace(config, budget=replace(config.budget, noise_dbm=float(value)))
-    if key == "x_relay":
-        return replace(config, layout=replace(config.layout, x_relay=float(value)))
-    if key == "num_devices":
-        return replace(config, num_devices=int(value))
-    if key == "num_relays":
-        return replace(config, num_relays=int(value))
-    if key == "shards_c":
-        return replace(config, fl=replace(config.fl, shards_c=int(value)))
-    if key == "total_blocks":
-        return replace(config, fl=replace(config.fl, total_blocks=int(value)))
-    if key == "csi_kappa":
-        return replace(config, csi_kappa=float(value))
-    raise ConfigError(f"unsupported sweep key {key!r}")
+def override(config: ExperimentConfig, path: str, value) -> ExperimentConfig:
+    """Copy of `config` with the field at a dotted key path set to `value`, checked anew."""
+    data = dataclasses.asdict(config)
+    *sections, leaf = path.split(".")
+    target = data
+    for name in sections:
+        target = target[name]
+    target[leaf] = value
+    return parse_config(data)
+
+
+def sweep_points(config: ExperimentConfig) -> list[tuple[object, ExperimentConfig]]:
+    """(value, configuration) for every sweep value, each checked like a document."""
+    path = SWEEP_PATHS[config.sweep.key]
+    points = []
+    for value in config.sweep.values:
+        try:
+            points.append((value, override(config, path, value)))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep value {value!r}: {exc}") from exc
+    return points
 
 
 def _power_budget(config: ExperimentConfig) -> agg.PowerBudget:
@@ -255,12 +262,6 @@ def _make_layout(config: ExperimentConfig, rng: np.random.Generator) -> geometry
                                 ring_radius=lay.relay_ring_radius)
 
 
-def _solver_config(config: ExperimentConfig) -> optimizer.SolverConfig:
-    s = config.solver
-    return optimizer.SolverConfig(j_max=s.j_max, epsilon=s.epsilon,
-                                  qcqp_tol=s.qcqp_tol, qcqp_max_iter=s.qcqp_max_iter)
-
-
 def run_trial(config: ExperimentConfig, sweep_index: int, trial: int) -> list:
     """Run one Monte Carlo trial and return its per-round metrics.
 
@@ -281,21 +282,18 @@ def run_trial(config: ExperimentConfig, sweep_index: int, trial: int) -> list:
                                     step=fl.lr_step, floor=fl.lr_floor)
     return federated.train(
         config.scheme, task, partition, layout, _pl_params(config),
-        _power_budget(config), _solver_config(config), schedule, fl.total_blocks,
+        _power_budget(config), config.solver, schedule, fl.total_blocks,
         rng, csi_kappa=config.csi_kappa, tau=fl.tau)
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """All sweep points and trials; returns one row dict per round (CSV_COLUMNS)."""
     if config.sweep is None:
-        points = [("", "")]
-        configs = [config]
+        key, points = "", [("", config)]
     else:
-        points = [(config.sweep.key, v) for v in config.sweep.values]
-        configs = [_validate(_apply_sweep(config, config.sweep.key, v))
-                   for v in config.sweep.values]
+        key, points = config.sweep.key, sweep_points(config)
     rows = []
-    for sweep_index, ((key, value), cfg) in enumerate(zip(points, configs)):
+    for sweep_index, (value, cfg) in enumerate(points):
         for trial in range(cfg.trials):
             for m in run_trial(cfg, sweep_index, trial):
                 rows.append({
@@ -320,9 +318,10 @@ def theorem_sweep(config: ExperimentConfig) -> list[dict]:
     """
     if config.num_relays != 1:
         raise ConfigError("theorem sweep requires num_relays = 1")
+    if config.sweep is not None:
+        raise ConfigError("theorem sweep takes no sweep section")
     budget = _power_budget(config)
     params = _pl_params(config)
-    solver_cfg = _solver_config(config)
     weights = agg.DeviceWeights.uniform(config.num_devices)
     rows = []
     for trial in range(config.trials):
@@ -334,7 +333,7 @@ def theorem_sweep(config: ExperimentConfig) -> list[dict]:
         construction = single_relay.analytic_construction(channels, weights, budget)
         _, _, bound = agg.norelay_optimum(channels.h, weights, 2.0 * budget.p0,
                                           budget.sigma2)
-        solved, _ = optimizer.solve(channels, weights, budget, solver_cfg,
+        solved, _ = optimizer.solve(channels, weights, budget, config.solver,
                                     optimizer.SchemeVariant.FULL,
                                     warm_start=construction.config)
         solved_mse = agg.relay_mse(solved, channels, weights, budget.sigma2)

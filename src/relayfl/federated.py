@@ -99,6 +99,13 @@ class RoundMetrics:
     warnings: tuple[str, ...] = ()
 
 
+def train_size(num_samples: int) -> int:
+    """Training share round(0.8 n) of the 80/20 split, in [1, n - 1]; 0 when n < 2.
+
+    Integer arithmetic, so sample counts beyond the float range are safe to check."""
+    return min(max(1, (4 * num_samples + 2) // 5), num_samples - 1)
+
+
 def make_synthetic_task(num_classes: int, feature_dim: int, samples_per_class: int,
                         separation: float, rng: np.random.Generator) -> LearningTask:
     """Gaussian class clusters with unit spread and means `separation` from the origin.
@@ -118,7 +125,7 @@ def make_synthetic_task(num_classes: int, feature_dim: int, samples_per_class: i
     labels = np.repeat(np.arange(num_classes), samples_per_class)
     order = rng.permutation(labels.size)
     features, labels = features[order], labels[order]
-    split = min(max(1, int(round(0.8 * labels.size))), labels.size - 1)
+    split = train_size(labels.size)
     return LearningTask(train_features=features[:split], train_labels=labels[:split],
                         test_features=features[split:], test_labels=labels[split:],
                         num_classes=num_classes)

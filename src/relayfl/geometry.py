@@ -148,11 +148,6 @@ def path_loss(distance, params: PathLossParams):
     return gain if gain.ndim else float(gain)
 
 
-def sample_small_scale(rng: np.random.Generator) -> complex:
-    """One zero-mean unit-variance circularly-symmetric complex Gaussian draw."""
-    return complex(_complex_normal(rng))
-
-
 def path_gain_profile(layout: NodeLayout, params: PathLossParams) -> PathGains:
     """Path-loss power gains for all device-AP, device-relay, and relay-AP links."""
     gh = path_loss(layout.device_ap_distances(), params)
@@ -174,22 +169,6 @@ def realize_channels(layout: NodeLayout, params: PathLossParams,
     g = np.sqrt(gains.g) * _complex_normal(rng, gains.g.shape)
     f = np.sqrt(gains.f) * _complex_normal(rng, gains.f.shape)
     return ChannelRealization(h=h, g=g, f=f)
-
-
-def apply_csi_error(true_small_scale: complex, path_gain: float, kappa: float,
-                    rng: np.random.Generator) -> complex:
-    """Perceived channel sqrt(gain) * (sqrt(kappa) h + sqrt(1-kappa) n), n ~ CN(0,1).
-
-    `true_small_scale` is the unit-variance fading coefficient; kappa=1 returns
-    the exact channel sqrt(gain) * h, kappa=0 pure estimation noise.
-    """
-    if not 0.0 <= kappa <= 1.0:
-        raise ValueError("kappa must lie in [0, 1]")
-    if path_gain < 0:
-        raise ValueError("path gain must be nonnegative")
-    noise = sample_small_scale(rng)
-    return complex(np.sqrt(path_gain) * (np.sqrt(kappa) * true_small_scale
-                                         + np.sqrt(1.0 - kappa) * noise))
 
 
 def perturb_channels(channels: ChannelRealization, gains: PathGains, kappa: float,

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relayfl.cli import main
 from relayfl.experiment import (
+    SWEEP_PATHS,
     ConfigError,
     ExperimentConfig,
     dbm_to_watts,
@@ -14,6 +17,7 @@ from relayfl.experiment import (
     run_experiment,
     run_trial,
     summarize,
+    sweep_points,
     theorem_sweep,
     write_csv,
 )
@@ -105,6 +109,45 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([10**400, -(10**400), 1e308, -1e308]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+NEAR_VALID = (st.integers(-3, 700) | st.floats(-200.0, 1e3)
+              | st.sampled_from(["proposed", "no_relay", "error_free", "line", "cell", "iid",
+                                 "shards"]))
+
+
+def _fields(defaults: dict):
+    """Documents over a section's own keys: each absent, its default, near-valid or anything."""
+    return st.fixed_dictionaries({}, optional={
+        key: (_fields(default) if isinstance(default, dict) else st.just(default) | NEAR_VALID)
+        | JSON_VALUES for key, default in defaults.items()})
+
+
+SWEEPS = st.fixed_dictionaries({
+    "key": st.sampled_from(sorted(SWEEP_PATHS)),
+    "values": st.lists(NEAR_VALID | JSON_VALUES, min_size=1, max_size=3)})
+DOCUMENTS = JSON_VALUES | st.builds(lambda document, sweep: {**document, "sweep": sweep},
+                                    _fields(dataclasses.asdict(ExperimentConfig())),
+                                    st.none() | SWEEPS | JSON_VALUES)
+
+
+@given(DOCUMENTS)
+@settings(max_examples=400, deadline=None)
+def test_any_document_gives_config_or_config_error(document):
+    """The config and every sweep point build, or a ConfigError says why; nothing else."""
+    try:
+        config = parse_config(document)
+        points = sweep_points(config) if config.sweep is not None else []
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
+    assert all(isinstance(point, ExperimentConfig) for _, point in points)
 
 
 class TestRunExperiment:
@@ -224,7 +267,65 @@ class TestCsv:
         assert first.read_bytes() == second.read_bytes()
 
 
+def _sweep(key, *values, fl=None):
+    return {"trials": 1, "fl": fl or {"total_blocks": 2},
+            "sweep": {"key": key, "values": list(values)}}
+
+
+# Each document used to end in a traceback or to be silently coerced into a run.
+MALFORMED = [
+    pytest.param({"trials": 1.5}, [], id="trials-fraction"),
+    pytest.param({"trials": True, "fl": {"total_blocks": 2}}, [], id="trials-bool"),
+    pytest.param({"trials": 1, "num_devices": "20"}, [], id="num-devices-string"),
+    pytest.param({"trials": 1, "budget": {"noise_dbm": "x"}}, [], id="noise-string"),
+    pytest.param({"trials": 1, "budget": {"noise_dbm": 1e308}}, [], id="noise-huge"),
+    pytest.param({"trials": 1, "budget": {"noise_dbm": -1e308}}, [], id="noise-tiny"),
+    pytest.param({"trials": 1, "budget": {"pr_watts": float("nan")}}, [], id="pr-nan"),
+    pytest.param({"trials": 1, "layout": {"device_x_max": float("inf")}}, [], id="x-max-inf"),
+    pytest.param({"trials": 1, "layout": {"device_y_half": -5}}, [], id="y-half-negative"),
+    pytest.param({"trials": 1, "fl": {"separation": -1}}, [], id="separation-negative"),
+    pytest.param({"trials": 1, "csi_kappa": "0.5"}, [], id="kappa-string"),
+    pytest.param({"trials": 1, "num_devices": 500}, [], id="iid-too-few-samples"),
+    pytest.param({"trials": 1, "num_devices": 100, "fl": {"partition": "shards", "shards_c": 5}},
+                 [], id="shards-too-few-samples"),
+    pytest.param({"trials": 1, "num_devices": 1, "fl": {"num_classes": 1, "samples_per_class": 1}},
+                 [], id="one-sample"),
+    pytest.param({"trials": 1, "master_seed": -1}, [], id="seed-negative"),
+    pytest.param({"trials": 1, "master_seed": 1.5, "fl": {"total_blocks": 2}}, [],
+                 id="seed-fraction"),
+    pytest.param({"trials": 1}, ["--seed", "-3"], id="seed-flag-negative"),
+    pytest.param(_sweep("pr_watts", 0.1, "abc"), [], id="sweep-string"),
+    pytest.param(_sweep("num_devices", 5, {}), [], id="sweep-object"),
+    pytest.param(_sweep("noise_dbm", -70.0, 1e308), [], id="sweep-noise-huge"),
+    pytest.param(_sweep("noise_dbm", -70.0, -1e308), [], id="sweep-noise-tiny"),
+    pytest.param(_sweep("csi_kappa", "0.5"), [], id="sweep-kappa-string"),
+    pytest.param(_sweep("num_devices", 2.7), [], id="sweep-devices-fraction"),
+    pytest.param(_sweep("num_devices", True), [], id="sweep-devices-bool"),
+    pytest.param(_sweep("shards_c", 2, 100, fl={"total_blocks": 2, "partition": "shards"}), [],
+                 id="sweep-shards-too-few-samples"),
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("document, extra_args", MALFORMED)
+    def test_malformed_document_is_config_error(self, tmp_path, capsys, document, extra_args):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(document))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), *extra_args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_theorem_sweep_rejects_sweep(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_sweep("pr_watts", 0.1)))
+        out = tmp_path / "thm.csv"
+        assert main(["theorem-sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
+
     def test_run_and_seed_override(self, tmp_path):
         cfg = {"scheme": "no_relay", "num_devices": 3, "trials": 1,
                "fl": dict(TINY_FL), "solver": {"j_max": 30}}

@@ -7,14 +7,12 @@ from relayfl.geometry import (
     ChannelRealization,
     NodeLayout,
     PathLossParams,
-    apply_csi_error,
     cell_layout,
     line_layout,
     path_gain_profile,
     path_loss,
     perturb_channels,
     realize_channels,
-    sample_small_scale,
     stream,
 )
 
@@ -48,23 +46,39 @@ class TestPathLoss:
         assert path_loss(d * factor, params) < path_loss(d, params)
 
 
+def _many_device_channels(seed, num_devices=25_000, num_relays=4):
+    """Channels and path gains of a large cell, so statistics come from vector draws."""
+    layout = cell_layout(num_devices, num_relays, stream(seed))
+    params = PathLossParams()
+    return realize_channels(layout, params, stream(seed, 1)), path_gain_profile(layout, params)
+
+
+def _entries(links):
+    """Every link coefficient (h, g, f) of a realization or a gain profile, flattened."""
+    return np.concatenate([links.h, links.g.ravel(), links.f])
+
+
 class TestSmallScale:
+    """At kappa = 0 the perceived channel is sqrt(path gain) times a fresh CN(0, 1) draw."""
+
     def test_zero_mean(self):
-        rng = stream(11)
-        draws = np.array([sample_small_scale(rng) for _ in range(2000)])
-        big = (rng.standard_normal(10**6) + 1j * rng.standard_normal(10**6)) * np.sqrt(0.5)
-        assert abs(np.concatenate([draws, big]).mean()) < 0.01
+        ch, gains = _many_device_channels(11)
+        draws = _entries(perturb_channels(ch, gains, 0.0, stream(12))) / np.sqrt(_entries(gains))
+        assert abs(draws.mean()) < 0.01
 
     def test_unit_second_moment(self):
-        rng = stream(12)
-        x = np.array([sample_small_scale(rng) for _ in range(4000)])
-        rng2 = stream(13)
-        bulk = (rng2.standard_normal(10**6) + 1j * rng2.standard_normal(10**6)) * np.sqrt(0.5)
-        second = np.mean(np.abs(np.concatenate([x, bulk])) ** 2)
-        assert second == pytest.approx(1.0, abs=0.01)
+        ch, gains = _many_device_channels(12)
+        perceived = perturb_channels(ch, gains, 0.0, stream(13))
+        power = np.abs(_entries(perceived)) ** 2 / _entries(gains)
+        assert power.mean() == pytest.approx(1.0, abs=0.01)
 
     def test_seed_determinism(self):
-        assert sample_small_scale(stream(5, 3)) == sample_small_scale(stream(5, 3))
+        ch, gains = _many_device_channels(5, num_devices=50)
+        a = perturb_channels(ch, gains, 0.3, stream(5, 3))
+        b = perturb_channels(ch, gains, 0.3, stream(5, 3))
+        assert np.array_equal(_entries(a), _entries(b))
+        assert not np.array_equal(_entries(a), _entries(perturb_channels(ch, gains, 0.3,
+                                                                         stream(5, 4))))
 
 
 def _toy_layout(num_relays=1):
@@ -105,30 +119,34 @@ class TestRealizeChannels:
 
 class TestCsiError:
     def test_exact_csi_is_identity(self):
-        out = apply_csi_error(0.3 + 0.4j, 1.0, 1.0, stream(7))
-        assert out == pytest.approx(0.3 + 0.4j)
+        ch, gains = _many_device_channels(7)
+        same = perturb_channels(ch, gains, 1.0, stream(8))
+        assert np.array_equal(_entries(same), _entries(ch))
 
     def test_full_error_ignores_true_channel(self):
-        rng = stream(8)
-        outs = np.array([apply_csi_error(123.0 + 45.0j, 1.0, 0.0, rng)
-                         for _ in range(20000)])
-        assert abs(outs.mean()) < 0.05
-        assert np.mean(np.abs(outs) ** 2) == pytest.approx(1.0, rel=0.05)
+        ch, gains = _many_device_channels(8)
+        big = ChannelRealization(h=np.full_like(ch.h, 123.0 + 45.0j),
+                                 g=np.full_like(ch.g, 123.0 + 45.0j),
+                                 f=np.full_like(ch.f, 123.0 + 45.0j))
+        outs = perturb_channels(big, gains, 0.0, stream(9))
+        assert np.array_equal(_entries(outs),
+                              _entries(perturb_channels(ch, gains, 0.0, stream(9))))
+        draws = _entries(outs) / np.sqrt(_entries(gains))
+        assert abs(draws.mean()) < 0.02
+        assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_error_variance_at_intermediate_kappa(self):
-        rng = stream(9)
-        kappa, gain = 0.6, 2.5
-        h = sample_small_scale(rng)
-        diff = np.array([
-            apply_csi_error(h, gain, kappa, rng) - np.sqrt(gain * kappa) * h
-            for _ in range(10**5)
-        ])
-        assert np.mean(np.abs(diff) ** 2) == pytest.approx(gain * 0.4, rel=0.02)
+        kappa = 0.6
+        ch, gains = _many_device_channels(9)
+        perceived = perturb_channels(ch, gains, kappa, stream(10))
+        diff = _entries(perceived) - np.sqrt(kappa) * _entries(ch)
+        assert np.mean(np.abs(diff) ** 2 / _entries(gains)) == pytest.approx(1 - kappa, rel=0.02)
 
     @pytest.mark.parametrize("kappa", [-0.1, 1.1])
     def test_kappa_out_of_range(self, kappa):
+        ch, gains = _many_device_channels(1, num_devices=3)
         with pytest.raises(ValueError):
-            apply_csi_error(1.0 + 0j, 1.0, kappa, stream(1))
+            perturb_channels(ch, gains, kappa, stream(1))
 
     def test_perturb_channels_perfect_csi(self):
         layout = _toy_layout()
