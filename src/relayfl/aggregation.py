@@ -98,13 +98,20 @@ class TransceiverConfig:
             raise ValueError("a1 and a2 must have equal length")
 
 
-def compute_local_stats(delta: np.ndarray) -> tuple[float, float]:
-    """Mean and population variance (divisor d) of one device's update vector."""
-    delta = np.asarray(delta, dtype=float).reshape(-1)
-    if delta.size == 0:
-        raise ValueError("update vector must be nonempty")
-    mean = float(delta.mean())
-    var = float(np.mean((delta - mean) ** 2))
+def compute_local_stats(delta: np.ndarray):
+    """Mean and population variance (divisor d) of each device's update vector.
+
+    A (K, d) stack gives two length-K arrays, one entry per row; a single
+    update vector (d,) gives two floats.
+    """
+    delta = np.asarray(delta, dtype=float)
+    if delta.ndim == 0 or delta.shape[-1] == 0:
+        raise ValueError("update vectors must be nonempty")
+    mean = delta.mean(axis=-1, keepdims=True)
+    var = np.mean((delta - mean) ** 2, axis=-1)
+    mean = mean[..., 0]
+    if delta.ndim == 1:
+        return float(mean), float(var)
     return mean, var
 
 

@@ -174,6 +174,18 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("layout device x range must be positive and increasing")
     if lay.device_y_half < 0:
         raise ConfigError("layout.device_y_half must be nonnegative")
+    for key, watts in (("p0_watts", b.p0_watts), ("pr_watts", b.pr_watts)):
+        if not 0.0 < watts / sigma2 < math.inf:
+            raise ConfigError(f"budget.{key} over the noise power must be finite and nonzero")
+    # The farthest link of each kind must keep a finite, nonzero path gain and
+    # received power-to-noise ratio, or the first trial overflows or divides by zero.
+    distances, watts = _farthest_links(config)
+    with np.errstate(over="ignore", under="ignore"):
+        gains = geometry.path_loss(distances, _pl_params(config))
+        ratios = gains * watts / sigma2
+    if not all(0.0 < x < math.inf for x in (*gains, *ratios)):
+        raise ConfigError("layout distances and propagation values must give finite, nonzero "
+                          "path gains and power-to-noise ratios on every link")
     fl = config.fl
     if fl.total_blocks < 1 or fl.tau < 1:
         raise ConfigError("fl.total_blocks and fl.tau must be at least 1")
@@ -198,6 +210,23 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         if not config.sweep.values:
             raise ConfigError("sweep.values must be nonempty")
     return config
+
+
+def _farthest_links(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Longest device-AP, device-relay and relay-AP distance the layout can place,
+    and the transmit power (watts) on each of those links."""
+    lay, b = config.layout, config.budget
+    if lay.kind == "line":
+        reach = max(lay.x_relay - lay.device_x_min, lay.device_x_max - lay.x_relay)
+        distances = [math.hypot(lay.device_x_max, lay.device_y_half),
+                     math.hypot(reach, lay.device_y_half), lay.x_relay]
+    elif config.num_relays:
+        distances = [lay.cell_radius, lay.cell_radius + lay.relay_ring_radius,
+                     lay.relay_ring_radius]
+    else:
+        distances = [lay.cell_radius]
+    watts = [b.p0_watts, b.p0_watts, b.pr_watts][:len(distances)]
+    return np.array(distances), np.array(watts)
 
 
 def parse_config(data: dict) -> ExperimentConfig:

@@ -58,6 +58,12 @@ class Partition:
     def sizes(self) -> np.ndarray:
         return np.array([p.size for p in self.assignments])
 
+    def size_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(device positions, (G, n) index stack) for each distinct sample count n."""
+        sizes = self.sizes()
+        return [(members, np.stack([self.assignments[k] for k in members]))
+                for members in (np.flatnonzero(sizes == n) for n in np.unique(sizes))]
+
 
 @dataclass(frozen=True)
 class LrSchedule:
@@ -165,23 +171,38 @@ def partition_shards(task: LearningTask, num_devices: int, shards_per_device: in
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax along the last axis, computed in place."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _augment(features: np.ndarray) -> np.ndarray:
-    return np.column_stack([features, np.ones(features.shape[0])])
+    """Features (..., n, d) with a bias column of ones appended: (..., n, d + 1)."""
+    return np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
+
+
+def _gradient(mat: np.ndarray, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy gradient (..., C, d + 1) of weights `mat` on augmented
+    features x (..., n, d + 1) with labels (..., n); one stacked matmul per product."""
+    probs = _softmax(x @ mat.swapaxes(-1, -2))
+    rows = probs.reshape(-1, probs.shape[-1])  # a view: probs is fresh and contiguous
+    rows[np.arange(rows.shape[0]), labels.reshape(-1)] -= 1.0
+    grad = probs.swapaxes(-1, -2) @ x
+    grad /= labels.shape[-1]
+    return grad
 
 
 def cross_entropy_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
                            num_classes: int) -> np.ndarray:
-    """Mean cross-entropy gradient for flattened softmax-regression weights."""
+    """Mean cross-entropy gradient for flattened softmax-regression weights.
+
+    Leading axes batch independent problems: w (..., C (d + 1)), features
+    (..., n, d) and labels (..., n) give one gradient row per problem."""
     x = _augment(features)
-    mat = w.reshape(num_classes, x.shape[1])
-    probs = _softmax(x @ mat.T)
-    probs[np.arange(labels.size), labels] -= 1.0
-    return (probs.T @ x).reshape(-1) / labels.size
+    mat = w.reshape(w.shape[:-1] + (num_classes, x.shape[-1]))
+    return _gradient(mat, x, labels).reshape(w.shape)
 
 
 def cross_entropy_loss(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
@@ -194,16 +215,27 @@ def cross_entropy_loss(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
 
 def local_update(w: np.ndarray, task: LearningTask, device_indices: np.ndarray,
                  tau: int, lr: float) -> np.ndarray:
-    """Cumulative model change after tau full-batch gradient steps on local data."""
+    """Cumulative model change after tau full-batch gradient steps on local data.
+
+    `device_indices` is one device's index list (n,) or a (G, n) stack of
+    equal-length lists, one row per device.  The devices' features are
+    gathered once and all G models take each step together as (G, C, d + 1)
+    stacked matmuls; the result has one model-change row per device, (G,
+    model_dim), or a single (model_dim,) vector for one index list.  Every
+    device sees exactly the arithmetic of a step on its own.
+    """
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    feats = task.train_features[device_indices]
-    labels = task.train_labels[device_indices]
-    w_local = w.copy()
+    idx = np.asarray(device_indices)
+    x = _augment(task.train_features[idx])
+    labels = task.train_labels[idx]
+    start = w.reshape(task.num_classes, x.shape[-1])
+    mat = np.broadcast_to(start, idx.shape[:-1] + start.shape)
     for _ in range(tau):
-        w_local = w_local - lr * cross_entropy_gradient(w_local, feats, labels,
-                                                        task.num_classes)
-    return w_local - w
+        grad = _gradient(mat, x, labels)
+        grad *= lr
+        mat = np.subtract(mat, grad, out=grad)  # w - lr * grad, in the gradient's buffer
+    return (mat - start).reshape(idx.shape[:-1] + (-1,))
 
 
 def global_update(w: np.ndarray, aggregate_estimate: np.ndarray) -> np.ndarray:
@@ -268,6 +300,7 @@ def train(scheme: str, task: LearningTask, partition: Partition,
     num_rounds = total_blocks // bpr
     gains = geometry.path_gain_profile(layout, pl_params)
     dim = task.model_dim
+    groups = partition.size_groups()
     state = TrainingState(w=np.zeros(dim), round=0, lr=schedule(1), tau=tau)
     metrics: list[RoundMetrics] = []
 
@@ -275,18 +308,15 @@ def train(scheme: str, task: LearningTask, partition: Partition,
         state.round = t
         state.lr = schedule(t)
         w, lr = state.w, state.lr
-        deltas = np.stack([
-            local_update(w, task, idx, tau=state.tau, lr=lr)
-            for idx in partition.assignments
-        ])
+        deltas = np.empty((partition.num_devices, dim))
+        for members, indices in groups:
+            deltas[members] = local_update(w, task, indices, tau=state.tau, lr=lr)
         truth = weights.rho @ deltas
         channels = geometry.realize_channels(layout, pl_params, rng)
         perceived = channels if csi_kappa is None else geometry.perturb_channels(
             channels, gains, csi_kappa, rng)
 
-        locals_ = [agg.compute_local_stats(d) for d in deltas]
-        g_mean, g_var = agg.compute_global_stats([m for m, _ in locals_],
-                                                 [v for _, v in locals_], weights)
+        g_mean, g_var = agg.compute_global_stats(*agg.compute_local_stats(deltas), weights)
         round_warnings: tuple[str, ...] = ()
 
         if scheme == "error_free":

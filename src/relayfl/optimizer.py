@@ -289,6 +289,10 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
             base, base_dual, base_rhs, base_slope, damping = lam, dual, rhs, slope, 0.0
             system = slope
         else:
+            if base_dual == -np.inf:
+                # Not even the first dual value is finite (overflowed powers):
+                # there is no base to damp from, so keep the fallbacks below.
+                break
             # Levenberg-Marquardt: lean the next step towards scaled gradient ascent.
             damping = 4.0 * damping if damping else 1e-3
             if damping > 1e6:
@@ -304,9 +308,9 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     a2 = _transmit_scalars(direct, phi, ph2)
 
     # Never return anything worse than the incoming point, even when the
-    # multiplier search exits early.
-    if (_misalignment(theta, phi, incoming1, incoming2, rho)
-            < _misalignment(theta, phi, a1, a2, rho)):
+    # multiplier search exits early or its point is not finite.
+    if not (_misalignment(theta, phi, a1, a2, rho)
+            <= _misalignment(theta, phi, incoming1, incoming2, rho)):
         a1, a2 = incoming1, incoming2
     return a1, a2, converged
 

@@ -120,6 +120,25 @@ def device_update_oracle(config, ch, weights, budget, phase1_budget=None,
     return best
 
 
+def local_update_reference(w, task, device_indices, tau, lr):
+    """One device's model change after tau full-batch softmax-regression steps.
+
+    Written per device with 2-D arrays only, in the operation order of the
+    package's batched kernel: row softmax, label entries minus one, then
+    (probs^T x) / n and w - lr * grad.
+    """
+    x = np.column_stack([task.train_features[device_indices], np.ones(len(device_indices))])
+    labels = task.train_labels[device_indices]
+    w_local = w.copy()
+    for _ in range(tau):
+        logits = x @ w_local.reshape(task.num_classes, x.shape[1]).T
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        probs[np.arange(labels.size), labels] -= 1.0
+        w_local = w_local - lr * ((probs.T @ x).reshape(-1) / labels.size)
+    return w_local - w
+
+
 def fd_complex_gradient(fun, value, eps=1e-6):
     """Central finite-difference Wirtinger-style gradient of a real function."""
     real = (fun(value + eps) - fun(value - eps)) / (2 * eps)

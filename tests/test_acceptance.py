@@ -278,7 +278,7 @@ def test_criterion_09_roundtrip_and_noiseless_limit():
             k, dim = int(rng.integers(2, 7)), int(rng.integers(3, 40))
             deltas = 5.0 * rng.standard_normal((k, dim))
             weights = DeviceWeights.from_counts(rng.integers(1, 20, k))
-            means, variances = zip(*(compute_local_stats(d) for d in deltas))
+            means, variances = compute_local_stats(deltas)
             g_mean, g_var = compute_global_stats(means, variances, weights)
             symbols = np.stack([normalize(d, g_mean, np.sqrt(g_var)) for d in deltas])
             recovered = denormalize(weights.rho @ symbols, g_mean, np.sqrt(g_var))

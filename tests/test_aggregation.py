@@ -40,6 +40,14 @@ class TestLocalStats:
         with pytest.raises(ValueError):
             compute_local_stats([])
 
+    def test_stack_rows_match_single_vectors(self):
+        deltas = 3.0 * stream(5).standard_normal((6, 41))
+        means, variances = compute_local_stats(deltas)
+        assert means.shape == variances.shape == (6,)
+        for d, m, v in zip(deltas, means, variances):
+            assert m == d.mean()
+            assert v == np.mean((d - d.mean()) ** 2)
+
 
 class TestGlobalStats:
     def test_weighted_pair(self):
@@ -91,7 +99,7 @@ class TestNormalization:
         deltas = 10.0 * rng.standard_normal((num_devices, dim))
         counts = rng.integers(1, 50, num_devices)
         weights = DeviceWeights.from_counts(counts)
-        means, variances = zip(*(compute_local_stats(d) for d in deltas))
+        means, variances = compute_local_stats(deltas)
         g_mean, g_var = compute_global_stats(means, variances, weights)
         if g_var <= 0:
             return

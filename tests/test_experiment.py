@@ -267,6 +267,10 @@ class TestCsv:
         assert first.read_bytes() == second.read_bytes()
 
 
+def _one_trial(**sections):
+    return {"trials": 1, "fl": {"total_blocks": 2}, **sections}
+
+
 def _sweep(key, *values, fl=None):
     return {"trials": 1, "fl": fl or {"total_blocks": 2},
             "sweep": {"key": key, "values": list(values)}}
@@ -303,6 +307,14 @@ MALFORMED = [
     pytest.param(_sweep("num_devices", True), [], id="sweep-devices-bool"),
     pytest.param(_sweep("shards_c", 2, 100, fl={"total_blocks": 2, "partition": "shards"}), [],
                  id="sweep-shards-too-few-samples"),
+    # Finite extremes that pass the type checks, run as one trial of two blocks.
+    pytest.param(_one_trial(budget={"p0_watts": 1e308}), [], id="p0-huge"),
+    pytest.param(_one_trial(budget={"pr_watts": 1e308}), [], id="pr-huge"),
+    pytest.param(_one_trial(layout={"device_y_half": 1e308}), [], id="y-half-huge"),
+    pytest.param(_one_trial(layout={"kind": "cell", "cell_radius": 1e200}), [],
+                 id="cell-radius-huge"),
+    pytest.param(_one_trial(layout={"x_relay": 1e308}), [], id="x-relay-huge"),
+    pytest.param(_one_trial(layout={"carrier_freq_hz": 1e-300}), [], id="carrier-tiny"),
 ]
 
 

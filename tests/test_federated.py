@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relayfl.aggregation import PowerBudget
+from relayfl.aggregation import DeviceWeights, PowerBudget
 from relayfl.federated import (
     LearningTask,
     LrSchedule,
@@ -23,6 +23,8 @@ from relayfl.federated import (
 )
 from relayfl.geometry import PathLossParams, line_layout, stream
 from relayfl.optimizer import SolverConfig
+
+from oracles import local_update_reference
 
 BUDGET = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
 PL = PathLossParams()
@@ -178,6 +180,51 @@ class TestLocalUpdate:
         assert not np.allclose(one, two)
         manual = local_update(w + one, task, idx, tau=1, lr=0.05)
         assert two == pytest.approx(one + manual, rel=1e-12, abs=1e-15)
+
+
+class TestBatchedLocalUpdate:
+    @pytest.mark.parametrize("tau", [1, 3])
+    def test_rows_equal_per_device_reference(self, tau):
+        task = small_task(seed=25, num_classes=4, feature_dim=7, samples_per_class=50)
+        stack = np.stack(partition_iid(task, 6, stream(26)).assignments)
+        w = 0.2 * stream(27).standard_normal(task.model_dim)
+        batched = local_update(w, task, stack, tau=tau, lr=0.07)
+        reference = np.stack([local_update_reference(w, task, idx, tau, 0.07) for idx in stack])
+        assert batched.shape == (6, task.model_dim)
+        assert np.array_equal(batched, reference)
+        assert np.array_equal(local_update(w, task, stack[2], tau=tau, lr=0.07), reference[2])
+
+    def test_gradient_batches_over_leading_axes(self):
+        task = small_task(seed=28, num_classes=3, feature_dim=5, samples_per_class=40)
+        stack = np.stack(partition_iid(task, 4, stream(29)).assignments)
+        w = 0.3 * stream(30).standard_normal((4, task.model_dim))
+        feats, labels = task.train_features[stack], task.train_labels[stack]
+        batched = cross_entropy_gradient(w, feats, labels, task.num_classes)
+        rows = [cross_entropy_gradient(w[g], feats[g], labels[g], task.num_classes)
+                for g in range(4)]
+        assert np.array_equal(batched, np.stack(rows))
+
+    def test_uneven_shards_train_matches_per_device_trajectory(self):
+        # 404 training samples in 21 shards of 19; the last device also takes
+        # the 5-sample remainder, so train runs two size groups.
+        task = small_task(seed=31, num_classes=5, feature_dim=6, samples_per_class=101)
+        partition = partition_shards(task, 7, 3)
+        assert sorted(set(partition.sizes())) == [57, 62]
+        rng = stream(32)
+        layout = line_layout(7, rng)
+        schedule = LrSchedule(base=0.3)
+        metrics, state = train("error_free", task, partition, layout, PL, BUDGET,
+                               SolverConfig(), schedule, 6, rng, tau=3,
+                               return_final_state=True)
+        rho = DeviceWeights.from_counts(partition.sizes()).rho
+        w = np.zeros(task.model_dim)
+        for t, m in enumerate(metrics, start=1):
+            deltas = np.stack([local_update_reference(w, task, idx, 3, schedule(t))
+                               for idx in partition.assignments])
+            w = global_update(w, rho @ deltas)
+            assert m.test_accuracy == evaluate_accuracy(w, task)
+        assert len(metrics) == 6
+        assert np.array_equal(state.w, w)
 
 
 class TestGlobalUpdateAndNmse:

@@ -125,6 +125,21 @@ class TestDeviceUpdate:
         assert mine <= oracle * (1 + 1e-4) + 1e-12
         assert mine >= oracle * (1 - 1e-4) - 1e-12
 
+    def test_non_finite_first_dual_keeps_the_fallbacks(self):
+        # |theta_0|^2 = 1e-320 is subnormal, so 1 / |theta_0|^2 overflows and the
+        # first dual value is NaN; the relay cap binds at the box-only optimum.
+        ch = ChannelRealization(h=[1.0, 1.0], g=[[1e-160], [1.0]], f=[1.0])
+        budget = PowerBudget(p0=1.0, pr=0.15, sigma2=0.1)
+        weights = DeviceWeights.uniform(2)
+        cfg = TransceiverConfig(a1=[0.0, 0.1], a2=[0.1, 0.1], b=[1.0], c1=0.0, c2=1.0)
+        with np.errstate(all="ignore"):
+            a1, a2, ok = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+        final = replace(cfg, a1=a1, a2=a2)
+        assert not ok
+        assert np.isfinite(a1).all() and np.isfinite(a2).all()
+        assert max_constraint_violation(final, ch, budget) <= 0
+        assert misalignment_of(final, ch, weights) <= misalignment_of(cfg, ch, weights)
+
     def test_never_increases_objective(self):
         for seed in range(120, 130):
             ch, weights, budget, _ = random_instance(seed, 4, 2)
