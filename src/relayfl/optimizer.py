@@ -173,8 +173,8 @@ def _bounded_newton_step(lam, rhs, system):
 
 def update_device_scalars(config: TransceiverConfig, channels: ChannelRealization,
                           weights: DeviceWeights, budget: PowerBudget,
-                          solver_cfg: SolverConfig, *, phase1_budget: float | None = None,
-                          pin_a2_zero: bool = False):
+                          solver_cfg: SolverConfig, *,
+                          variant: SchemeVariant = SchemeVariant.FULL):
     """Minimize the misalignment over (a1, a2) with the other blocks fixed.
 
     Returns (a1, a2, converged).  The feasible set is the per-device power
@@ -199,11 +199,9 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     """
     rho = weights.rho
     theta, phi = _theta_phi(config, channels)
-    p1 = budget.p0 if phase1_budget is None else phase1_budget
-    r1 = float(np.sqrt(p1))
-    r2 = 0.0 if pin_a2_zero else float(np.sqrt(budget.p0))
-    if pin_a2_zero:
-        phi = np.zeros_like(phi)
+    r1 = float(np.sqrt(_phase1_budget(budget, variant)))
+    # The relay-only variant does not transmit in phase 2.
+    r2 = 0.0 if variant is SchemeVariant.RELAY_ONLY else float(np.sqrt(budget.p0))
     abs_th, abs_ph = np.abs(theta), np.abs(phi)
     th2, ph2 = abs_th**2, abs_ph**2
     w1, w2 = abs_th * r1, abs_ph * r2
@@ -391,7 +389,6 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
     if variant is SchemeVariant.NO_RELAY_SINGLEPHASE:
         raise ValueError("single-phase scheme has a closed form; use norelay_optimum")
     relay_only = variant is SchemeVariant.RELAY_ONLY
-    p1 = _phase1_budget(budget, variant)
     config = warm_start if warm_start is not None else init_config(
         channels, weights, budget, variant)
     if relay_only:
@@ -404,8 +401,7 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
     for _ in range(solver_cfg.j_max):
         iterations += 1
         a1, a2, inner_ok = update_device_scalars(
-            config, channels, weights, budget, solver_cfg,
-            phase1_budget=p1, pin_a2_zero=relay_only)
+            config, channels, weights, budget, solver_cfg, variant=variant)
         if not inner_ok:
             warnings.append(f"sweep {iterations}: device QCQP gap above tolerance at exit")
         config = replace(config, a1=a1, a2=a2)
