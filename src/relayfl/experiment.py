@@ -15,6 +15,7 @@ import math
 import sys
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -315,6 +316,16 @@ def run_trial(config: ExperimentConfig, sweep_index: int, trial: int) -> list:
         rng, csi_kappa=config.csi_kappa, tau=fl.tau)
 
 
+@contextmanager
+def _trial_numerics(where: str):
+    """Report a trial whose numbers leave the double range as a configuration error."""
+    try:
+        yield
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        raise ConfigError(f"{where}: the configuration drives the computation out of the "
+                          f"floating-point range ({type(exc).__name__}: {exc})") from exc
+
+
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """All sweep points and trials; returns one row dict per round (CSV_COLUMNS)."""
     if config.sweep is None:
@@ -324,7 +335,10 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     rows = []
     for sweep_index, (value, cfg) in enumerate(points):
         for trial in range(cfg.trials):
-            for m in run_trial(cfg, sweep_index, trial):
+            where = f"sweep value {value!r}, trial {trial}" if key else f"trial {trial}"
+            with _trial_numerics(where):
+                metrics = run_trial(cfg, sweep_index, trial)
+            for m in metrics:
                 rows.append({
                     "sweep_key": key, "sweep_value": value, "trial": trial,
                     "round": m.round, "blocks_used": m.blocks_used,
@@ -354,18 +368,19 @@ def theorem_sweep(config: ExperimentConfig) -> list[dict]:
     weights = agg.DeviceWeights.uniform(config.num_devices)
     rows = []
     for trial in range(config.trials):
-        rng = geometry.stream(config.master_seed, trial)
-        layout = _make_layout(config, rng)
-        channels = geometry.realize_channels(layout, params, rng)
-        summary = single_relay.snr_summary(channels, budget)
-        check = single_relay.check_theorem_conditions(summary, config.num_devices)
-        construction = single_relay.analytic_construction(channels, weights, budget)
-        _, _, bound = agg.norelay_optimum(channels.h, weights, 2.0 * budget.p0,
-                                          budget.sigma2)
-        solved, _ = optimizer.solve(channels, weights, budget, config.solver,
-                                    optimizer.SchemeVariant.FULL,
-                                    warm_start=construction.config)
-        solved_mse = agg.relay_mse(solved, channels, weights, budget.sigma2)
+        with _trial_numerics(f"trial {trial}"):
+            rng = geometry.stream(config.master_seed, trial)
+            layout = _make_layout(config, rng)
+            channels = geometry.realize_channels(layout, params, rng)
+            summary = single_relay.snr_summary(channels, budget)
+            check = single_relay.check_theorem_conditions(summary, config.num_devices)
+            construction = single_relay.analytic_construction(channels, weights, budget)
+            _, _, bound = agg.norelay_optimum(channels.h, weights, 2.0 * budget.p0,
+                                              budget.sigma2)
+            solved, _ = optimizer.solve(channels, weights, budget, config.solver,
+                                        optimizer.SchemeVariant.FULL,
+                                        warm_start=construction.config)
+            solved_mse = agg.relay_mse(solved, channels, weights, budget.sigma2)
         for rnd, mse in ((0, construction.mse), (1, solved_mse)):
             rows.append({
                 "sweep_key": "delta", "sweep_value": summary.delta, "trial": trial,

@@ -1,11 +1,13 @@
 """Alternating minimization of the aggregation MSE over all transceiver scalars.
 
 One outer sweep updates, in order: the device transmit scalars (a convex QCQP
-with per-device closed forms once the few relay power constraints are priced
-by dual multipliers), the relay scalars (closed form plus radial projection
-onto the per-relay power cap), and the two receive scalars (exact closed
-forms).  The objective is always evaluated through ``aggregation.relay_mse``
-so there is a single source of truth for the MSE.
+solved in its dual: once the few relay power constraints are priced by
+multipliers, each device has a closed form with the direct copy first, and the
+box-only optimum at zero multipliers is the first iterate), the relay scalars
+(closed form plus radial projection onto the per-relay power cap), and the two
+receive scalars (exact closed forms).  The objective is always evaluated
+through ``aggregation.relay_mse`` so there is a single source of truth for the
+MSE.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .geometry import ChannelRealization
 class SchemeVariant(Enum):
     FULL = "full"
     RELAY_ONLY = "relay_only"
-    NO_RELAY_SINGLEPHASE = "no_relay_singlephase"
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,6 @@ def init_config(channels: ChannelRealization, weights: DeviceWeights,
     channel; the receive scalars are set so the two direct copies already sum
     to the target weights.  Relay scalars start at full transmit power.
     """
-    if variant is SchemeVariant.NO_RELAY_SINGLEPHASE:
-        raise ValueError("single-phase scheme has a closed form; use norelay_optimum")
     h = channels.h
     rho = weights.rho
     if h.shape != rho.shape:
@@ -123,28 +122,9 @@ def _clamp_disc(a: np.ndarray, radius: float) -> np.ndarray:
     return a * (radius / np.maximum(np.abs(a), radius))
 
 
-def _transmit_scalars(copy, coef, coef2, dead=0.0):
-    """Scalars a with coef * a = copy, where coef2 = |coef|^2; dead where coef = 0."""
-    return np.where(coef2 > 0, copy * np.conj(coef) / np.where(coef2 > 0, coef2, 1.0), dead)
-
-
-def _box_copies(rho, th2, ph2, w1, w2):
-    """Exact minimizer of the device objective under the per-device power boxes only.
-
-    Per device the objective depends on the copies u = theta * a1 and
-    v = phi * a2, which range over discs of radii w1 = |theta| r1 and
-    w2 = |phi| r2; the best feasible u + v is the point of that disc sum
-    closest to rho.  Among zero-error splits the minimum-norm one is chosen so
-    the output is deterministic.  Returns the copy magnitudes (u, v).
-    """
-    power = th2 + ph2
-    u_star = np.where(power > 0, rho * th2 / np.where(power > 0, power, 1.0), 0.0)
-    lo = np.maximum(0.0, rho - w2)
-    hi = np.minimum(w1, rho)
-    reachable = w1 + w2 >= rho
-    u = np.where(reachable, np.minimum(np.maximum(u_star, lo), hi), w1)
-    v = np.where(reachable, rho - u, w2)
-    return u, v
+def _transmit_scalars(copy, coef, coef2, dead):
+    """Scalars a with coef * a = copy, where coef2 = |coef|^2; dead where coef2 = 0."""
+    return np.where(coef2 > 0, copy / np.where(coef2 > 0, coef, 1.0), dead)
 
 
 def _bounded_newton_step(lam, rhs, system):
@@ -178,24 +158,27 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     """Minimize the misalignment over (a1, a2) with the other blocks fixed.
 
     Returns (a1, a2, converged).  The feasible set is the per-device power
-    boxes intersected with the per-relay quadratic constraints on a1.  When
-    the relay constraints are slack at the box-only optimum that closed form
-    is returned directly.  Otherwise the relay constraints are dualized with
-    multipliers lam >= 0.  For fixed lam each device aligns both copies with
-    its weight: the direct phase-2 copy absorbs what it can for free and the
-    relayed copy u_k = |theta_k a1_k| takes the rest, shrunk by the penalty
-    mu_k = sum_n |g_kn|^2 lam_n and capped by the device box.  The relay
-    powers h(lam) decrease in lam and are smooth between the breakpoints
-    where a device leaves its cap.  Each multiplier starts at the left end
-    of the smooth piece that holds its own root, and one safeguarded Newton
-    iteration on the concave dual finds them all: it solves the analytic
-    Jacobian against the secular form (free relay power)^(-1/2), which is
-    exact when one device per relay is free, stops multipliers at lam = 0,
-    and adds a Levenberg-Marquardt term until the dual value rises.  The
-    result is feasible and never has a larger objective than the input;
-    `converged` is False only if the duality gap could not be pushed below
-    ``qcqp_tol`` (relative to the squared weight norm) within
-    ``qcqp_max_iter`` Newton iterations.
+    boxes (set by `variant`) intersected with the per-relay quadratic
+    constraints on a1, which are dualized with multipliers lam >= 0; the dual
+    is the only way the split is found.  For fixed lam each device aligns both
+    copies with its weight: the direct phase-2 copy carries all it can for
+    free and the relayed copy u_k = |theta_k a1_k| takes the rest, shrunk by
+    the penalty mu_k = sum_n |g_kn|^2 lam_n and capped by the device box.  So
+    the split does not depend on rounding when a relay cap is exactly tight.
+    The first iterate is lam = 0, the box-only optimum, returned if it fits
+    every relay.  Otherwise the relay powers h(lam) decrease in lam and are
+    smooth between the breakpoints where a device leaves its cap.  Each
+    multiplier starts at the left end of the smooth piece that holds its own
+    root, and one safeguarded Newton iteration on the concave dual finds them
+    all: it solves the analytic Jacobian against the secular form (free relay
+    power)^(-1/2), which is exact when one device per relay is free, stops
+    multipliers at lam = 0, and adds a Levenberg-Marquardt term until the dual
+    value rises.  A scalar whose coefficient (theta_k or phi_k) is zero keeps
+    its incoming value, clamped to its box, on every exit, and its phase-1
+    load is charged against the relay caps first.  The result is feasible and
+    never has a larger objective than the input; `converged` is False only if
+    the duality gap could not be pushed below ``qcqp_tol`` (relative to the
+    squared weight norm) within ``qcqp_max_iter`` Newton iterations.
     """
     rho = weights.rho
     theta, phi = _theta_phi(config, channels)
@@ -205,37 +188,35 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     abs_th, abs_ph = np.abs(theta), np.abs(phi)
     th2, ph2 = abs_th**2, abs_ph**2
     w1, w2 = abs_th * r1, abs_ph * r2
-    # Relay n bounds sum_k g2[n, k] |a1_k|^2 by radii_sq[n]; silent relays bound nothing.
-    live = np.abs(config.b) > 0
-    g2 = np.abs(channels.g.T[live]) ** 2  # (Na, K)
-    # Python scalars on purpose: array abs and squares round differently, and
-    # at a cap the previous sweep made tight that rounding decides the shortcut.
-    radii_sq = np.array([max(budget.pr / abs(bn) ** 2 - budget.sigma2, 0.0)
-                         for bn in config.b[live]])
-
-    # The incoming point, feasible by the solve-loop invariant, also fills in
-    # scalars whose coefficient is zero.
+    linked = th2 > 0
+    th2_den = np.where(linked, th2, 1.0)
+    inv_th2 = linked / th2_den
+    # The incoming point, feasible by the solve-loop invariant, fills in the
+    # scalars whose coefficient is zero on every exit.
     incoming1 = _clamp_disc(config.a1, r1)
     incoming2 = _clamp_disc(config.a2, r2)
-    u, v = _box_copies(rho, th2, ph2, w1, w2)
-    cand1 = _transmit_scalars(u, theta, th2, incoming1)
-    cand2 = _transmit_scalars(v, phi, ph2, incoming2)
-    if ((g2 * np.abs(cand1) ** 2).sum(axis=1) <= radii_sq).all():
-        return cand1, cand2, True
+    # Relay n bounds sum_k g2[n, k] |a1_k|^2 by radii_sq[n] once the load of
+    # the unlinked devices is charged; silent relays bound nothing.
+    live = np.abs(config.b) > 0
+    g2 = np.abs(channels.g.T[live]) ** 2  # (Na, K)
+    radii_sq = (np.maximum(budget.pr / np.abs(config.b[live]) ** 2 - budget.sigma2, 0.0)
+                - g2 @ np.where(linked, 0.0, np.abs(incoming1) ** 2))
 
     direct = np.minimum(rho, w2)  # the free direct copy carries all it can
     short = rho - direct  # and the relayed copy the rest
+    a2 = _transmit_scalars(direct, phi, ph2, incoming2)
+    # lam = 0: the box-only optimum; if every relay fits it, it solves the dual.
+    u = np.minimum(short, w1)
+    if (g2 @ (u * u * inv_th2) <= radii_sq).all():
+        return _transmit_scalars(u, theta, th2, incoming1), a2, True
     if (radii_sq <= 0).any():
-        # A relay already spends its whole budget on forwarded noise; phase-1
-        # transmission must stop entirely.
-        return np.zeros_like(config.a1), _transmit_scalars(direct, phi, ph2), True
+        # A relay already spends its whole budget on forwarded noise and the
+        # unlinked devices; phase-1 transmission must stop entirely.
+        return _transmit_scalars(np.zeros_like(rho), theta, th2, incoming1), a2, True
 
     # With penalty mu the relayed copy is u = min(gain / (th2 + mu), w1); a
     # device leaves its cap once mu reaches mu_free.
     gain = short * th2
-    linked = th2 > 0
-    th2_den = np.where(linked, th2, 1.0)
-    inv_th2 = linked / th2_den
     mu_free = abs_th * (short / r1 - abs_th)
     gap_tol = solver_cfg.qcqp_tol * float(rho @ rho)
     # Start each relay at the left end of its smooth piece around the root
@@ -302,8 +283,7 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
         if (cand == lam).all():
             break
         lam = cand
-    a1 = _transmit_scalars(best, theta, th2)
-    a2 = _transmit_scalars(direct, phi, ph2)
+    a1 = _transmit_scalars(best, theta, th2, incoming1)
 
     # Never return anything worse than the incoming point, even when the
     # multiplier search exits early or its point is not finite.
@@ -386,8 +366,6 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
     interact).  For the relay-only variant a2 and c1 are pinned at zero and
     phase 1 carries the full device budget.
     """
-    if variant is SchemeVariant.NO_RELAY_SINGLEPHASE:
-        raise ValueError("single-phase scheme has a closed form; use norelay_optimum")
     relay_only = variant is SchemeVariant.RELAY_ONLY
     config = warm_start if warm_start is not None else init_config(
         channels, weights, budget, variant)

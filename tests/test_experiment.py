@@ -315,6 +315,11 @@ MALFORMED = [
                  id="cell-radius-huge"),
     pytest.param(_one_trial(layout={"x_relay": 1e308}), [], id="x-relay-huge"),
     pytest.param(_one_trial(layout={"carrier_freq_hz": 1e-300}), [], id="carrier-tiny"),
+    # Finite gains and power-to-noise ratios whose squares leave the double range.
+    pytest.param(_one_trial(budget={"p0_watts": 1e-300}), [], id="p0-tiny"),
+    pytest.param(_one_trial(layout={"antenna_gain": 1e-300}), [], id="antenna-gain-tiny"),
+    pytest.param(_one_trial(num_relays=2, layout={"kind": "cell", "antenna_gain": 1e-300}), [],
+                 id="cell-antenna-gain-tiny"),
 ]
 
 
@@ -329,6 +334,31 @@ class TestCli:
         assert err.startswith("configuration error:")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_numerical_failure_names_the_sweep_point_and_trial(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_sweep("p0_watts", 0.05, 1e-300)))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: sweep value 1e-300, trial 0:")
+        assert "OverflowError" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document", [
+        pytest.param(_one_trial(num_relays=2,
+                                layout={"kind": "cell", "relay_ring_radius": 1e-100}),
+                     id="ring-radius-tiny"),
+        pytest.param(_one_trial(layout={"x_relay": 1e-100}), id="x-relay-tiny"),
+    ])
+    def test_relays_next_to_the_ap_run_to_a_finite_mse(self, tmp_path, document):
+        # The relay-to-AP gain is near the double limit, so |b|^2 underflows.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(document))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = read_csv(str(out))
+        assert rows and all(np.isfinite(row["mse_predicted"]) for row in rows)
 
     def test_theorem_sweep_rejects_sweep(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -25,6 +25,7 @@ from relayfl.optimizer import (
     SchemeVariant,
     SolverConfig,
     _bounded_newton_step,
+    _transmit_scalars,
     init_config,
     solve,
     update_c1,
@@ -139,6 +140,59 @@ class TestDeviceUpdate:
         assert np.isfinite(a1).all() and np.isfinite(a2).all()
         assert max_constraint_violation(final, ch, budget) <= 0
         assert misalignment_of(final, ch, weights) <= misalignment_of(cfg, ch, weights)
+
+    def test_transmit_scalars_at_subnormal_coefficients(self):
+        # |coef|^2 is subnormal for both: 1 / |coef|^2 overflows, copy / coef does not
+        coef = np.array([1e-160 + 0j, (3 + 2j) * 1e-155])
+        a = _transmit_scalars(np.array([0.0, 0.7]), coef, np.abs(coef) ** 2, np.zeros(2))
+        assert a[0] == 0
+        assert a[1] == pytest.approx(0.7 / ((3 + 2j) * 1e-155), rel=1e-12)
+
+    def test_tight_cap_split_does_not_depend_on_rounding(self):
+        # theta = 2 and phi = 1 reach rho = 1 along a segment of zero-error
+        # splits: the minimum-norm one (a1 = 0.4) loads the relay with 0.16,
+        # the direct copy alone (a2 = 1) loads it with nothing.
+        ch = ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j]], f=[1.0 + 0j])
+        cfg = TransceiverConfig(a1=[0.1 + 0j], a2=[0.1 + 0j], b=[1.0 + 0j], c1=1.0, c2=1.0)
+        splits = []
+        for cap in 0.16 * (1.0 + np.array([-1e-9, 1e-9])):
+            budget = PowerBudget(p0=1.0, pr=cap + 0.1, sigma2=0.1)
+            a1, a2, ok = update_device_scalars(cfg, ch, DeviceWeights([1.0]), budget, SOLVER)
+            assert ok
+            splits.append(np.concatenate([a1, a2]))
+        assert splits[0] == pytest.approx(splits[1], abs=1e-6)
+        assert splits[0] == pytest.approx([0.0, 1.0], abs=1e-12)
+
+    def test_unlinked_device_keeps_its_input_where_the_cap_binds(self):
+        # theta_0 = c1 h_0 + c2 g_0 f b = 1 - 1 = 0, yet device 0 loads the relay
+        # with |g_0 a1_0|^2 = 0.64; device 1 alone would want 2.25 of the 1.9.
+        ch = ChannelRealization(h=[1.0 + 0j, 1.0 + 0j], g=[[-8.0 + 0j], [8.0 + 0j]],
+                                f=[1.0 + 0j])
+        cfg = TransceiverConfig(a1=[0.1 + 0j, 0.1 + 0j], a2=[0.1 + 0j, 0.1 + 0j],
+                                b=[1.0 + 0j], c1=1.0, c2=0.125)
+        budget = PowerBudget(p0=1.0, pr=2.0, sigma2=0.1)
+        a1, a2, ok = update_device_scalars(cfg, ch, DeviceWeights.uniform(2), budget, SOLVER)
+        final = replace(cfg, a1=a1, a2=a2)
+        assert ok
+        assert a1[0] == cfg.a1[0]
+        assert 64.0 * abs(a1[1]) ** 2 == pytest.approx(2.0 - 0.1 - 0.64, rel=1e-9)
+        assert max_constraint_violation(final, ch, budget) <= 1e-12
+
+    def test_slack_relays_put_the_direct_copy_first(self):
+        ch, weights, budget, _ = random_instance(131, 6, 2)
+        cfg = off_start(ch, weights, budget)
+        cfg = replace(cfg, b=0.1 * cfg.b)  # far below the caps
+        a1, a2, ok = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+        theta = cfg.c1 * ch.h + cfg.c2 * (ch.g @ (ch.f * cfg.b))
+        phi = cfg.c2 * ch.h
+        direct = np.minimum(weights.rho, np.abs(phi) * np.sqrt(budget.p0))
+        relayed = np.minimum(weights.rho - direct, np.abs(theta) * np.sqrt(budget.p0))
+        assert ok
+        assert (relayed > 0).any() and (direct > 0).all()
+        assert phi * a2 == pytest.approx(direct, rel=1e-12)
+        assert theta * a1 == pytest.approx(relayed, rel=1e-12, abs=1e-15)
+        assert (relay_power_used(replace(cfg, a1=a1, a2=a2), ch, budget.sigma2)
+                < budget.pr).all()
 
     def test_never_increases_objective(self):
         for seed in range(120, 130):
@@ -403,6 +457,22 @@ class TestSolve:
         assert final <= full_budget * (1 + 1e-9)
         assert final <= half_budget * (1 + 1e-9)
 
+    @pytest.mark.parametrize("pr", [0.01, 1.0])
+    @pytest.mark.parametrize("kind", ["line", "cell"])
+    def test_high_snr_solves_never_end_above_the_norelay_optimum(self, kind, pr):
+        # -100 dBm noise, where the relay constraints decide most solves; the
+        # no-relay optimum spends the same 2 * p0 per device.
+        budget = PowerBudget(p0=0.05, pr=pr, sigma2=1e-13)
+        weights = DeviceWeights.uniform(20)
+        for seed in range(8):
+            rng = stream(7300, seed)
+            layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
+            ch = realize_channels(layout, PathLossParams(), rng)
+            _, trace = solve(ch, weights, budget, SOLVER)
+            _, _, bound = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)
+            assert np.all(np.diff(trace.objectives) <= 1e-9 * np.abs(trace.objectives[:-1]))
+            assert trace.objectives[-1] <= bound * (1 + 1e-9)
+
     def test_infinite_epsilon_stops_after_one_sweep(self):
         ch, weights, budget, _ = random_instance(175, 3, 1)
         cfg, trace = solve(ch, weights, budget, SolverConfig(epsilon=float("inf")))
@@ -428,11 +498,6 @@ class TestSolve:
         assert trace.objectives[0] == pytest.approx(
             relay_mse(start, ch, weights, budget.sigma2))
         assert trace.objectives[-1] <= trace.objectives[0] + 1e-12
-
-    def test_single_phase_variant_rejected(self):
-        ch, weights, budget, _ = random_instance(178, 2, 1)
-        with pytest.raises(ValueError):
-            solve(ch, weights, budget, SOLVER, SchemeVariant.NO_RELAY_SINGLEPHASE)
 
     def test_dead_phase2_keeps_relays_silent(self):
         # with c2 = 0 the relay update is skipped for the sweep; the dead
