@@ -22,7 +22,7 @@ class DegenerateUpdateError(ValueError):
     """All local updates are identical constants; the symbol map is undefined."""
 
 
-class InconsistentMseError(RuntimeError):
+class InconsistentMseError(ArithmeticError):
     """Two computations of the same configuration's MSE disagree beyond rounding."""
 
 
@@ -61,16 +61,6 @@ class PowerBudget:
     def __post_init__(self):
         if self.p0 <= 0 or self.pr <= 0 or self.sigma2 <= 0:
             raise ValueError("powers must be positive")
-
-
-@dataclass(frozen=True)
-class NormalizationStats:
-    """Per-device and weighted global mean/variance of the local model changes."""
-
-    local_means: np.ndarray
-    local_vars: np.ndarray
-    global_mean: float
-    global_var: float
 
 
 @dataclass(frozen=True)

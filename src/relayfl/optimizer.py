@@ -4,10 +4,10 @@ One outer sweep updates, in order: the device transmit scalars (a convex QCQP
 solved in its dual: once the few relay power constraints are priced by
 multipliers, each device has a closed form with the direct copy first, and the
 box-only optimum at zero multipliers is the first iterate), the relay scalars
-(closed form plus radial projection onto the per-relay power cap), and the two
-receive scalars (exact closed forms).  The objective is always evaluated
-through ``aggregation.relay_mse`` so there is a single source of truth for the
-MSE.
+(a convex quadratic with one disc per relay, minimized exactly), and the two
+receive scalars (exact closed forms).  Every block is minimized exactly, so no
+sweep raises the objective, which is always evaluated through
+``aggregation.relay_mse`` as the single source of truth for the MSE.
 """
 
 from __future__ import annotations
@@ -188,7 +188,9 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     abs_th, abs_ph = np.abs(theta), np.abs(phi)
     th2, ph2 = abs_th**2, abs_ph**2
     w1, w2 = abs_th * r1, abs_ph * r2
-    linked = th2 > 0
+    # A subnormal |theta_k|^2 counts as unlinked: 1 / |theta_k|^2 overflows.
+    linked = th2 >= np.finfo(float).tiny
+    th2 = np.where(linked, th2, 0.0)
     th2_den = np.where(linked, th2, 1.0)
     inv_th2 = linked / th2_den
     # The incoming point, feasible by the solve-loop invariant, fills in the
@@ -196,10 +198,12 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     incoming1 = _clamp_disc(config.a1, r1)
     incoming2 = _clamp_disc(config.a2, r2)
     # Relay n bounds sum_k g2[n, k] |a1_k|^2 by radii_sq[n] once the load of
-    # the unlinked devices is charged; silent relays bound nothing.
-    live = np.abs(config.b) > 0
+    # the unlinked devices is charged; silent relays, and relays whose |b_n|^2
+    # is too small for pr / |b_n|^2 to be finite, bound nothing.
+    b2 = np.abs(config.b) ** 2
+    live = b2 > budget.pr / np.finfo(float).max
     g2 = np.abs(channels.g.T[live]) ** 2  # (Na, K)
-    radii_sq = (np.maximum(budget.pr / np.abs(config.b[live]) ** 2 - budget.sigma2, 0.0)
+    radii_sq = (np.maximum(budget.pr / b2[live] - budget.sigma2, 0.0)
                 - g2 @ np.where(linked, 0.0, np.abs(incoming1) ** 2))
 
     direct = np.minimum(rho, w2)  # the free direct copy carries all it can
@@ -294,43 +298,48 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
 
 
 def update_relay_scalars(config: TransceiverConfig, channels: ChannelRealization,
-                         weights: DeviceWeights, budget: PowerBudget):
-    """Closed-form relay scalars followed by per-relay radial power projection.
+                         weights: DeviceWeights, budget: PowerBudget,
+                         solver_cfg: SolverConfig) -> np.ndarray:
+    """Minimize the MSE over the relay scalars b with the other blocks fixed.
 
-    Returns (b, warning).  `warning` is set when the stationarity system is
-    singular (for example a zero relay-to-AP gain) and the least-norm solution
-    with zero component on the null direction is used instead.
+    In x = f * b over the relays with f_n != 0 the objective is
+    |c2|^2 (x^H M x - 2 Re q^H x) + const with M = G^H diag|a1|^2 G + sigma2 I
+    positive definite, and relay n's power cap reads |x_n| <= |f_n| sqrt(cap_n).
+    The stationary point M^-1 q is returned when it fits every cap.  Otherwise
+    the relays, starting from the feasible incoming b, take turns at their own
+    exact minimizer with the others fixed: the stationary point along x_n,
+    scaled radially onto the cap.  Every pass descends and stays feasible; the
+    passes stop once one lowers the MSE by at most ``qcqp_tol`` times the
+    squared weight norm, or after ``qcqp_max_iter`` passes.  Relays with
+    f_n = 0 reach the AP with nothing and stay silent.
     """
     if config.c2 == 0:
         raise ValueError("relay update requires a nonzero phase-2 receive scalar")
-    n_relays = channels.num_relays
-    if n_relays == 0:
-        return np.zeros(0, dtype=complex), None
-    g = channels.g
-    a1 = config.a1
-    power1 = np.abs(a1) ** 2
-    system = config.c2 * (
-        (g.conj().T * power1) @ g + budget.sigma2 * np.eye(n_relays)
-    ) @ np.diag(channels.f)
-    residual_target = (weights.rho - channels.h * (config.c1 * a1 + config.c2 * config.a2))
-    rhs = g.conj().T @ (residual_target * np.conj(a1))
+    b = np.zeros(channels.num_relays, dtype=complex)
+    live = channels.f != 0
+    g, f, a1 = channels.g[:, live], channels.f[live], config.a1
+    m = (g.conj().T * np.abs(a1) ** 2) @ g + budget.sigma2 * np.eye(f.size)
+    residual = weights.rho - channels.h * (config.c1 * a1 + config.c2 * config.a2)
+    q = g.conj().T @ (residual * np.conj(a1)) / config.c2
+    cap = budget.pr / relay_input_power(channels, a1, budget.sigma2)[live]
+    radius = np.abs(f) * np.sqrt(cap)
 
-    warning = None
-    try:
-        b_hat = np.linalg.solve(system, rhs)
-        ok = np.all(np.isfinite(b_hat)) and (
-            np.linalg.norm(system @ b_hat - rhs) <= 1e-8 * max(np.linalg.norm(rhs), 1e-300)
-        )
-    except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
-        b_hat = np.linalg.pinv(system) @ rhs
-        warning = "singular relay stationarity system; least-norm solution used"
-
-    cap = budget.pr / relay_input_power(channels, a1, budget.sigma2)
-    mag = np.abs(b_hat)
-    scale = np.where(mag > np.sqrt(cap), np.sqrt(cap) / np.where(mag == 0, 1.0, mag), 1.0)
-    return b_hat * scale, warning
+    x = np.linalg.solve(m, q)
+    if not (np.abs(x) <= radius).all():
+        x = f * config.b[live]
+        diag = m.diagonal().real
+        tol = solver_cfg.qcqp_tol * float(weights.rho @ weights.rho)
+        for _ in range(solver_cfg.qcqp_max_iter):
+            drop = 0.0
+            for n in range(x.size):
+                s = x[n] + (q[n] - m[n] @ x) / diag[n]
+                new = s if abs(s) <= radius[n] else s * (radius[n] / abs(s))
+                drop += diag[n] * (abs(x[n] - s) ** 2 - abs(new - s) ** 2)
+                x[n] = new
+            if abs(config.c2) ** 2 * drop <= tol:
+                break
+    b[live] = x / f
+    return b
 
 
 def update_c1(config: TransceiverConfig, channels: ChannelRealization,
@@ -360,11 +369,10 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
     epsilon or the sweep limit is reached.
 
     Returns (config, trace).  The trace objective sequence starts at the
-    initial configuration and is non-increasing: each block update either
-    descends or is rejected (the relay closed form is kept only if it does not
-    raise the objective, which can happen when several projected relay scalars
-    interact).  For the relay-only variant a2 and c1 are pinned at zero and
-    phase 1 carries the full device budget.
+    initial configuration and is non-increasing, because each block update
+    minimizes the MSE over its block and keeps every power constraint.  For
+    the relay-only variant a2 and c1 are pinned at zero and phase 1 carries
+    the full device budget.
     """
     relay_only = variant is SchemeVariant.RELAY_ONLY
     config = warm_start if warm_start is not None else init_config(
@@ -385,16 +393,8 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
         config = replace(config, a1=a1, a2=a2)
 
         if channels.num_relays and config.c2 != 0:
-            before = relay_mse(config, channels, weights, budget.sigma2)
-            b, warn = update_relay_scalars(config, channels, weights, budget)
-            if warn:
-                warnings.append(f"sweep {iterations}: {warn}")
-            candidate = replace(config, b=b)
-            after = relay_mse(candidate, channels, weights, budget.sigma2)
-            if after <= before * (1.0 + 1e-12):
-                config = candidate
-            else:
-                warnings.append(f"sweep {iterations}: relay update rejected (non-descent)")
+            config = replace(config, b=update_relay_scalars(
+                config, channels, weights, budget, solver_cfg))
 
         if not relay_only:
             config = replace(config, c1=update_c1(config, channels, weights, budget.sigma2))

@@ -120,6 +120,37 @@ def device_update_oracle(config, ch, weights, budget, phase1_budget=None,
     return best
 
 
+def relay_update_oracle(config, ch, weights, budget, restarts=16, seed=0):
+    """SLSQP multistart on the relay subproblem, independent of the package solver.
+
+    Minimizes the full two-phase MSE over b with a1, a2, c1 and c2 fixed,
+    subject to |b_n|^2 (sum_k |g_kn|^2 |a1_k|^2 + sigma2) <= pr for each relay.
+    The search variables are b_n / sqrt(cap_n), so every constraint is the
+    unit disc.
+    """
+    n = ch.num_relays
+    fixed = config.c1 * ch.h * config.a1 + config.c2 * ch.h * config.a2
+    caps = budget.pr / ((np.abs(ch.g) ** 2).T @ (np.abs(config.a1) ** 2) + budget.sigma2)
+
+    def objective(z):
+        fb = ch.f * np.sqrt(caps) * (z[:n] + 1j * z[n:])
+        misalign = fixed + config.c2 * config.a1 * (ch.g @ fb) - weights.rho
+        noise = abs(config.c1) ** 2 + abs(config.c2) ** 2 * (1.0 + np.sum(np.abs(fb) ** 2))
+        return float(np.sum(np.abs(misalign) ** 2) + noise * budget.sigma2)
+
+    constraints = [{"type": "ineq", "fun": lambda z, i=i: 1.0 - (z[i] ** 2 + z[n + i] ** 2)}
+                   for i in range(n)]
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for _ in range(restarts):
+        start = rng.uniform(-0.7, 0.7, 2 * n)
+        res = minimize(objective, start, method="SLSQP", constraints=constraints,
+                       options={"maxiter": 400, "ftol": 1e-14})
+        if res.success and all(c["fun"](res.x) >= -1e-10 for c in constraints):
+            best = min(best, objective(res.x))
+    return best
+
+
 def local_update_reference(w, task, device_indices, tau, lr):
     """One device's model change after tau full-batch softmax-regression steps.
 

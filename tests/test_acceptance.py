@@ -160,7 +160,7 @@ def test_criterion_04_closed_form_stationarity_and_dominance():
             weights = DeviceWeights.uniform(k)
             budget = PowerBudget(p0=1.0, pr=1e6, sigma2=float(rng.uniform(0.05, 0.5)))
             cfg = init_config(ch, weights, budget)
-            b_star, _ = update_relay_scalars(cfg, ch, weights, budget)
+            b_star = update_relay_scalars(cfg, ch, weights, budget, SolverConfig())
             caps = budget.pr / ((np.abs(ch.g) ** 2).T @ np.abs(cfg.a1) ** 2 + budget.sigma2)
             assert np.all(np.abs(b_star) < np.sqrt(caps))
             for j in range(n):
@@ -178,7 +178,7 @@ def test_criterion_04_closed_form_stationarity_and_dominance():
             budget = PowerBudget(p0=1.0, pr=float(rng.uniform(0.2, 3.0)),
                                  sigma2=float(rng.uniform(0.05, 0.5)))
             cfg = init_config(ch, weights, budget)
-            b_star, _ = update_relay_scalars(cfg, ch, weights, budget)
+            b_star = update_relay_scalars(cfg, ch, weights, budget, SolverConfig())
             best = relay_mse(replace(cfg, b=b_star), ch, weights, budget.sigma2)
             cap = budget.pr / (np.abs(ch.g[:, 0]) ** 2 @ np.abs(cfg.a1) ** 2 + budget.sigma2)
             for _ in range(100):

@@ -335,6 +335,21 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("document", [
+        # The analytic and signal-chain MSEs of the construction disagree at this scale.
+        pytest.param({"trials": 1, "budget": {"p0_watts": 1e100}}, id="p0-huge-ratio"),
+        pytest.param({"trials": 1, "layout": {"antenna_gain": 1e100}}, id="antenna-gain-huge"),
+    ])
+    def test_malformed_theorem_sweep_is_config_error(self, tmp_path, capsys, document):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(document))
+        out = tmp_path / "thm.csv"
+        assert main(["theorem-sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith("configuration error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_numerical_failure_names_the_sweep_point_and_trial(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(_sweep("p0_watts", 0.05, 1e-300)))

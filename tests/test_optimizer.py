@@ -21,6 +21,8 @@ from relayfl.geometry import (
     realize_channels,
     stream,
 )
+from relayfl import optimizer
+from relayfl.experiment import dbm_to_watts
 from relayfl.optimizer import (
     SchemeVariant,
     SolverConfig,
@@ -34,7 +36,12 @@ from relayfl.optimizer import (
     update_relay_scalars,
 )
 
-from oracles import device_update_oracle, fd_complex_gradient
+from oracles import (
+    device_update_oracle,
+    fd_complex_gradient,
+    random_feasible_setup,
+    relay_update_oracle,
+)
 
 SOLVER = SolverConfig()
 
@@ -127,18 +134,35 @@ class TestDeviceUpdate:
         assert mine >= oracle * (1 - 1e-4) - 1e-12
 
     def test_non_finite_first_dual_keeps_the_fallbacks(self):
-        # |theta_0|^2 = 1e-320 is subnormal, so 1 / |theta_0|^2 overflows and the
-        # first dual value is NaN; the relay cap binds at the box-only optimum.
-        ch = ChannelRealization(h=[1.0, 1.0], g=[[1e-160], [1.0]], f=[1.0])
-        budget = PowerBudget(p0=1.0, pr=0.15, sigma2=0.1)
+        # |theta_0|^2 = 2^-1020 is just above the smallest normal double, and the
+        # huge box leaves device 0 wanting its whole relayed copy: its relay
+        # power overflows, so the first dual value is 0 * inf = NaN.  Powers of
+        # two keep the direct copy exactly on its box.
+        ch = ChannelRealization(h=[2.0**-20, 1.0], g=[[16.0], [1.0]], f=[1.0])
+        budget = PowerBudget(p0=2.0**1022, pr=0.15, sigma2=0.1)
         weights = DeviceWeights.uniform(2)
-        cfg = TransceiverConfig(a1=[0.0, 0.1], a2=[0.1, 0.1], b=[1.0], c1=0.0, c2=1.0)
+        cfg = TransceiverConfig(a1=[0.0, 0.1], a2=[0.1, 0.1], b=[2.0**-14], c1=0.0,
+                                c2=2.0**-500)
         with np.errstate(all="ignore"):
             a1, a2, ok = update_device_scalars(cfg, ch, weights, budget, SOLVER)
         final = replace(cfg, a1=a1, a2=a2)
         assert not ok
         assert np.isfinite(a1).all() and np.isfinite(a2).all()
         assert max_constraint_violation(final, ch, budget) <= 0
+        assert misalignment_of(final, ch, weights) <= misalignment_of(cfg, ch, weights)
+
+    def test_subnormal_theta_counts_as_unlinked(self):
+        # |theta_0|^2 = 1e-320 is subnormal: device 0 keeps its silent phase 1
+        # instead of overflowing 1 / |theta_0|^2, and device 1 meets the cap.
+        ch = ChannelRealization(h=[1.0, 1.0], g=[[1e-160], [1.0]], f=[1.0])
+        budget = PowerBudget(p0=1.0, pr=0.15, sigma2=0.1)
+        weights = DeviceWeights.uniform(2)
+        cfg = TransceiverConfig(a1=[0.0, 0.1], a2=[0.1, 0.1], b=[1.0], c1=0.0, c2=1.0)
+        a1, a2, ok = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+        final = replace(cfg, a1=a1, a2=a2)
+        assert ok
+        assert a1[0] == 0
+        assert max_constraint_violation(final, ch, budget) <= 1e-12
         assert misalignment_of(final, ch, weights) <= misalignment_of(cfg, ch, weights)
 
     def test_transmit_scalars_at_subnormal_coefficients(self):
@@ -312,8 +336,7 @@ class TestRelayUpdate:
         ch = ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j]], f=[1.0 + 0j])
         cfg = TransceiverConfig(a1=[1.0 + 0j], a2=[-5.0 - 8.0j], b=[0j], c1=0.0, c2=1.0)
         budget = PowerBudget(p0=100.0, pr=8.0, sigma2=1.0)
-        b, warn = update_relay_scalars(cfg, ch, DeviceWeights([1.0]), budget)
-        assert warn is None
+        b = update_relay_scalars(cfg, ch, DeviceWeights([1.0]), budget, SOLVER)
         assert b[0] == pytest.approx(1.2 + 1.6j, rel=1e-12)
 
     def test_interior_point_unchanged(self):
@@ -321,13 +344,13 @@ class TestRelayUpdate:
         cfg = TransceiverConfig(a1=[1.0 + 0j], a2=[0j], b=[0j], c1=0.0, c2=1.0)
         budget = PowerBudget(p0=100.0, pr=8.0, sigma2=1.0)
         # unconstrained stationary point is rho / (c2 (|a1|^2 + sigma2)) = 0.5
-        b, _ = update_relay_scalars(cfg, ch, DeviceWeights([1.0]), budget)
+        b = update_relay_scalars(cfg, ch, DeviceWeights([1.0]), budget, SOLVER)
         assert b[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_dominates_random_feasible_points(self):
         ch, weights, budget, rng = random_instance(140, 1, 1)
         cfg = init_config(ch, weights, budget)
-        b_star, _ = update_relay_scalars(cfg, ch, weights, budget)
+        b_star = update_relay_scalars(cfg, ch, weights, budget, SOLVER)
         value = relay_mse(replace(cfg, b=b_star), ch, weights, budget.sigma2)
         cap = budget.pr / (np.abs(ch.g[:, 0]) ** 2 @ np.abs(cfg.a1) ** 2 + budget.sigma2)
         for _ in range(1000):
@@ -338,7 +361,7 @@ class TestRelayUpdate:
     def test_stationarity_when_interior(self):
         ch, weights, budget, _ = random_instance(141, 3, 2, pr=1e6)
         cfg = init_config(ch, weights, budget)
-        b_star, _ = update_relay_scalars(cfg, ch, weights, budget)
+        b_star = update_relay_scalars(cfg, ch, weights, budget, SOLVER)
         caps = budget.pr / ((np.abs(ch.g) ** 2).T @ np.abs(cfg.a1) ** 2 + budget.sigma2)
         assert np.all(np.abs(b_star) < np.sqrt(caps))  # interior for huge relay power
         for n in range(2):
@@ -352,23 +375,66 @@ class TestRelayUpdate:
     def test_idempotent(self):
         ch, weights, budget, _ = random_instance(142, 4, 2)
         cfg = init_config(ch, weights, budget)
-        b1, _ = update_relay_scalars(cfg, ch, weights, budget)
-        b2, _ = update_relay_scalars(replace(cfg, b=b1), ch, weights, budget)
+        b1 = update_relay_scalars(cfg, ch, weights, budget, SOLVER)
+        b2 = update_relay_scalars(replace(cfg, b=b1), ch, weights, budget, SOLVER)
         assert b2 == pytest.approx(b1, rel=1e-12)
 
     def test_requires_nonzero_c2(self):
         ch, weights, budget, _ = random_instance(143, 2, 1)
         cfg = replace(init_config(ch, weights, budget), c2=0.0)
         with pytest.raises(ValueError):
-            update_relay_scalars(cfg, ch, weights, budget)
+            update_relay_scalars(cfg, ch, weights, budget, SOLVER)
 
-    def test_zero_relay_to_ap_gain_flagged(self):
-        ch = ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j]], f=[0j])
-        cfg = TransceiverConfig(a1=[1.0 + 0j], a2=[0j], b=[0j], c1=0.0, c2=1.0)
-        b, warn = update_relay_scalars(cfg, ch, DeviceWeights([1.0]),
-                                       PowerBudget(p0=1.0, pr=1.0, sigma2=1.0))
-        assert warn is not None
-        assert b[0] == pytest.approx(0.0)
+    @pytest.mark.parametrize("n,seed", [(2, 0), (2, 2), (2, 5), (3, 3), (3, 4), (3, 6),
+                                        (4, 0), (4, 2), (4, 4)])
+    def test_matches_slsqp_oracle_with_two_caps_binding(self, n, seed):
+        cfg, ch, weights, budget = random_feasible_setup(6300 + seed, 6, n)
+        budget = replace(budget, pr=0.1 * budget.pr)
+        cfg = replace(cfg, b=np.sqrt(0.1) * cfg.b)
+        new = replace(cfg, b=update_relay_scalars(cfg, ch, weights, budget, SOLVER))
+        used = relay_power_used(new, ch, budget.sigma2)
+        assert np.sum(used >= budget.pr * (1 - 1e-9)) >= 2
+        assert max_constraint_violation(new, ch, budget) <= 1e-9
+        assert relay_mse(new, ch, weights, budget.sigma2) == pytest.approx(
+            relay_update_oracle(cfg, ch, weights, budget), rel=1e-6)
+
+    def test_zero_relay_to_ap_gain_stays_silent(self):
+        cfg, ch, weights, budget = random_feasible_setup(6310, 6, 2)
+        ch = replace(ch, f=np.array([0.0, ch.f[1]]))
+        budget = replace(budget, pr=0.1 * budget.pr)
+        cfg = replace(cfg, b=np.sqrt(0.1) * cfg.b)
+        b = update_relay_scalars(cfg, ch, weights, budget, SOLVER)
+        assert b[0] == 0
+        new = replace(cfg, b=b)
+        assert relay_power_used(new, ch, budget.sigma2)[1] == pytest.approx(budget.pr, rel=1e-9)
+        assert relay_mse(new, ch, weights, budget.sigma2) == pytest.approx(
+            relay_update_oracle(cfg, ch, weights, budget), rel=1e-6)
+
+    @pytest.mark.parametrize("pr", [0.01, 0.1])
+    @pytest.mark.parametrize("noise_dbm", [-70.0, -80.0])
+    def test_no_relay_update_raises_the_mse(self, monkeypatch, noise_dbm, pr):
+        # Four-relay cells where a radially projected joint solution used to
+        # raise the objective in up to 39% of the sweeps.
+        checked = []
+
+        def checked_update(config, channels, weights, budget, solver_cfg):
+            b = update_relay_scalars(config, channels, weights, budget, solver_cfg)
+            new = replace(config, b=b)
+            checked.append((relay_mse(config, channels, weights, budget.sigma2),
+                            relay_mse(new, channels, weights, budget.sigma2),
+                            max_constraint_violation(new, channels, budget)))
+            return b
+
+        monkeypatch.setattr(optimizer, "update_relay_scalars", checked_update)
+        budget = PowerBudget(p0=0.05, pr=pr, sigma2=dbm_to_watts(noise_dbm))
+        weights = DeviceWeights.uniform(20)
+        for seed in range(10):
+            rng = stream(9200, seed)
+            ch = realize_channels(cell_layout(20, 4, rng), PathLossParams(), rng)
+            solve(ch, weights, budget, SOLVER)
+        before, after, violation = np.array(checked).T
+        assert np.all(after <= before * (1 + 1e-12))
+        assert violation.max() <= 1e-9
 
 
 class TestReceiveScalars:
@@ -436,7 +502,7 @@ class TestSolve:
         a1, a2, _ = update_device_scalars(cfg, ch, weights, budget, SOLVER)
         cfg = replace(cfg, a1=a1, a2=a2)
         assert max_constraint_violation(cfg, ch, budget) <= 1e-9
-        b, _ = update_relay_scalars(cfg, ch, weights, budget)
+        b = update_relay_scalars(cfg, ch, weights, budget, SOLVER)
         cfg = replace(cfg, b=b)
         assert max_constraint_violation(cfg, ch, budget) <= 1e-9
         cfg = replace(cfg, c1=update_c1(cfg, ch, weights, budget.sigma2))
