@@ -151,35 +151,47 @@ def norelay_optimum(h: np.ndarray, weights: DeviceWeights, p0_total: float,
     return a, complex(c), mse
 
 
-def relay_path(config: TransceiverConfig, channels: ChannelRealization):
-    """Per-device gain of the amplify-and-forward path, sum_n g_kn f_n b_n (0 without relays)."""
-    return channels.g @ (channels.f * config.b) if config.b.size else 0.0
+def relay_gains(channels: ChannelRealization, b: np.ndarray):
+    """Per-device relay path sum_n g_kn f_n b_n and forwarded-noise gain sum_n |f_n b_n|^2.
+
+    Both are 0 without relays.
+    """
+    if not b.size:
+        return 0.0, 0.0
+    fb = channels.f * b
+    return channels.g @ fb, float((np.abs(fb) ** 2).sum())
+
+
+def _combined_gains(a1, a2, c1, c2, path, h):
+    return c1 * h * a1 + c2 * h * a2 + c2 * a1 * path
 
 
 def alignment_gains(config: TransceiverConfig,
                     channels: ChannelRealization) -> np.ndarray:
     """Effective per-device gain combining direct and relayed paths over both phases."""
-    return (config.c1 * channels.h * config.a1
-            + config.c2 * channels.h * config.a2
-            + config.c2 * config.a1 * relay_path(config, channels))
+    path, _ = relay_gains(channels, config.b)
+    return _combined_gains(config.a1, config.a2, config.c1, config.c2, path, channels.h)
 
 
-def forwarded_noise_gain(config: TransceiverConfig, channels: ChannelRealization) -> float:
-    """Gain of the relays' receive noise at the AP, sum |f_n b_n|^2 (0 without relays)."""
-    return float(np.sum(np.abs(channels.f * config.b) ** 2)) if config.b.size else 0.0
+def transceiver_mse(a1: np.ndarray, a2: np.ndarray, c1: complex, c2: complex, path,
+                    forwarded: float, h: np.ndarray, rho: np.ndarray, sigma2: float) -> float:
+    """Analytic aggregation MSE from the scalars and the relay gains of `relay_gains`.
 
-
-def noise_power_gain(config: TransceiverConfig, channels: ChannelRealization) -> float:
-    """Combined receive-noise amplification |c1|^2 + |c2|^2 (1 + sum |f_n b_n|^2)."""
-    forwarded = forwarded_noise_gain(config, channels)
-    return abs(config.c1) ** 2 + abs(config.c2) ** 2 * (1.0 + forwarded)
+    Misalignment power plus the receive noise amplified by
+    |c1|^2 + |c2|^2 (1 + forwarded).  ``relay_mse`` and the solver's
+    objective both evaluate this one formula.
+    """
+    misalign = _combined_gains(a1, a2, c1, c2, path, h) - rho
+    noise_gain = abs(c1) ** 2 + abs(c2) ** 2 * (1.0 + forwarded)
+    return float((np.abs(misalign) ** 2).sum() + noise_gain * sigma2)
 
 
 def relay_mse(config: TransceiverConfig, channels: ChannelRealization,
               weights: DeviceWeights, sigma2: float) -> float:
     """Analytic aggregation MSE: misalignment power plus amplified noise power."""
-    misalign = alignment_gains(config, channels) - weights.rho
-    return float(np.sum(np.abs(misalign) ** 2) + noise_power_gain(config, channels) * sigma2)
+    path, forwarded = relay_gains(channels, config.b)
+    return transceiver_mse(config.a1, config.a2, config.c1, config.c2, path, forwarded,
+                           channels.h, weights.rho, sigma2)
 
 
 def relay_input_power(channels: ChannelRealization, a1: np.ndarray, sigma2: float) -> np.ndarray:

@@ -210,6 +210,10 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"sweep.key must be one of {tuple(SWEEP_PATHS)}")
         if not config.sweep.values:
             raise ConfigError("sweep.values must be nonempty")
+        # Every sweep target is a scalar; a nested value would also be deep-copied
+        # by every override, past the recursion limit when it nests deep enough.
+        if any(isinstance(value, (list, tuple, dict)) for value in config.sweep.values):
+            raise ConfigError("sweep.values must not hold lists or objects")
     return config
 
 
@@ -242,6 +246,10 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"configuration is not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError("configuration nests too deeply to parse") from exc
     return parse_config(data)
 
 

@@ -6,8 +6,14 @@ multipliers, each device has a closed form with the direct copy first, and the
 box-only optimum at zero multipliers is the first iterate), the relay scalars
 (a convex quadratic with one disc per relay, minimized exactly), and the two
 receive scalars (exact closed forms).  Every block is minimized exactly, so no
-sweep raises the objective, which is always evaluated through
-``aggregation.relay_mse`` as the single source of truth for the MSE.
+sweep raises the objective.
+
+A solve holds its state (a1, a2, b, c1, c2) in plain arrays and builds one
+``TransceiverConfig`` on exit.  What depends only on the instance is computed
+once per solve (`Problem`); the relay path and the forwarded-noise gain are
+computed once after each relay update and shared by the blocks that follow.
+The objective is ``aggregation.transceiver_mse``, the one formula behind
+``aggregation.relay_mse``.
 """
 
 from __future__ import annotations
@@ -22,12 +28,15 @@ from .aggregation import (
     PowerBudget,
     SingularChannelError,
     TransceiverConfig,
-    forwarded_noise_gain,
+    relay_gains,
     relay_input_power,
     relay_mse,
-    relay_path,
+    transceiver_mse,
 )
 from .geometry import ChannelRealization
+
+_TINY = np.finfo(float).tiny  # smallest normal double
+_MAX = np.finfo(float).max
 
 
 class SchemeVariant(Enum):
@@ -67,6 +76,39 @@ def _phase1_budget(budget: PowerBudget, variant: SchemeVariant) -> float:
     return 2.0 * budget.p0 if variant is SchemeVariant.RELAY_ONLY else budget.p0
 
 
+class Problem:
+    """One instance of the design problem and its per-solve invariants.
+
+    The block updates take the instance in this form, so what depends only on
+    the channels, weights, budget and variant is computed once per solve:
+    |g^T|^2, the relays that reach the AP (f_n != 0) with their columns of g
+    and its conjugate transpose, sigma2 I over those relays, the device radii
+    of both phases and the QCQP tolerance scaled by the squared weight norm.
+    """
+
+    __slots__ = ("channels", "weights", "budget", "solver_cfg", "h", "rho", "sigma2",
+                 "r1", "r2", "tol", "g2", "reach", "g_reach", "g_reach_h", "f_reach",
+                 "abs_f_reach", "noise_eye")
+
+    def __init__(self, channels: ChannelRealization, weights: DeviceWeights,
+                 budget: PowerBudget, solver_cfg: SolverConfig,
+                 variant: SchemeVariant = SchemeVariant.FULL):
+        self.channels, self.weights = channels, weights
+        self.budget, self.solver_cfg = budget, solver_cfg
+        self.h, self.rho, self.sigma2 = channels.h, weights.rho, budget.sigma2
+        self.r1 = float(np.sqrt(_phase1_budget(budget, variant)))
+        # The relay-only variant does not transmit in phase 2.
+        self.r2 = 0.0 if variant is SchemeVariant.RELAY_ONLY else float(np.sqrt(budget.p0))
+        self.tol = solver_cfg.qcqp_tol * float(self.rho @ self.rho)
+        self.g2 = np.abs(channels.g.T) ** 2  # (N, K)
+        self.reach = channels.f != 0
+        self.g_reach = channels.g[:, self.reach]
+        self.g_reach_h = self.g_reach.conj().T
+        self.f_reach = channels.f[self.reach]
+        self.abs_f_reach = np.abs(self.f_reach)
+        self.noise_eye = budget.sigma2 * np.eye(self.f_reach.size)
+
+
 def init_config(channels: ChannelRealization, weights: DeviceWeights,
                 budget: PowerBudget,
                 variant: SchemeVariant = SchemeVariant.FULL) -> TransceiverConfig:
@@ -103,14 +145,6 @@ def init_config(channels: ChannelRealization, weights: DeviceWeights,
     return TransceiverConfig(a1=a1, a2=a2, b=b, c1=c1, c2=c2)
 
 
-def _theta_phi(config: TransceiverConfig,
-               channels: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
-    """Per-device effective gains multiplying a1 and a2 in the combined estimate."""
-    theta = config.c1 * channels.h + config.c2 * relay_path(config, channels)
-    phi = config.c2 * channels.h
-    return np.asarray(theta, dtype=complex), np.asarray(phi, dtype=complex)
-
-
 def _misalignment(theta, phi, a1, a2, rho) -> float:
     return float(np.sum(np.abs(theta * a1 + phi * a2 - rho) ** 2))
 
@@ -124,7 +158,8 @@ def _clamp_disc(a: np.ndarray, radius: float) -> np.ndarray:
 
 def _transmit_scalars(copy, coef, coef2, dead):
     """Scalars a with coef * a = copy, where coef2 = |coef|^2; dead where coef2 = 0."""
-    return np.where(coef2 > 0, copy / np.where(coef2 > 0, coef, 1.0), dead)
+    linked = coef2 > 0
+    return np.where(linked, copy / np.where(linked, coef, 1.0), dead)
 
 
 def _bounded_newton_step(lam, rhs, system):
@@ -151,14 +186,13 @@ def _bounded_newton_step(lam, rhs, system):
     return step
 
 
-def update_device_scalars(config: TransceiverConfig, channels: ChannelRealization,
-                          weights: DeviceWeights, budget: PowerBudget,
-                          solver_cfg: SolverConfig, *,
-                          variant: SchemeVariant = SchemeVariant.FULL):
+def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np.ndarray,
+                          c1: complex, c2: complex, path):
     """Minimize the misalignment over (a1, a2) with the other blocks fixed.
 
-    Returns (a1, a2, converged).  The feasible set is the per-device power
-    boxes (set by `variant`) intersected with the per-relay quadratic
+    `path` is the relay path of `b` (``aggregation.relay_gains``).  Returns
+    (a1, a2, converged).  The feasible set is the per-device power boxes (the
+    radii of the problem's variant) intersected with the per-relay quadratic
     constraints on a1, which are dualized with multipliers lam >= 0; the dual
     is the only way the split is found.  For fixed lam each device aligns both
     copies with its weight: the direct phase-2 copy carries all it can for
@@ -180,30 +214,30 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     the duality gap could not be pushed below ``qcqp_tol`` (relative to the
     squared weight norm) within ``qcqp_max_iter`` Newton iterations.
     """
-    rho = weights.rho
-    theta, phi = _theta_phi(config, channels)
-    r1 = float(np.sqrt(_phase1_budget(budget, variant)))
-    # The relay-only variant does not transmit in phase 2.
-    r2 = 0.0 if variant is SchemeVariant.RELAY_ONLY else float(np.sqrt(budget.p0))
+    rho, r1, r2 = problem.rho, problem.r1, problem.r2
+    pr, sigma2 = problem.budget.pr, problem.sigma2
+    # Per-device effective gains multiplying a1 and a2 in the combined estimate.
+    theta = c1 * problem.h + c2 * path
+    phi = c2 * problem.h
     abs_th, abs_ph = np.abs(theta), np.abs(phi)
     th2, ph2 = abs_th**2, abs_ph**2
     w1, w2 = abs_th * r1, abs_ph * r2
     # A subnormal |theta_k|^2 counts as unlinked: 1 / |theta_k|^2 overflows.
-    linked = th2 >= np.finfo(float).tiny
+    linked = th2 >= _TINY
     th2 = np.where(linked, th2, 0.0)
     th2_den = np.where(linked, th2, 1.0)
     inv_th2 = linked / th2_den
     # The incoming point, feasible by the solve-loop invariant, fills in the
     # scalars whose coefficient is zero on every exit.
-    incoming1 = _clamp_disc(config.a1, r1)
-    incoming2 = _clamp_disc(config.a2, r2)
+    incoming1 = _clamp_disc(a1, r1)
+    incoming2 = _clamp_disc(a2, r2)
     # Relay n bounds sum_k g2[n, k] |a1_k|^2 by radii_sq[n] once the load of
     # the unlinked devices is charged; silent relays, and relays whose |b_n|^2
     # is too small for pr / |b_n|^2 to be finite, bound nothing.
-    b2 = np.abs(config.b) ** 2
-    live = b2 > budget.pr / np.finfo(float).max
-    g2 = np.abs(channels.g.T[live]) ** 2  # (Na, K)
-    radii_sq = (np.maximum(budget.pr / b2[live] - budget.sigma2, 0.0)
+    b2 = np.abs(b) ** 2
+    live = b2 > pr / _MAX
+    g2 = problem.g2[live]  # (Na, K)
+    radii_sq = (np.maximum(pr / b2[live] - sigma2, 0.0)
                 - g2 @ np.where(linked, 0.0, np.abs(incoming1) ** 2))
 
     direct = np.minimum(rho, w2)  # the free direct copy carries all it can
@@ -222,7 +256,7 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     # device leaves its cap once mu reaches mu_free.
     gain = short * th2
     mu_free = abs_th * (short / r1 - abs_th)
-    gap_tol = solver_cfg.qcqp_tol * float(rho @ rho)
+    gap_tol = problem.tol
     # Start each relay at the left end of its smooth piece around the root
     # of h_n with the other multipliers at zero.
     lam = np.zeros(radii_sq.size)
@@ -238,7 +272,7 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     best_gap = np.inf
     best = np.zeros_like(rho)  # a silent phase 1 is always feasible
     converged = False
-    for _ in range(solver_cfg.qcqp_max_iter):
+    for _ in range(problem.solver_cfg.qcqp_max_iter):
         mu = lam @ g2
         denom = th2_den + mu
         u = np.minimum(gain / denom, w1)
@@ -297,9 +331,8 @@ def update_device_scalars(config: TransceiverConfig, channels: ChannelRealizatio
     return a1, a2, converged
 
 
-def update_relay_scalars(config: TransceiverConfig, channels: ChannelRealization,
-                         weights: DeviceWeights, budget: PowerBudget,
-                         solver_cfg: SolverConfig) -> np.ndarray:
+def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np.ndarray,
+                         c1: complex, c2: complex) -> np.ndarray:
     """Minimize the MSE over the relay scalars b with the other blocks fixed.
 
     In x = f * b over the relays with f_n != 0 the objective is
@@ -313,52 +346,55 @@ def update_relay_scalars(config: TransceiverConfig, channels: ChannelRealization
     squared weight norm, or after ``qcqp_max_iter`` passes.  Relays with
     f_n = 0 reach the AP with nothing and stay silent.
     """
-    if config.c2 == 0:
+    if c2 == 0:
         raise ValueError("relay update requires a nonzero phase-2 receive scalar")
-    b = np.zeros(channels.num_relays, dtype=complex)
-    live = channels.f != 0
-    g, f, a1 = channels.g[:, live], channels.f[live], config.a1
-    m = (g.conj().T * np.abs(a1) ** 2) @ g + budget.sigma2 * np.eye(f.size)
-    residual = weights.rho - channels.h * (config.c1 * a1 + config.c2 * config.a2)
-    q = g.conj().T @ (residual * np.conj(a1)) / config.c2
-    cap = budget.pr / relay_input_power(channels, a1, budget.sigma2)[live]
-    radius = np.abs(f) * np.sqrt(cap)
+    reach = problem.reach
+    g, g_h, f = problem.g_reach, problem.g_reach_h, problem.f_reach
+    pow1 = np.abs(a1) ** 2
+    m = (g_h * pow1) @ g + problem.noise_eye
+    residual = problem.rho - problem.h * (c1 * a1 + c2 * a2)
+    q = g_h @ (residual * np.conj(a1)) / c2
+    # pr over the relay input power sum_k |g_kn|^2 |a1_k|^2 + sigma2
+    cap = problem.budget.pr / (problem.g2 @ pow1 + problem.sigma2)[reach]
+    radius = problem.abs_f_reach * np.sqrt(cap)
 
     x = np.linalg.solve(m, q)
     if not (np.abs(x) <= radius).all():
-        x = f * config.b[live]
+        x = f * b[reach]
         diag = m.diagonal().real
-        tol = solver_cfg.qcqp_tol * float(weights.rho @ weights.rho)
-        for _ in range(solver_cfg.qcqp_max_iter):
+        for _ in range(problem.solver_cfg.qcqp_max_iter):
             drop = 0.0
             for n in range(x.size):
                 s = x[n] + (q[n] - m[n] @ x) / diag[n]
                 new = s if abs(s) <= radius[n] else s * (radius[n] / abs(s))
                 drop += diag[n] * (abs(x[n] - s) ** 2 - abs(new - s) ** 2)
                 x[n] = new
-            if abs(config.c2) ** 2 * drop <= tol:
+            if abs(c2) ** 2 * drop <= problem.tol:
                 break
-    b[live] = x / f
+    b = np.zeros(reach.size, dtype=complex)
+    b[reach] = x / f
     return b
 
 
-def update_c1(config: TransceiverConfig, channels: ChannelRealization,
-              weights: DeviceWeights, sigma2: float) -> complex:
-    """Exact minimizer of the MSE over the phase-1 receive scalar."""
-    direct1 = channels.h * config.a1
-    rest = config.c2 * (channels.h * config.a2 + config.a1 * relay_path(config, channels))
-    numerator = np.sum((weights.rho - rest) * np.conj(direct1))
-    denominator = float(np.sum(np.abs(direct1) ** 2)) + sigma2
+def update_c1(problem: Problem, a1: np.ndarray, c2: complex, phase2: np.ndarray) -> complex:
+    """Exact minimizer of the MSE over the phase-1 receive scalar.
+
+    `phase2` is the phase-2 gain h * a2 + a1 * path, which `update_c2` shares.
+    """
+    direct1 = problem.h * a1
+    numerator = ((problem.rho - c2 * phase2) * np.conj(direct1)).sum()
+    denominator = float((np.abs(direct1) ** 2).sum()) + problem.sigma2
     return complex(numerator / denominator)
 
 
-def update_c2(config: TransceiverConfig, channels: ChannelRealization,
-              weights: DeviceWeights, sigma2: float) -> complex:
-    """Exact minimizer of the MSE over the phase-2 receive scalar."""
-    phase2 = channels.h * config.a2 + config.a1 * relay_path(config, channels)
-    numerator = np.sum((weights.rho - config.c1 * channels.h * config.a1) * np.conj(phase2))
-    denominator = (float(np.sum(np.abs(phase2) ** 2))
-                   + (1.0 + forwarded_noise_gain(config, channels)) * sigma2)
+def update_c2(problem: Problem, a1: np.ndarray, c1: complex, phase2: np.ndarray,
+              forwarded: float) -> complex:
+    """Exact minimizer of the MSE over the phase-2 receive scalar.
+
+    `forwarded` is the forwarded-noise gain of ``aggregation.relay_gains``.
+    """
+    numerator = ((problem.rho - c1 * problem.h * a1) * np.conj(phase2)).sum()
+    denominator = float((np.abs(phase2) ** 2).sum()) + (1.0 + forwarded) * problem.sigma2
     return complex(numerator / denominator)
 
 
@@ -373,34 +409,46 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
     minimizes the MSE over its block and keeps every power constraint.  For
     the relay-only variant a2 and c1 are pinned at zero and phase 1 carries
     the full device budget.
+
+    The scalars live in plain arrays until the one config built on exit.  The
+    relay path and forwarded-noise gain are computed once per relay update
+    and shared by the next device update, both receive updates and the
+    objective; the phase-2 gain h * a2 + a1 * path is computed once for both
+    receive updates.  The first objective is ``relay_mse`` of the starting
+    config and each sweep's is ``aggregation.transceiver_mse``, the formula
+    ``relay_mse`` evaluates, so the last one equals ``relay_mse`` of the
+    returned config exactly.
     """
     relay_only = variant is SchemeVariant.RELAY_ONLY
     config = warm_start if warm_start is not None else init_config(
         channels, weights, budget, variant)
     if relay_only:
         config = replace(config, a2=np.zeros_like(config.a2), c1=0.0 + 0.0j)
+    a1, a2, b, c1, c2 = config.a1, config.a2, config.b, config.c1, config.c2
+    problem = Problem(channels, weights, budget, solver_cfg, variant)
+    h, rho, sigma2 = problem.h, problem.rho, problem.sigma2
+    path, forwarded = relay_gains(channels, b)
 
     warnings: list[str] = []
-    objectives = [relay_mse(config, channels, weights, budget.sigma2)]
+    objectives = [relay_mse(config, channels, weights, sigma2)]
     iterations = 0
     terminated = "max_iterations"
     for _ in range(solver_cfg.j_max):
         iterations += 1
-        a1, a2, inner_ok = update_device_scalars(
-            config, channels, weights, budget, solver_cfg, variant=variant)
+        a1, a2, inner_ok = update_device_scalars(problem, a1, a2, b, c1, c2, path)
         if not inner_ok:
             warnings.append(f"sweep {iterations}: device QCQP gap above tolerance at exit")
-        config = replace(config, a1=a1, a2=a2)
 
-        if channels.num_relays and config.c2 != 0:
-            config = replace(config, b=update_relay_scalars(
-                config, channels, weights, budget, solver_cfg))
+        if channels.num_relays and c2 != 0:
+            b = update_relay_scalars(problem, a1, a2, b, c1, c2)
+            path, forwarded = relay_gains(channels, b)
 
+        phase2 = h * a2 + a1 * path
         if not relay_only:
-            config = replace(config, c1=update_c1(config, channels, weights, budget.sigma2))
-        config = replace(config, c2=update_c2(config, channels, weights, budget.sigma2))
+            c1 = update_c1(problem, a1, c2, phase2)
+        c2 = update_c2(problem, a1, c1, phase2, forwarded)
 
-        objectives.append(relay_mse(config, channels, weights, budget.sigma2))
+        objectives.append(transceiver_mse(a1, a2, c1, c2, path, forwarded, h, rho, sigma2))
         improvement = abs(objectives[-1] - objectives[-2]) / max(abs(objectives[-1]), 1e-300)
         if improvement <= solver_cfg.epsilon:
             terminated = "converged"
@@ -408,4 +456,4 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
 
     trace = SolverTrace(objectives=np.asarray(objectives), iterations_run=iterations,
                         terminated_by=terminated, warnings=tuple(warnings))
-    return config, trace
+    return TransceiverConfig(a1=a1, a2=a2, b=b, c1=c1, c2=c2), trace

@@ -1,15 +1,36 @@
 """Independent reference computations shared by the unit and acceptance tests.
 
-Everything here is deliberately decoupled from the package's closed forms:
+The oracles are deliberately decoupled from the package's closed forms:
 brute-force searches, bisection on feasibility predicates, and off-the-shelf
-constrained optimization.
+constrained optimization.  The block adapters at the end are not: they call
+the package's block updates at a TransceiverConfig, and `solve_reference`
+strings them into the per-block loop that `optimizer.solve` is compared with.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import minimize
 
-from relayfl.aggregation import DeviceWeights, PowerBudget, TransceiverConfig
+from relayfl.aggregation import (
+    DeviceWeights,
+    PowerBudget,
+    TransceiverConfig,
+    relay_gains,
+    relay_mse,
+)
 from relayfl.geometry import ChannelRealization, stream
+from relayfl.optimizer import (
+    Problem,
+    SchemeVariant,
+    SolverConfig,
+    SolverTrace,
+    init_config,
+    update_c1,
+    update_c2,
+    update_device_scalars,
+    update_relay_scalars,
+)
 
 
 def norelay_objective(a, c, h, rho, sigma2):
@@ -204,3 +225,71 @@ def single_relay_instance(seed, num_devices=None, enforce_conditions=False):
         pr = threshold * sigma2 / abs(f) ** 2 * (1.0 + rng.uniform(0.0, 3.0))
     channels = ChannelRealization(h=h, g=g.reshape(k, 1), f=[f])
     return channels, DeviceWeights.uniform(k), PowerBudget(p0=p0, pr=pr, sigma2=sigma2)
+
+
+def device_block(config, ch, weights, budget, solver_cfg, variant=SchemeVariant.FULL):
+    """``update_device_scalars`` at a config: (a1, a2, converged)."""
+    path, _ = relay_gains(ch, config.b)
+    return update_device_scalars(Problem(ch, weights, budget, solver_cfg, variant),
+                                 config.a1, config.a2, config.b, config.c1, config.c2, path)
+
+
+def relay_block(config, ch, weights, budget, solver_cfg):
+    """``update_relay_scalars`` at a config: the new b."""
+    return update_relay_scalars(Problem(ch, weights, budget, solver_cfg),
+                                config.a1, config.a2, config.b, config.c1, config.c2)
+
+
+def _phase2(config, ch):
+    path, forwarded = relay_gains(ch, config.b)
+    return ch.h * config.a2 + config.a1 * path, forwarded
+
+
+def c1_block(config, ch, weights, budget):
+    """``update_c1`` at a config: the new c1."""
+    phase2, _ = _phase2(config, ch)
+    return update_c1(Problem(ch, weights, budget, SolverConfig()), config.a1, config.c2, phase2)
+
+
+def c2_block(config, ch, weights, budget):
+    """``update_c2`` at a config: the new c2."""
+    phase2, forwarded = _phase2(config, ch)
+    return update_c2(Problem(ch, weights, budget, SolverConfig()), config.a1, config.c1,
+                     phase2, forwarded)
+
+
+def solve_reference(channels, weights, budget, solver_cfg, variant=SchemeVariant.FULL,
+                    warm_start=None):
+    """The alternating minimization written block by block on ``TransceiverConfig``.
+
+    The same sweep as ``optimizer.solve`` through the same public block
+    updates, but every block starts from the current config: each one builds
+    its own ``Problem``, recomputes the relay path and forwarded-noise gain,
+    and leaves a new config made with ``replace``; the objective is
+    ``relay_mse``.  ``solve`` must return the same bits.
+    """
+    relay_only = variant is SchemeVariant.RELAY_ONLY
+    config = warm_start if warm_start is not None else init_config(
+        channels, weights, budget, variant)
+    if relay_only:
+        config = replace(config, a2=np.zeros_like(config.a2), c1=0.0 + 0.0j)
+    warnings = []
+    objectives = [relay_mse(config, channels, weights, budget.sigma2)]
+    terminated = "max_iterations"
+    for sweep in range(1, solver_cfg.j_max + 1):
+        a1, a2, converged = device_block(config, channels, weights, budget, solver_cfg, variant)
+        if not converged:
+            warnings.append(f"sweep {sweep}: device QCQP gap above tolerance at exit")
+        config = replace(config, a1=a1, a2=a2)
+        if channels.num_relays and config.c2 != 0:
+            config = replace(config, b=relay_block(config, channels, weights, budget, solver_cfg))
+        if not relay_only:
+            config = replace(config, c1=c1_block(config, channels, weights, budget))
+        config = replace(config, c2=c2_block(config, channels, weights, budget))
+        objectives.append(relay_mse(config, channels, weights, budget.sigma2))
+        if (abs(objectives[-1] - objectives[-2]) / max(abs(objectives[-1]), 1e-300)
+                <= solver_cfg.epsilon):
+            terminated = "converged"
+            break
+    return config, SolverTrace(objectives=np.asarray(objectives), iterations_run=sweep,
+                               terminated_by=terminated, warnings=tuple(warnings))

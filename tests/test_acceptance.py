@@ -17,10 +17,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    c1_block,
+    c2_block,
+    device_block,
     device_update_oracle,
     fd_complex_gradient,
     norelay_oracle,
     random_feasible_setup,
+    relay_block,
     single_relay_instance,
 )
 from relayfl import federated
@@ -49,10 +53,6 @@ from relayfl.optimizer import (
     SolverConfig,
     init_config,
     solve,
-    update_c1,
-    update_c2,
-    update_device_scalars,
-    update_relay_scalars,
 )
 from relayfl.single_relay import analytic_construction, check_theorem_conditions, snr_summary
 
@@ -137,8 +137,8 @@ def test_criterion_04_closed_form_stationarity_and_dominance():
             weights = DeviceWeights.uniform(k)
             budget = PowerBudget(p0=1.0, pr=2.0, sigma2=float(rng.uniform(0.05, 0.5)))
             cfg = init_config(ch, weights, budget)
-            c1_star = update_c1(cfg, ch, weights, budget.sigma2)
-            c2_star = update_c2(cfg, ch, weights, budget.sigma2)
+            c1_star = c1_block(cfg, ch, weights, budget)
+            c2_star = c2_block(cfg, ch, weights, budget)
             grad1 = fd_complex_gradient(
                 lambda v: relay_mse(replace(cfg, c1=v), ch, weights, budget.sigma2), c1_star)
             grad2 = fd_complex_gradient(
@@ -160,7 +160,7 @@ def test_criterion_04_closed_form_stationarity_and_dominance():
             weights = DeviceWeights.uniform(k)
             budget = PowerBudget(p0=1.0, pr=1e6, sigma2=float(rng.uniform(0.05, 0.5)))
             cfg = init_config(ch, weights, budget)
-            b_star = update_relay_scalars(cfg, ch, weights, budget, SolverConfig())
+            b_star = relay_block(cfg, ch, weights, budget, SolverConfig())
             caps = budget.pr / ((np.abs(ch.g) ** 2).T @ np.abs(cfg.a1) ** 2 + budget.sigma2)
             assert np.all(np.abs(b_star) < np.sqrt(caps))
             for j in range(n):
@@ -178,7 +178,7 @@ def test_criterion_04_closed_form_stationarity_and_dominance():
             budget = PowerBudget(p0=1.0, pr=float(rng.uniform(0.2, 3.0)),
                                  sigma2=float(rng.uniform(0.05, 0.5)))
             cfg = init_config(ch, weights, budget)
-            b_star = update_relay_scalars(cfg, ch, weights, budget, SolverConfig())
+            b_star = relay_block(cfg, ch, weights, budget, SolverConfig())
             best = relay_mse(replace(cfg, b=b_star), ch, weights, budget.sigma2)
             cap = budget.pr / (np.abs(ch.g[:, 0]) ** 2 @ np.abs(cfg.a1) ** 2 + budget.sigma2)
             for _ in range(100):
@@ -199,9 +199,9 @@ def test_criterion_05_device_qcqp_matches_slsqp_oracle():
             budget = PowerBudget(p0=1.0, pr=float(rng.uniform(0.5, 3.0)),
                                  sigma2=float(rng.uniform(0.05, 0.5)))
             cfg = init_config(ch, weights, budget)
-            cfg = replace(cfg, c1=update_c1(cfg, ch, weights, budget.sigma2))
-            cfg = replace(cfg, c2=update_c2(cfg, ch, weights, budget.sigma2))
-            a1, a2, _ = update_device_scalars(cfg, ch, weights, budget, solver_cfg)
+            cfg = replace(cfg, c1=c1_block(cfg, ch, weights, budget))
+            cfg = replace(cfg, c2=c2_block(cfg, ch, weights, budget))
+            a1, a2, _ = device_block(cfg, ch, weights, budget, solver_cfg)
             relay_path = ch.g @ (ch.f * cfg.b) if n else np.zeros(k)
             theta = cfg.c1 * ch.h + cfg.c2 * relay_path
             phi = cfg.c2 * ch.h

@@ -300,6 +300,8 @@ MALFORMED = [
     pytest.param({"trials": 1}, ["--seed", "-3"], id="seed-flag-negative"),
     pytest.param(_sweep("pr_watts", 0.1, "abc"), [], id="sweep-string"),
     pytest.param(_sweep("num_devices", 5, {}), [], id="sweep-object"),
+    pytest.param(_sweep("pr_watts", 0.1, json.loads("[" * 600 + "]" * 600)), [],
+                 id="sweep-value-nested-600-deep"),
     pytest.param(_sweep("noise_dbm", -70.0, 1e308), [], id="sweep-noise-huge"),
     pytest.param(_sweep("noise_dbm", -70.0, -1e308), [], id="sweep-noise-tiny"),
     pytest.param(_sweep("csi_kappa", "0.5"), [], id="sweep-kappa-string"),
@@ -330,6 +332,20 @@ class TestCli:
         cfg_path.write_text(json.dumps(document))
         out = tmp_path / "x.csv"
         assert main(["run", "--config", str(cfg_path), "--out", str(out), *extra_args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [
+        pytest.param(b'{"trials": 1, "x": "\xff"}', id="not-utf8"),
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-200000-deep"),
+    ])
+    def test_unparseable_file_is_config_error(self, tmp_path, capsys, raw):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(raw)
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert "Traceback" not in err

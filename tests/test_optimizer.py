@@ -1,3 +1,4 @@
+import functools
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -23,6 +24,7 @@ from relayfl.geometry import (
 )
 from relayfl import optimizer
 from relayfl.experiment import dbm_to_watts
+from relayfl.single_relay import analytic_construction
 from relayfl.optimizer import (
     SchemeVariant,
     SolverConfig,
@@ -30,17 +32,19 @@ from relayfl.optimizer import (
     _transmit_scalars,
     init_config,
     solve,
-    update_c1,
-    update_c2,
-    update_device_scalars,
     update_relay_scalars,
 )
 
 from oracles import (
+    c1_block,
+    c2_block,
+    device_block,
     device_update_oracle,
     fd_complex_gradient,
     random_feasible_setup,
+    relay_block,
     relay_update_oracle,
+    solve_reference,
 )
 
 SOLVER = SolverConfig()
@@ -105,7 +109,7 @@ class TestDeviceUpdate:
         ch, weights, budget, _ = random_instance(83, 3, 1)
         cfg = init_config(ch, weights, budget)
         flat = replace(cfg, c1=0.0, c2=0.0)
-        a1, a2, ok = update_device_scalars(flat, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(flat, ch, weights, budget, SOLVER)
         assert ok
         assert a1 == pytest.approx(flat.a1)
         assert a2 == pytest.approx(flat.a2)
@@ -115,7 +119,7 @@ class TestDeviceUpdate:
         weights = DeviceWeights([1.0])
         budget = PowerBudget(p0=100.0, pr=1.0, sigma2=0.1)
         cfg = TransceiverConfig(a1=[0.1 + 0j], a2=[0.1 + 0j], b=np.zeros(0), c1=1.0, c2=1.0)
-        a1, a2, ok = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
         final = replace(cfg, a1=a1, a2=a2)
         assert ok
         assert misalignment_of(final, ch, weights) <= 1e-8
@@ -125,9 +129,9 @@ class TestDeviceUpdate:
         ch, weights, budget, _ = random_instance(seed, 2, 1, sigma2=0.2)
         cfg = init_config(ch, weights, budget)
         # move off the initial point so the subproblem is nontrivial
-        cfg = replace(cfg, c1=update_c1(cfg, ch, weights, budget.sigma2))
-        cfg = replace(cfg, c2=update_c2(cfg, ch, weights, budget.sigma2))
-        a1, a2, _ = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+        cfg = replace(cfg, c1=c1_block(cfg, ch, weights, budget))
+        cfg = replace(cfg, c2=c2_block(cfg, ch, weights, budget))
+        a1, a2, _ = device_block(cfg, ch, weights, budget, SOLVER)
         mine = misalignment_of(replace(cfg, a1=a1, a2=a2), ch, weights)
         oracle = device_update_oracle(cfg, ch, weights, budget, seed=seed)
         assert mine <= oracle * (1 + 1e-4) + 1e-12
@@ -144,7 +148,7 @@ class TestDeviceUpdate:
         cfg = TransceiverConfig(a1=[0.0, 0.1], a2=[0.1, 0.1], b=[2.0**-14], c1=0.0,
                                 c2=2.0**-500)
         with np.errstate(all="ignore"):
-            a1, a2, ok = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+            a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
         final = replace(cfg, a1=a1, a2=a2)
         assert not ok
         assert np.isfinite(a1).all() and np.isfinite(a2).all()
@@ -158,7 +162,7 @@ class TestDeviceUpdate:
         budget = PowerBudget(p0=1.0, pr=0.15, sigma2=0.1)
         weights = DeviceWeights.uniform(2)
         cfg = TransceiverConfig(a1=[0.0, 0.1], a2=[0.1, 0.1], b=[1.0], c1=0.0, c2=1.0)
-        a1, a2, ok = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
         final = replace(cfg, a1=a1, a2=a2)
         assert ok
         assert a1[0] == 0
@@ -181,7 +185,7 @@ class TestDeviceUpdate:
         splits = []
         for cap in 0.16 * (1.0 + np.array([-1e-9, 1e-9])):
             budget = PowerBudget(p0=1.0, pr=cap + 0.1, sigma2=0.1)
-            a1, a2, ok = update_device_scalars(cfg, ch, DeviceWeights([1.0]), budget, SOLVER)
+            a1, a2, ok = device_block(cfg, ch, DeviceWeights([1.0]), budget, SOLVER)
             assert ok
             splits.append(np.concatenate([a1, a2]))
         assert splits[0] == pytest.approx(splits[1], abs=1e-6)
@@ -195,7 +199,7 @@ class TestDeviceUpdate:
         cfg = TransceiverConfig(a1=[0.1 + 0j, 0.1 + 0j], a2=[0.1 + 0j, 0.1 + 0j],
                                 b=[1.0 + 0j], c1=1.0, c2=0.125)
         budget = PowerBudget(p0=1.0, pr=2.0, sigma2=0.1)
-        a1, a2, ok = update_device_scalars(cfg, ch, DeviceWeights.uniform(2), budget, SOLVER)
+        a1, a2, ok = device_block(cfg, ch, DeviceWeights.uniform(2), budget, SOLVER)
         final = replace(cfg, a1=a1, a2=a2)
         assert ok
         assert a1[0] == cfg.a1[0]
@@ -206,7 +210,7 @@ class TestDeviceUpdate:
         ch, weights, budget, _ = random_instance(131, 6, 2)
         cfg = off_start(ch, weights, budget)
         cfg = replace(cfg, b=0.1 * cfg.b)  # far below the caps
-        a1, a2, ok = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
         theta = cfg.c1 * ch.h + cfg.c2 * (ch.g @ (ch.f * cfg.b))
         phi = cfg.c2 * ch.h
         direct = np.minimum(weights.rho, np.abs(phi) * np.sqrt(budget.p0))
@@ -224,7 +228,7 @@ class TestDeviceUpdate:
             cfg = init_config(ch, weights, budget)
             cfg = replace(cfg, c2=1.5 * cfg.c2)  # off-optimum incoming point
             before = misalignment_of(cfg, ch, weights)
-            a1, a2, _ = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+            a1, a2, _ = device_block(cfg, ch, weights, budget, SOLVER)
             after = misalignment_of(replace(cfg, a1=a1, a2=a2), ch, weights)
             assert after <= before * (1 + 1e-12) + 1e-15
             assert max_constraint_violation(replace(cfg, a1=a1, a2=a2), ch, budget) <= 1e-9
@@ -233,8 +237,8 @@ class TestDeviceUpdate:
 def off_start(ch, weights, budget):
     """Channel-inversion start with both receive scalars moved to their optima."""
     cfg = init_config(ch, weights, budget)
-    cfg = replace(cfg, c1=update_c1(cfg, ch, weights, budget.sigma2))
-    return replace(cfg, c2=update_c2(cfg, ch, weights, budget.sigma2))
+    cfg = replace(cfg, c1=c1_block(cfg, ch, weights, budget))
+    return replace(cfg, c2=c2_block(cfg, ch, weights, budget))
 
 
 class TestBoundedNewtonStep:
@@ -267,7 +271,7 @@ class TestDualSolveAtScale:
         rng = stream(7100, seed)
         ch = realize_channels(line_layout(20, rng), PathLossParams(), rng)
         cfg = off_start(ch, weights, budget)
-        a1, a2, ok = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
 
         # Lagrangian of the relay constraint, minimized per device in closed
         # form: the direct copy covers what it can, the relayed copy the rest.
@@ -307,7 +311,7 @@ class TestDualSolveAtScale:
         rng = stream(7200, 0)
         ch = realize_channels(cell_layout(20, 4, rng), PathLossParams(), rng)
         cfg = off_start(ch, weights, budget)
-        a1, a2, ok = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
         final = replace(cfg, a1=a1, a2=a2)
         assert ok
         assert max_constraint_violation(final, ch, budget) <= 1e-9
@@ -336,7 +340,7 @@ class TestRelayUpdate:
         ch = ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j]], f=[1.0 + 0j])
         cfg = TransceiverConfig(a1=[1.0 + 0j], a2=[-5.0 - 8.0j], b=[0j], c1=0.0, c2=1.0)
         budget = PowerBudget(p0=100.0, pr=8.0, sigma2=1.0)
-        b = update_relay_scalars(cfg, ch, DeviceWeights([1.0]), budget, SOLVER)
+        b = relay_block(cfg, ch, DeviceWeights([1.0]), budget, SOLVER)
         assert b[0] == pytest.approx(1.2 + 1.6j, rel=1e-12)
 
     def test_interior_point_unchanged(self):
@@ -344,13 +348,13 @@ class TestRelayUpdate:
         cfg = TransceiverConfig(a1=[1.0 + 0j], a2=[0j], b=[0j], c1=0.0, c2=1.0)
         budget = PowerBudget(p0=100.0, pr=8.0, sigma2=1.0)
         # unconstrained stationary point is rho / (c2 (|a1|^2 + sigma2)) = 0.5
-        b = update_relay_scalars(cfg, ch, DeviceWeights([1.0]), budget, SOLVER)
+        b = relay_block(cfg, ch, DeviceWeights([1.0]), budget, SOLVER)
         assert b[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_dominates_random_feasible_points(self):
         ch, weights, budget, rng = random_instance(140, 1, 1)
         cfg = init_config(ch, weights, budget)
-        b_star = update_relay_scalars(cfg, ch, weights, budget, SOLVER)
+        b_star = relay_block(cfg, ch, weights, budget, SOLVER)
         value = relay_mse(replace(cfg, b=b_star), ch, weights, budget.sigma2)
         cap = budget.pr / (np.abs(ch.g[:, 0]) ** 2 @ np.abs(cfg.a1) ** 2 + budget.sigma2)
         for _ in range(1000):
@@ -361,7 +365,7 @@ class TestRelayUpdate:
     def test_stationarity_when_interior(self):
         ch, weights, budget, _ = random_instance(141, 3, 2, pr=1e6)
         cfg = init_config(ch, weights, budget)
-        b_star = update_relay_scalars(cfg, ch, weights, budget, SOLVER)
+        b_star = relay_block(cfg, ch, weights, budget, SOLVER)
         caps = budget.pr / ((np.abs(ch.g) ** 2).T @ np.abs(cfg.a1) ** 2 + budget.sigma2)
         assert np.all(np.abs(b_star) < np.sqrt(caps))  # interior for huge relay power
         for n in range(2):
@@ -375,15 +379,15 @@ class TestRelayUpdate:
     def test_idempotent(self):
         ch, weights, budget, _ = random_instance(142, 4, 2)
         cfg = init_config(ch, weights, budget)
-        b1 = update_relay_scalars(cfg, ch, weights, budget, SOLVER)
-        b2 = update_relay_scalars(replace(cfg, b=b1), ch, weights, budget, SOLVER)
+        b1 = relay_block(cfg, ch, weights, budget, SOLVER)
+        b2 = relay_block(replace(cfg, b=b1), ch, weights, budget, SOLVER)
         assert b2 == pytest.approx(b1, rel=1e-12)
 
     def test_requires_nonzero_c2(self):
         ch, weights, budget, _ = random_instance(143, 2, 1)
         cfg = replace(init_config(ch, weights, budget), c2=0.0)
         with pytest.raises(ValueError):
-            update_relay_scalars(cfg, ch, weights, budget, SOLVER)
+            relay_block(cfg, ch, weights, budget, SOLVER)
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (2, 2), (2, 5), (3, 3), (3, 4), (3, 6),
                                         (4, 0), (4, 2), (4, 4)])
@@ -391,7 +395,7 @@ class TestRelayUpdate:
         cfg, ch, weights, budget = random_feasible_setup(6300 + seed, 6, n)
         budget = replace(budget, pr=0.1 * budget.pr)
         cfg = replace(cfg, b=np.sqrt(0.1) * cfg.b)
-        new = replace(cfg, b=update_relay_scalars(cfg, ch, weights, budget, SOLVER))
+        new = replace(cfg, b=relay_block(cfg, ch, weights, budget, SOLVER))
         used = relay_power_used(new, ch, budget.sigma2)
         assert np.sum(used >= budget.pr * (1 - 1e-9)) >= 2
         assert max_constraint_violation(new, ch, budget) <= 1e-9
@@ -403,7 +407,7 @@ class TestRelayUpdate:
         ch = replace(ch, f=np.array([0.0, ch.f[1]]))
         budget = replace(budget, pr=0.1 * budget.pr)
         cfg = replace(cfg, b=np.sqrt(0.1) * cfg.b)
-        b = update_relay_scalars(cfg, ch, weights, budget, SOLVER)
+        b = relay_block(cfg, ch, weights, budget, SOLVER)
         assert b[0] == 0
         new = replace(cfg, b=b)
         assert relay_power_used(new, ch, budget.sigma2)[1] == pytest.approx(budget.pr, rel=1e-9)
@@ -417,8 +421,10 @@ class TestRelayUpdate:
         # raise the objective in up to 39% of the sweeps.
         checked = []
 
-        def checked_update(config, channels, weights, budget, solver_cfg):
-            b = update_relay_scalars(config, channels, weights, budget, solver_cfg)
+        def checked_update(problem, a1, a2, b, c1, c2):
+            channels, weights, budget = problem.channels, problem.weights, problem.budget
+            config = TransceiverConfig(a1=a1, a2=a2, b=b, c1=c1, c2=c2)
+            b = update_relay_scalars(problem, a1, a2, b, c1, c2)
             new = replace(config, b=b)
             checked.append((relay_mse(config, channels, weights, budget.sigma2),
                             relay_mse(new, channels, weights, budget.sigma2),
@@ -441,18 +447,19 @@ class TestReceiveScalars:
     def test_c1_single_device_value(self):
         ch = ChannelRealization(h=[1.0 + 0j], g=np.zeros((1, 0)), f=np.zeros(0))
         cfg = TransceiverConfig(a1=[1.0 + 0j], a2=[0j], b=np.zeros(0), c1=0.0, c2=0.0)
-        assert update_c1(cfg, ch, DeviceWeights([1.0]), 1.0) == pytest.approx(0.5)
+        budget = PowerBudget(p0=1.0, pr=1.0, sigma2=1.0)
+        assert c1_block(cfg, ch, DeviceWeights([1.0]), budget) == pytest.approx(0.5)
 
     def test_c1_zero_when_phase1_silent(self):
         ch, weights, budget, _ = random_instance(150, 3, 1)
         cfg = replace(init_config(ch, weights, budget), a1=np.zeros(3, dtype=complex))
-        assert update_c1(cfg, ch, weights, budget.sigma2) == 0.0
+        assert c1_block(cfg, ch, weights, budget) == 0.0
 
     def test_c2_zero_when_phase2_silent(self):
         ch, weights, budget, _ = random_instance(151, 3, 1)
         cfg = replace(init_config(ch, weights, budget),
                       a2=np.zeros(3, dtype=complex), b=np.zeros(1, dtype=complex))
-        assert update_c2(cfg, ch, weights, budget.sigma2) == 0.0
+        assert c2_block(cfg, ch, weights, budget) == 0.0
 
     def test_c2_relay_free_reduction(self):
         ch, weights, budget, _ = random_instance(152, 1, 0)
@@ -460,17 +467,17 @@ class TestReceiveScalars:
         h, a1, a2 = ch.h[0], cfg.a1[0], cfg.a2[0]
         expected = ((weights.rho[0] - cfg.c1 * h * a1) * np.conj(h * a2)
                     / (abs(h * a2) ** 2 + budget.sigma2))
-        assert update_c2(cfg, ch, weights, budget.sigma2) == pytest.approx(expected)
+        assert c2_block(cfg, ch, weights, budget) == pytest.approx(expected)
 
     @pytest.mark.parametrize("seed", [160, 161, 162])
     def test_stationarity(self, seed):
         ch, weights, budget, _ = random_instance(seed, 4, 2)
         cfg = init_config(ch, weights, budget)
-        c1_star = update_c1(cfg, ch, weights, budget.sigma2)
+        c1_star = c1_block(cfg, ch, weights, budget)
         grad1 = fd_complex_gradient(
             lambda v: relay_mse(replace(cfg, c1=v), ch, weights, budget.sigma2), c1_star)
         assert abs(grad1) < 1e-5
-        c2_star = update_c2(cfg, ch, weights, budget.sigma2)
+        c2_star = c2_block(cfg, ch, weights, budget)
         grad2 = fd_complex_gradient(
             lambda v: relay_mse(replace(cfg, c2=v), ch, weights, budget.sigma2), c2_star)
         assert abs(grad2) < 1e-5
@@ -478,11 +485,11 @@ class TestReceiveScalars:
     def test_idempotent(self):
         ch, weights, budget, _ = random_instance(163, 3, 1)
         cfg = init_config(ch, weights, budget)
-        c1 = update_c1(cfg, ch, weights, budget.sigma2)
-        assert update_c1(replace(cfg, c1=c1), ch, weights, budget.sigma2) == pytest.approx(
+        c1 = c1_block(cfg, ch, weights, budget)
+        assert c1_block(replace(cfg, c1=c1), ch, weights, budget) == pytest.approx(
             c1, rel=1e-12)
-        c2 = update_c2(cfg, ch, weights, budget.sigma2)
-        assert update_c2(replace(cfg, c2=c2), ch, weights, budget.sigma2) == pytest.approx(
+        c2 = c2_block(cfg, ch, weights, budget)
+        assert c2_block(replace(cfg, c2=c2), ch, weights, budget) == pytest.approx(
             c2, rel=1e-12)
 
 
@@ -499,14 +506,14 @@ class TestSolve:
         ch, weights, budget, _ = random_instance(173, 4, 2)
         cfg = init_config(ch, weights, budget)
         assert max_constraint_violation(cfg, ch, budget) <= 1e-9
-        a1, a2, _ = update_device_scalars(cfg, ch, weights, budget, SOLVER)
+        a1, a2, _ = device_block(cfg, ch, weights, budget, SOLVER)
         cfg = replace(cfg, a1=a1, a2=a2)
         assert max_constraint_violation(cfg, ch, budget) <= 1e-9
-        b = update_relay_scalars(cfg, ch, weights, budget, SOLVER)
+        b = relay_block(cfg, ch, weights, budget, SOLVER)
         cfg = replace(cfg, b=b)
         assert max_constraint_violation(cfg, ch, budget) <= 1e-9
-        cfg = replace(cfg, c1=update_c1(cfg, ch, weights, budget.sigma2))
-        cfg = replace(cfg, c2=update_c2(cfg, ch, weights, budget.sigma2))
+        cfg = replace(cfg, c1=c1_block(cfg, ch, weights, budget))
+        cfg = replace(cfg, c2=c2_block(cfg, ch, weights, budget))
         assert max_constraint_violation(cfg, ch, budget) <= 1e-9
 
     def test_relay_free_two_phase_vs_single_phase_budgets(self):
@@ -578,3 +585,62 @@ class TestSolve:
         assert cfg.c2 == 0
         diffs = np.diff(trace.objectives)
         assert np.all(diffs <= 1e-9 * np.abs(trace.objectives[:-1]))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_grid_cell(kind, noise_dbm, pr, variant):
+    """Seeded solves of one grid cell: (channels, budget, warm start, config, trace).
+
+    K = 20 devices on a line with one relay or in a cell with four.  Line
+    instances are also solved warm-started from the analytic construction.
+    """
+    budget = PowerBudget(p0=0.05, pr=pr, sigma2=dbm_to_watts(noise_dbm))
+    weights = DeviceWeights.uniform(20)
+    solves = []
+    for seed in range(2):
+        rng = stream(9500, seed)
+        layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
+        ch = realize_channels(layout, PathLossParams(), rng)
+        starts = [None]
+        if kind == "line":
+            starts.append(analytic_construction(ch, weights, budget).config)
+        for start in starts:
+            cfg, trace = solve(ch, weights, budget, SOLVER, variant, warm_start=start)
+            solves.append((ch, budget, start, cfg, trace))
+    return solves
+
+
+REFERENCE_GRID = [
+    pytest.param(kind, noise_dbm, pr, variant,
+                 id=f"{kind}-{noise_dbm:g}dBm-pr{pr:g}-{variant.value}")
+    for kind in ("line", "cell") for noise_dbm in (-70.0, -100.0) for pr in (0.01, 1.0)
+    for variant in SchemeVariant
+]
+
+
+def bits(value):
+    return np.asarray(value).tobytes()
+
+
+class TestSolveMatchesReference:
+    """`solve` keeps its state in arrays and shares the relay path; the block-by-block
+    loop on TransceiverConfig (tests/oracles.py) must give the same bits."""
+
+    @pytest.mark.parametrize("kind, noise_dbm, pr, variant", REFERENCE_GRID)
+    def test_bit_for_bit(self, kind, noise_dbm, pr, variant):
+        weights = DeviceWeights.uniform(20)
+        for ch, budget, start, cfg, trace in reference_grid_cell(kind, noise_dbm, pr, variant):
+            ref_cfg, ref = solve_reference(ch, weights, budget, SOLVER, variant,
+                                           warm_start=start)
+            for field in ("a1", "a2", "b", "c1", "c2"):
+                assert bits(getattr(cfg, field)) == bits(getattr(ref_cfg, field)), field
+            assert bits(trace.objectives) == bits(ref.objectives)
+            assert trace.iterations_run == ref.iterations_run
+            assert trace.terminated_by == ref.terminated_by
+            assert trace.warnings == ref.warnings
+
+    @pytest.mark.parametrize("kind, noise_dbm, pr, variant", REFERENCE_GRID)
+    def test_last_objective_is_relay_mse(self, kind, noise_dbm, pr, variant):
+        weights = DeviceWeights.uniform(20)
+        for ch, budget, _, cfg, trace in reference_grid_cell(kind, noise_dbm, pr, variant):
+            assert trace.objectives[-1] == relay_mse(cfg, ch, weights, budget.sigma2)
