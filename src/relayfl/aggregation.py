@@ -156,8 +156,6 @@ def relay_gains(channels: ChannelRealization, b: np.ndarray):
 
     Both are 0 without relays.
     """
-    if not b.size:
-        return 0.0, 0.0
     fb = channels.f * b
     return channels.g @ fb, float((np.abs(fb) ** 2).sum())
 
@@ -202,8 +200,6 @@ def relay_input_power(channels: ChannelRealization, a1: np.ndarray, sigma2: floa
 def relay_power_used(config: TransceiverConfig, channels: ChannelRealization,
                      sigma2: float) -> np.ndarray:
     """Per-relay transmit power |b_n|^2 (sum_k |g_kn|^2 |a1_k|^2 + sigma2)."""
-    if config.b.size == 0:
-        return np.zeros(0)
     return np.abs(config.b) ** 2 * relay_input_power(channels, config.a1, sigma2)
 
 
@@ -217,11 +213,8 @@ def max_constraint_violation(config: TransceiverConfig, channels: ChannelRealiza
     p1 = budget.p0 if phase1_budget is None else phase1_budget
     v1 = (np.abs(config.a1) ** 2 - p1) / p1
     v2 = (np.abs(config.a2) ** 2 - budget.p0) / budget.p0
-    worst = max(float(np.max(v1, initial=-np.inf)), float(np.max(v2, initial=-np.inf)))
-    if config.b.size:
-        vr = (relay_power_used(config, channels, budget.sigma2) - budget.pr) / budget.pr
-        worst = max(worst, float(np.max(vr)))
-    return worst
+    vr = (relay_power_used(config, channels, budget.sigma2) - budget.pr) / budget.pr
+    return max(float(np.max(v, initial=-np.inf)) for v in (v1, v2, vr))
 
 
 def simulate_round_complex(config: TransceiverConfig, channels: ChannelRealization,
@@ -241,12 +234,9 @@ def simulate_round_complex(config: TransceiverConfig, channels: ChannelRealizati
 
     # Phase 1: devices transmit to the relays and the AP.
     y1 = (channels.h * config.a1) @ s + noise_scale * _complex_normal(rng, d)
-    if config.b.size:
-        r = (channels.g * config.a1[:, None]).T @ s \
-            + noise_scale * _complex_normal(rng, (channels.num_relays, d))
-        forwarded = (channels.f * config.b) @ r
-    else:
-        forwarded = 0.0
+    r = (channels.g * config.a1[:, None]).T @ s \
+        + noise_scale * _complex_normal(rng, (channels.num_relays, d))
+    forwarded = (channels.f * config.b) @ r
     # Phase 2: relays forward, devices retransmit.
     y2 = forwarded + (channels.h * config.a2) @ s \
         + noise_scale * _complex_normal(rng, d)

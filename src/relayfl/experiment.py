@@ -321,14 +321,16 @@ def run_trial(config: ExperimentConfig, sweep_index: int, trial: int) -> list:
     return federated.train(
         config.scheme, task, partition, layout, _pl_params(config),
         _power_budget(config), config.solver, schedule, fl.total_blocks,
-        rng, csi_kappa=config.csi_kappa, tau=fl.tau)
+        rng, csi_kappa=config.csi_kappa, tau=fl.tau)[0]
 
 
 @contextmanager
 def _trial_numerics(where: str):
-    """Report a trial whose numbers leave the double range as a configuration error."""
+    """Report a trial whose numbers leave the double range as a configuration error;
+    overflow, invalid operations and division by zero raise, so no NaN reaches a CSV."""
     try:
-        yield
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         raise ConfigError(f"{where}: the configuration drives the computation out of the "
                           f"floating-point range ({type(exc).__name__}: {exc})") from exc
@@ -346,26 +348,18 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
             where = f"sweep value {value!r}, trial {trial}" if key else f"trial {trial}"
             with _trial_numerics(where):
                 metrics = run_trial(cfg, sweep_index, trial)
-            for m in metrics:
-                rows.append({
-                    "sweep_key": key, "sweep_value": value, "trial": trial,
-                    "round": m.round, "blocks_used": m.blocks_used,
-                    "nmse_db": m.nmse_db, "test_accuracy": m.test_accuracy,
-                    "mse_predicted": m.mse_predicted,
-                    "mse_norelay_bound": m.mse_norelay_bound,
-                    "cond40": m.cond40, "cond41": m.cond41,
-                })
+            rows.extend(_row(key, value, trial, m) for m in metrics)
     return rows
 
 
 def theorem_sweep(config: ExperimentConfig) -> list[dict]:
     """Sample single-relay instances and certify the analytic relaying bound.
 
-    Each instance (one per trial) contributes two rows sharing delta and the
-    condition booleans: round 0 carries the analytic construction's MSE in
-    mse_predicted, round 1 the MSE of the full solver warm-started from that
-    construction.  mse_norelay_bound holds the no-relay optimum at the 2*p0
-    budget in both rows.
+    Each instance (one per trial) contributes two rows sharing delta, the
+    condition booleans and mse_norelay_bound, the no-relay optimum at the
+    2*p0 budget (``single_relay.theorem_certificate``): round 0 carries the
+    analytic construction's MSE in mse_predicted, round 1 the last objective
+    of the full solver warm-started from that construction.
     """
     if config.num_relays != 1:
         raise ConfigError("theorem sweep requires num_relays = 1")
@@ -380,24 +374,23 @@ def theorem_sweep(config: ExperimentConfig) -> list[dict]:
             rng = geometry.stream(config.master_seed, trial)
             layout = _make_layout(config, rng)
             channels = geometry.realize_channels(layout, params, rng)
-            summary = single_relay.snr_summary(channels, budget)
-            check = single_relay.check_theorem_conditions(summary, config.num_devices)
+            delta, bound, cond40, cond41 = single_relay.theorem_certificate(
+                channels, weights, budget)
             construction = single_relay.analytic_construction(channels, weights, budget)
-            _, _, bound = agg.norelay_optimum(channels.h, weights, 2.0 * budget.p0,
-                                              budget.sigma2)
-            solved, _ = optimizer.solve(channels, weights, budget, config.solver,
-                                        optimizer.SchemeVariant.FULL,
-                                        warm_start=construction.config)
-            solved_mse = agg.relay_mse(solved, channels, weights, budget.sigma2)
-        for rnd, mse in ((0, construction.mse), (1, solved_mse)):
-            rows.append({
-                "sweep_key": "delta", "sweep_value": summary.delta, "trial": trial,
-                "round": rnd, "blocks_used": 0, "nmse_db": None,
-                "test_accuracy": None, "mse_predicted": mse,
-                "mse_norelay_bound": bound, "cond40": check.cond_40,
-                "cond41": check.cond_41,
-            })
+            _, trace = optimizer.solve(channels, weights, budget, config.solver,
+                                       optimizer.SchemeVariant.FULL,
+                                       warm_start=construction.config)
+        for rnd, mse in ((0, construction.mse), (1, trace.objectives[-1])):
+            rows.append(_row("delta", delta, trial, federated.RoundMetrics(
+                round=rnd, blocks_used=0, nmse_db=None, test_accuracy=None,
+                mse_predicted=mse, mse_norelay_bound=bound, cond40=cond40, cond41=cond41)))
     return rows
+
+
+def _row(key: str, value, trial: int, metrics: federated.RoundMetrics) -> dict:
+    """One CSV row: the sweep point and trial, then the round's CSV_COLUMNS fields."""
+    return {"sweep_key": key, "sweep_value": value, "trial": trial,
+            **{col: getattr(metrics, col) for col in CSV_COLUMNS[3:]}}
 
 
 def _format_cell(value) -> str:

@@ -78,26 +78,12 @@ class LrSchedule:
         return max(self.base * self.decay ** (round_index // self.step), self.floor)
 
 
-@dataclass
-class TrainingState:
-    """Mutable state of one federated run: global model, round counter, step sizes."""
-
-    w: np.ndarray
-    round: int = 0
-    lr: float = 0.05
-    tau: int = 1
-
-    def __post_init__(self):
-        if self.lr <= 0 or self.tau < 1:
-            raise ValueError("lr must be positive and tau at least 1")
-
-
 @dataclass(frozen=True)
 class RoundMetrics:
     round: int
     blocks_used: int
-    nmse_db: float
-    test_accuracy: float
+    nmse_db: float | None
+    test_accuracy: float | None
     mse_predicted: float
     mse_norelay_bound: float | None = None
     cond40: bool | None = None
@@ -280,8 +266,7 @@ def train(scheme: str, task: LearningTask, partition: Partition,
           layout: geometry.NodeLayout, pl_params: geometry.PathLossParams,
           budget: agg.PowerBudget, solver_cfg: optimizer.SolverConfig,
           schedule: LrSchedule, total_blocks: int, rng: np.random.Generator,
-          csi_kappa: float | None = None, tau: int = 1,
-          return_final_state: bool = False):
+          csi_kappa: float | None = None, tau: int = 1):
     """Run federated averaging until the transmission-block budget is spent.
 
     One round: broadcast the model (ideal), compute local changes, normalize
@@ -289,10 +274,15 @@ def train(scheme: str, task: LearningTask, partition: Partition,
     scheme's transceivers, push the symbols through the channel, denormalize,
     and apply the estimated weighted sum to the global model.  With a CSI
     error level set, the optimizer sees the perturbed channels while the air
-    interface uses the true ones.
+    interface uses the true ones.  On single-relay layouts every round also
+    carries the ``single_relay.theorem_certificate`` of the true channels.
+
+    Returns (metrics, w): one RoundMetrics per round and the final model.
     """
     if total_blocks < 1:
         raise ValueError("total_blocks must be at least 1")
+    if schedule(1) <= 0 or tau < 1:
+        raise ValueError("lr must be positive and tau at least 1")
     if layout.num_devices != partition.num_devices:
         raise ValueError("layout and partition disagree on the device count")
     weights = agg.DeviceWeights.from_counts(partition.sizes())
@@ -301,16 +291,14 @@ def train(scheme: str, task: LearningTask, partition: Partition,
     gains = geometry.path_gain_profile(layout, pl_params)
     dim = task.model_dim
     groups = partition.size_groups()
-    state = TrainingState(w=np.zeros(dim), round=0, lr=schedule(1), tau=tau)
+    w = np.zeros(dim)
     metrics: list[RoundMetrics] = []
 
     for t in range(1, num_rounds + 1):
-        state.round = t
-        state.lr = schedule(t)
-        w, lr = state.w, state.lr
+        lr = schedule(t)
         deltas = np.empty((partition.num_devices, dim))
         for members, indices in groups:
-            deltas[members] = local_update(w, task, indices, tau=state.tau, lr=lr)
+            deltas[members] = local_update(w, task, indices, tau=tau, lr=lr)
         truth = weights.rho @ deltas
         channels = geometry.realize_channels(layout, pl_params, rng)
         perceived = channels if csi_kappa is None else geometry.perturb_channels(
@@ -345,20 +333,15 @@ def train(scheme: str, task: LearningTask, partition: Partition,
             estimate = agg.denormalize(x_hat, g_mean, np.sqrt(g_var))
             mse_pred = agg.relay_mse(config, channels, weights, budget.sigma2)
 
-        state.w = global_update(w, estimate)
+        w = global_update(w, estimate)
 
         bound = cond40 = cond41 = None
         if channels.num_relays == 1:
-            _, _, bound = agg.norelay_optimum(channels.h, weights, 2.0 * budget.p0,
-                                              budget.sigma2)
-            check = single_relay.check_theorem_conditions(
-                single_relay.snr_summary(channels, budget), layout.num_devices)
-            cond40, cond41 = check.cond_40, check.cond_41
+            _, bound, cond40, cond41 = single_relay.theorem_certificate(
+                channels, weights, budget)
         metrics.append(RoundMetrics(
             round=t, blocks_used=t * bpr, nmse_db=nmse_db(nmse(estimate, truth)),
-            test_accuracy=evaluate_accuracy(state.w, task), mse_predicted=mse_pred,
+            test_accuracy=evaluate_accuracy(w, task), mse_predicted=mse_pred,
             mse_norelay_bound=bound, cond40=cond40, cond41=cond41,
             warnings=round_warnings))
-    if return_final_state:
-        return metrics, state
-    return metrics
+    return metrics, w

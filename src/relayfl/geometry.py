@@ -68,7 +68,7 @@ class NodeLayout:
             raise ValueError("positions must be finite")
         for d in (self.device_ap_distances(), self.device_relay_distances().ravel(),
                   self.relay_ap_distances()):
-            if d.size and np.any(d <= 0):
+            if np.any(d <= 0):
                 raise ValueError("coincident nodes: all link distances must be positive")
 
     @property
@@ -84,14 +84,10 @@ class NodeLayout:
 
     def device_relay_distances(self) -> np.ndarray:
         """(K, N) matrix of device-to-relay distances."""
-        if self.num_relays == 0:
-            return np.zeros((self.num_devices, 0))
         diff = self.device_positions[:, None, :] - self.relay_positions[None, :, :]
         return np.linalg.norm(diff, axis=2)
 
     def relay_ap_distances(self) -> np.ndarray:
-        if self.num_relays == 0:
-            return np.zeros(0)
         return np.linalg.norm(self.relay_positions - self.ap_position, axis=1)
 
 
@@ -151,11 +147,9 @@ def path_loss(distance, params: PathLossParams):
 def path_gain_profile(layout: NodeLayout, params: PathLossParams) -> PathGains:
     """Path-loss power gains for all device-AP, device-relay, and relay-AP links."""
     gh = path_loss(layout.device_ap_distances(), params)
-    drd = layout.device_relay_distances()
-    gg = path_loss(drd, params) if drd.size else np.zeros_like(drd)
-    rad = layout.relay_ap_distances()
-    gf = path_loss(rad, params) if rad.size else np.zeros_like(rad)
-    return PathGains(h=np.atleast_1d(gh), g=gg, f=np.atleast_1d(gf))
+    gg = path_loss(layout.device_relay_distances(), params)
+    gf = path_loss(layout.relay_ap_distances(), params)
+    return PathGains(h=gh, g=gg, f=gf)
 
 
 def realize_channels(layout: NodeLayout, params: PathLossParams,
@@ -218,7 +212,5 @@ def cell_layout(num_devices: int, num_relays: int, rng: np.random.Generator, *,
     devices = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     ring = 2.0 * np.pi * np.arange(num_relays) / max(num_relays, 1)
     relays = ring_radius * np.column_stack([np.cos(ring), np.sin(ring)])
-    if num_relays == 0:
-        relays = np.zeros((0, 2))
     return NodeLayout(ap_position=np.zeros(2), relay_positions=relays,
                       device_positions=devices)

@@ -70,10 +70,13 @@ class SolverTrace:
     warnings: tuple[str, ...] = ()
 
 
-def _phase1_budget(budget: PowerBudget, variant: SchemeVariant) -> float:
-    # The relay-only baseline does not retransmit in phase 2, so its devices
-    # spend the whole 2 * p0 budget in phase 1.
-    return 2.0 * budget.p0 if variant is SchemeVariant.RELAY_ONLY else budget.p0
+def _radii(budget: PowerBudget, variant: SchemeVariant) -> tuple[float, float]:
+    # Per-device amplitude limits (r1, r2) of the two phases.  The relay-only
+    # baseline does not retransmit in phase 2; its devices spend 2 * p0 in phase 1.
+    if variant is SchemeVariant.RELAY_ONLY:
+        return float(np.sqrt(2.0 * budget.p0)), 0.0
+    r = float(np.sqrt(budget.p0))
+    return r, r
 
 
 class Problem:
@@ -96,9 +99,7 @@ class Problem:
         self.channels, self.weights = channels, weights
         self.budget, self.solver_cfg = budget, solver_cfg
         self.h, self.rho, self.sigma2 = channels.h, weights.rho, budget.sigma2
-        self.r1 = float(np.sqrt(_phase1_budget(budget, variant)))
-        # The relay-only variant does not transmit in phase 2.
-        self.r2 = 0.0 if variant is SchemeVariant.RELAY_ONLY else float(np.sqrt(budget.p0))
+        self.r1, self.r2 = _radii(budget, variant)
         self.tol = solver_cfg.qcqp_tol * float(self.rho @ self.rho)
         self.g2 = np.abs(channels.g.T) ** 2  # (N, K)
         self.reach = channels.f != 0
@@ -114,9 +115,9 @@ def init_config(channels: ChannelRealization, weights: DeviceWeights,
                 variant: SchemeVariant = SchemeVariant.FULL) -> TransceiverConfig:
     """Channel-inversion starting point with all relay power constraints active.
 
-    Devices split their budget evenly across the phases and invert the direct
-    channel; the receive scalars are set so the two direct copies already sum
-    to the target weights.  Relay scalars start at full transmit power.
+    Devices invert the direct channel at the phase radii (r1, r2), scaled so the
+    largest rho_k / |h_k| sits on them; the receive scalars make the direct copies
+    sum to the target weights (c1 = 0 when r2 = 0).  Relays start at full power.
     """
     h = channels.h
     rho = weights.rho
@@ -126,22 +127,12 @@ def init_config(channels: ChannelRealization, weights: DeviceWeights,
     if np.any(mag == 0):
         raise SingularChannelError("zero device-to-AP channel")
     peak = float(np.max(rho / mag))
-    p1 = _phase1_budget(budget, variant)
-
-    if variant is SchemeVariant.RELAY_ONLY:
-        a1 = np.sqrt(p1) * rho / (h * peak)
-        a2 = np.zeros_like(a1)
-        c1 = 0.0 + 0.0j
-        c2 = complex(peak / np.sqrt(p1))
-    else:
-        a1 = np.sqrt(budget.p0) * rho / (h * peak)
-        a2 = a1.copy()
-        c1 = c2 = complex(peak / (2.0 * np.sqrt(budget.p0)))
-
-    if channels.num_relays:
-        b = np.sqrt(budget.pr / relay_input_power(channels, a1, budget.sigma2)).astype(complex)
-    else:
-        b = np.zeros(0, dtype=complex)
+    r1, r2 = _radii(budget, variant)
+    a1 = r1 * rho / (h * peak)
+    a2 = r2 * rho / (h * peak)
+    c2 = complex(peak / (r1 + r2))
+    c1 = c2 if r2 > 0 else 0j
+    b = np.sqrt(budget.pr / relay_input_power(channels, a1, budget.sigma2)).astype(complex)
     return TransceiverConfig(a1=a1, a2=a2, b=b, c1=c1, c2=c2)
 
 
@@ -439,7 +430,7 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
         if not inner_ok:
             warnings.append(f"sweep {iterations}: device QCQP gap above tolerance at exit")
 
-        if channels.num_relays and c2 != 0:
+        if c2 != 0:
             b = update_relay_scalars(problem, a1, a2, b, c1, c2)
             path, forwarded = relay_gains(channels, b)
 

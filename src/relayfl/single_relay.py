@@ -17,6 +17,7 @@ from .aggregation import (
     PowerBudget,
     SingularChannelError,
     TransceiverConfig,
+    norelay_optimum,
     relay_mse,
 )
 from .geometry import ChannelRealization
@@ -41,13 +42,12 @@ class SnrSummary:
 class TheoremCheck:
     """Outcome of the two sufficient conditions for relaying to help.
 
-    cond_41_applicable is False when delta exceeds one, in which case the
-    second condition is undefined and reported False.
+    The second condition is undefined when delta exceeds one (cond_40 False)
+    and is then reported False.
     """
 
     cond_40: bool
     cond_41: bool
-    cond_41_applicable: bool
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,23 @@ def check_theorem_conditions(summary: SnrSummary, num_devices: int) -> TheoremCh
     """Evaluate both sufficient conditions for the relay-assisted MSE bound."""
     cond_40 = summary.delta <= 1.0
     if not cond_40:
-        return TheoremCheck(cond_40=False, cond_41=False, cond_41_applicable=False)
+        return TheoremCheck(cond_40=False, cond_41=False)
     worst = float(np.min(summary.snr_device_ap))
     threshold = (num_devices * worst + summary.delta) / (
         1.0 + np.sqrt(2.0 - 2.0 * summary.delta)
     ) ** 2
-    return TheoremCheck(cond_40=True, cond_41=bool(summary.snr_relay_ap >= threshold),
-                        cond_41_applicable=True)
+    return TheoremCheck(cond_40=True, cond_41=bool(summary.snr_relay_ap >= threshold))
+
+
+def theorem_certificate(channels: ChannelRealization, weights: DeviceWeights,
+                        budget: PowerBudget) -> tuple[float, float, bool, bool]:
+    """(delta, bound, cond40, cond41) of one instance: the SNR ratio, the no-relay
+    optimum at the 2 * p0 budget, and whether each sufficient condition for
+    relaying to beat that bound holds."""
+    _, _, bound = norelay_optimum(channels.h, weights, 2.0 * budget.p0, budget.sigma2)
+    summary = snr_summary(channels, budget)
+    check = check_theorem_conditions(summary, channels.num_devices)
+    return summary.delta, bound, check.cond_40, check.cond_41
 
 
 def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,

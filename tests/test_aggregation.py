@@ -20,7 +20,7 @@ from relayfl.aggregation import (
     simulate_round,
     simulate_round_complex,
 )
-from relayfl.geometry import ChannelRealization, stream
+from relayfl.geometry import ChannelRealization, _complex_normal, stream
 
 from oracles import norelay_objective, norelay_oracle, random_feasible_setup
 
@@ -237,6 +237,22 @@ class TestSimulateRound:
         assert np.array_equal(one, two)
         doubled = simulate_round(config, ch, 2.0 * symbols, 0.0, stream(66))
         assert doubled == pytest.approx(2.0 * one)
+
+    def test_zero_relays_draw_only_the_two_ap_noise_vectors(self):
+        rng = stream(69)
+        k, d, sigma2 = 3, 16, 0.5
+        ch = ChannelRealization(h=rng.standard_normal(k) + 1j * rng.standard_normal(k),
+                                g=np.zeros((k, 0)), f=np.zeros(0))
+        config = TransceiverConfig(a1=rng.standard_normal(k), a2=rng.standard_normal(k),
+                                   b=np.zeros(0), c1=0.4 + 0.2j, c2=0.9 - 0.1j)
+        symbols = rng.standard_normal((k, d))
+        drawn, twin = stream(70), stream(70)
+        est = simulate_round_complex(config, ch, symbols, sigma2, drawn)
+        noise1, noise2 = _complex_normal(twin, d), _complex_normal(twin, d)
+        assert drawn.bit_generator.state == twin.bit_generator.state
+        y1 = (ch.h * config.a1) @ symbols + np.sqrt(sigma2) * noise1
+        y2 = (ch.h * config.a2) @ symbols + np.sqrt(sigma2) * noise2
+        assert np.array_equal(est, config.c1 * y1 + config.c2 * y2)
 
     def test_empirical_mse_tracks_formula(self):
         config, ch, weights, budget = random_feasible_setup(67, 3, 2)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 from relayfl.cli import main
 from relayfl.experiment import (
     SWEEP_PATHS,
+    BudgetConfig,
     ConfigError,
     ExperimentConfig,
+    FlConfig,
+    LayoutConfig,
     dbm_to_watts,
     load_config,
     parse_config,
@@ -322,7 +326,33 @@ MALFORMED = [
     pytest.param(_one_trial(layout={"antenna_gain": 1e-300}), [], id="antenna-gain-tiny"),
     pytest.param(_one_trial(num_relays=2, layout={"kind": "cell", "antenna_gain": 1e-300}), [],
                  id="cell-antenna-gain-tiny"),
+    # Valid documents whose local updates overflow; they used to write NaN and exit 0.
+    pytest.param({"trials": 1, "fl": {"total_blocks": 4, "lr_base": 1e300}}, [],
+                 id="lr-base-huge"),
+    pytest.param({"trials": 1, "fl": {"total_blocks": 4, "separation": 1e300}}, [],
+                 id="separation-huge"),
 ]
+
+
+def _extreme_values():
+    """Every float field of budget, layout and fl at 1e-300, 1e-100, 1e100 and 1e300,
+    as a one-trial run on the line and on a 2-relay cell, and as a theorem sweep."""
+    modes = [("run", "line", _one_trial()),
+             ("run", "cell2", _one_trial(num_relays=2, layout={"kind": "cell"})),
+             ("theorem-sweep", "line", {"trials": 1})]
+    for section, cls in (("budget", BudgetConfig), ("layout", LayoutConfig),
+                         ("fl", FlConfig)):
+        for key, kind in typing.get_type_hints(cls).items():
+            if kind is not float:
+                continue
+            for value in (1e-300, 1e-100, 1e100, 1e300):
+                for command, name, base in modes:
+                    document = {**base, section: {**base.get(section, {}), key: value}}
+                    yield pytest.param(command, document,
+                                       id=f"{command}-{name}-{section}.{key}={value:g}")
+
+
+EXTREME_VALUES = list(_extreme_values())
 
 
 class TestCli:
@@ -390,6 +420,32 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         rows = read_csv(str(out))
         assert rows and all(np.isfinite(row["mse_predicted"]) for row in rows)
+
+    @pytest.mark.parametrize("scheme", ["proposed", "relay_only", "no_relay", "error_free"])
+    def test_zero_relay_cell_runs_to_a_finite_mse(self, tmp_path, scheme):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scheme": scheme, "num_relays": 0,
+                                        "layout": {"kind": "cell"}}))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = read_csv(str(out))
+        assert rows and all(np.isfinite(row["mse_predicted"]) for row in rows)
+
+    @pytest.mark.parametrize("command, document", EXTREME_VALUES)
+    def test_extreme_value_runs_or_is_config_error(self, tmp_path, capsys, command, document):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(document))
+        out = tmp_path / "x.csv"
+        code = main([command, "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            rows = read_csv(str(out))
+            assert rows and all(np.isfinite(row["mse_predicted"]) for row in rows)
+        else:
+            assert code == 1
+            assert err.startswith("configuration error:")
+            assert "Traceback" not in err
+            assert not out.exists()
 
     def test_theorem_sweep_rejects_sweep(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

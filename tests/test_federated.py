@@ -7,7 +7,6 @@ from relayfl.federated import (
     LearningTask,
     LrSchedule,
     Partition,
-    TrainingState,
     blocks_per_round,
     cross_entropy_gradient,
     cross_entropy_loss,
@@ -213,9 +212,8 @@ class TestBatchedLocalUpdate:
         rng = stream(32)
         layout = line_layout(7, rng)
         schedule = LrSchedule(base=0.3)
-        metrics, state = train("error_free", task, partition, layout, PL, BUDGET,
-                               SolverConfig(), schedule, 6, rng, tau=3,
-                               return_final_state=True)
+        metrics, final_w = train("error_free", task, partition, layout, PL, BUDGET,
+                                 SolverConfig(), schedule, 6, rng, tau=3)
         rho = DeviceWeights.from_counts(partition.sizes()).rho
         w = np.zeros(task.model_dim)
         for t, m in enumerate(metrics, start=1):
@@ -224,7 +222,7 @@ class TestBatchedLocalUpdate:
             w = global_update(w, rho @ deltas)
             assert m.test_accuracy == evaluate_accuracy(w, task)
         assert len(metrics) == 6
-        assert np.array_equal(state.w, w)
+        assert np.array_equal(final_w, w)
 
 
 class TestGlobalUpdateAndNmse:
@@ -249,8 +247,14 @@ class TestGlobalUpdateAndNmse:
         assert sched(49) == pytest.approx(0.05)
         assert sched(50) == pytest.approx(0.045)
         assert sched(10**9) == pytest.approx(1e-5)
-        with pytest.raises(ValueError):
-            TrainingState(w=np.zeros(2), lr=0.0)
+        task = small_task(seed=30, num_classes=3, feature_dim=5, samples_per_class=40)
+        rng = stream(30, 1)
+        layout = line_layout(4, rng)
+        partition = partition_iid(task, 4, rng)
+        for schedule, tau in ((LrSchedule(base=0.0, floor=0.0), 1), (LrSchedule(), 0)):
+            with pytest.raises(ValueError, match="lr must be positive and tau at least 1"):
+                train("error_free", task, partition, layout, PL, BUDGET, SolverConfig(),
+                      schedule, 2, rng, tau=tau)
         with pytest.raises(ValueError):
             Partition(assignments=(np.array([1, 2]), np.array([2, 3])))
 
@@ -262,9 +266,9 @@ class TestTrain:
         layout = line_layout(4, rng)
         partition = partition_iid(task, 4, rng)
         schedule = LrSchedule()
-        return task, partition, train(
-            scheme, task, partition, layout, PL, BUDGET, SolverConfig(),
-            schedule, blocks, rng, **kwargs)
+        metrics, _ = train(scheme, task, partition, layout, PL, BUDGET, SolverConfig(),
+                           schedule, blocks, rng, **kwargs)
+        return task, partition, metrics
 
     def test_error_free_matches_reference_trajectory(self):
         task, partition, metrics = self._run("error_free", blocks=6)
@@ -310,10 +314,10 @@ class TestTrain:
                              device_y_half=6.0)
         partition = partition_iid(task, 3, rng_a)
         schedule = LrSchedule()
-        noisy = train("proposed", task, partition, layout, PL, quiet, SolverConfig(),
-                      schedule, 8, stream(31, 3))
-        ideal = train("error_free", task, partition, layout, PL, quiet, SolverConfig(),
-                      schedule, 4, stream(31, 3))
+        noisy, _ = train("proposed", task, partition, layout, PL, quiet, SolverConfig(),
+                         schedule, 8, stream(31, 3))
+        ideal, _ = train("error_free", task, partition, layout, PL, quiet, SolverConfig(),
+                         schedule, 4, stream(31, 3))
         assert len(noisy) == len(ideal)
         for m in noisy:
             assert m.nmse_db < -60.0
@@ -345,10 +349,10 @@ class TestTrain:
         layout = line_layout(4, rng)
         partition = partition_iid(task, 4, rng)
         schedule = LrSchedule()
-        exact = train("proposed", task, partition, layout, PL, BUDGET, SolverConfig(),
-                      schedule, 8, stream(37))
-        rough = train("proposed", task, partition, layout, PL, BUDGET, SolverConfig(),
-                      schedule, 8, stream(37), csi_kappa=0.2)
+        exact, _ = train("proposed", task, partition, layout, PL, BUDGET, SolverConfig(),
+                         schedule, 8, stream(37))
+        rough, _ = train("proposed", task, partition, layout, PL, BUDGET, SolverConfig(),
+                         schedule, 8, stream(37), csi_kappa=0.2)
         mean_exact = np.mean([m.mse_predicted for m in exact])
         mean_rough = np.mean([m.mse_predicted for m in rough])
         assert mean_rough > mean_exact

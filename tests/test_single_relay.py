@@ -75,7 +75,6 @@ class TestTheoremConditions:
         check = check_theorem_conditions(self._summary(1.5, 10.0, 1e9), 20)
         assert not check.cond_40
         assert not check.cond_41
-        assert not check.cond_41_applicable
 
 
 class TestAnalyticConstruction:
