@@ -91,18 +91,14 @@ class TransceiverConfig:
 def compute_local_stats(delta: np.ndarray):
     """Mean and population variance (divisor d) of each device's update vector.
 
-    A (K, d) stack gives two length-K arrays, one entry per row; a single
-    update vector (d,) gives two floats.
+    A (K, d) stack gives two length-K arrays, one entry per row.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.ndim == 0 or delta.shape[-1] == 0:
         raise ValueError("update vectors must be nonempty")
     mean = delta.mean(axis=-1, keepdims=True)
     var = np.mean((delta - mean) ** 2, axis=-1)
-    mean = mean[..., 0]
-    if delta.ndim == 1:
-        return float(mean), float(var)
-    return mean, var
+    return mean[..., 0], var
 
 
 def compute_global_stats(local_means, local_vars,
@@ -160,17 +156,6 @@ def relay_gains(channels: ChannelRealization, b: np.ndarray):
     return channels.g @ fb, float((np.abs(fb) ** 2).sum())
 
 
-def _combined_gains(a1, a2, c1, c2, path, h):
-    return c1 * h * a1 + c2 * h * a2 + c2 * a1 * path
-
-
-def alignment_gains(config: TransceiverConfig,
-                    channels: ChannelRealization) -> np.ndarray:
-    """Effective per-device gain combining direct and relayed paths over both phases."""
-    path, _ = relay_gains(channels, config.b)
-    return _combined_gains(config.a1, config.a2, config.c1, config.c2, path, channels.h)
-
-
 def transceiver_mse(a1: np.ndarray, a2: np.ndarray, c1: complex, c2: complex, path,
                     forwarded: float, h: np.ndarray, rho: np.ndarray, sigma2: float) -> float:
     """Analytic aggregation MSE from the scalars and the relay gains of `relay_gains`.
@@ -179,7 +164,7 @@ def transceiver_mse(a1: np.ndarray, a2: np.ndarray, c1: complex, c2: complex, pa
     |c1|^2 + |c2|^2 (1 + forwarded).  ``relay_mse`` and the solver's
     objective both evaluate this one formula.
     """
-    misalign = _combined_gains(a1, a2, c1, c2, path, h) - rho
+    misalign = c1 * h * a1 + c2 * h * a2 + c2 * a1 * path - rho
     noise_gain = abs(c1) ** 2 + abs(c2) ** 2 * (1.0 + forwarded)
     return float((np.abs(misalign) ** 2).sum() + noise_gain * sigma2)
 
@@ -217,14 +202,15 @@ def max_constraint_violation(config: TransceiverConfig, channels: ChannelRealiza
     return max(float(np.max(v, initial=-np.inf)) for v in (v1, v2, vr))
 
 
-def simulate_round_complex(config: TransceiverConfig, channels: ChannelRealization,
-                           symbols: np.ndarray, sigma2: float,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Signal-level two-phase simulation, returning the combined complex estimate.
+def simulate_round(config: TransceiverConfig, channels: ChannelRealization,
+                   symbols: np.ndarray, sigma2: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Two-phase transmission of real symbols; returns the complex estimate c1 y1 + c2 y2.
 
-    symbols is K x d (one real symbol stream per device).  Fresh independent
-    complex noise of variance sigma2 is drawn per symbol at every receive
-    point: each relay in phase 1 and the AP in both phases.
+    The AP keeps its real part.  symbols is K x d (one real symbol stream per
+    device).  Fresh independent complex noise of variance sigma2 is drawn per
+    symbol at every receive point: each relay in phase 1 and the AP in both
+    phases.
     """
     s = np.asarray(symbols, dtype=float)
     if s.ndim != 2 or s.shape[0] != channels.num_devices:
@@ -242,9 +228,3 @@ def simulate_round_complex(config: TransceiverConfig, channels: ChannelRealizati
         + noise_scale * _complex_normal(rng, d)
     return config.c1 * y1 + config.c2 * y2
 
-
-def simulate_round(config: TransceiverConfig, channels: ChannelRealization,
-                   symbols: np.ndarray, sigma2: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Two-phase transmission of real symbols; the AP keeps the real part."""
-    return np.real(simulate_round_complex(config, channels, symbols, sigma2, rng))

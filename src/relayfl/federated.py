@@ -224,25 +224,18 @@ def local_update(w: np.ndarray, task: LearningTask, device_indices: np.ndarray,
     return (mat - start).reshape(idx.shape[:-1] + (-1,))
 
 
-def global_update(w: np.ndarray, aggregate_estimate: np.ndarray) -> np.ndarray:
-    return w + aggregate_estimate
-
-
 def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     """Squared error of the estimate normalized by the squared norm of the truth.
 
-    Returns NaN when the truth is exactly zero (the ratio is undefined).
+    Raises ZeroDivisionError when the truth is exactly zero (the ratio is
+    undefined).
     """
     denom = float(np.sum(np.asarray(truth, dtype=float) ** 2))
-    if denom == 0.0:
-        return float("nan")
     err = float(np.sum((np.asarray(estimate, dtype=float) - truth) ** 2))
     return err / denom
 
 
 def nmse_db(value: float) -> float:
-    if np.isnan(value):
-        return float("nan")
     if value == 0.0:
         return float("-inf")
     return 10.0 * np.log10(value)
@@ -311,8 +304,9 @@ def train(scheme: str, task: LearningTask, partition: Partition,
             estimate = truth
             mse_pred = 0.0
         elif g_var <= 0.0:
-            # All devices produced the same constant change; the broadcast
-            # statistic already carries it exactly, so nothing is transmitted.
+            # Every device's change is constant, or so small that its variance
+            # underflows to zero; the broadcast mean stands for all of them,
+            # so nothing is transmitted.
             estimate = np.full(dim, g_mean)
             mse_pred = 0.0
         else:
@@ -329,11 +323,11 @@ def train(scheme: str, task: LearningTask, partition: Partition,
                 config, trace = optimizer.solve(perceived, weights, budget,
                                                 solver_cfg, variant)
                 round_warnings = trace.warnings
-            x_hat = agg.simulate_round(config, channels, symbols, budget.sigma2, rng)
+            x_hat = agg.simulate_round(config, channels, symbols, budget.sigma2, rng).real
             estimate = agg.denormalize(x_hat, g_mean, np.sqrt(g_var))
             mse_pred = agg.relay_mse(config, channels, weights, budget.sigma2)
 
-        w = global_update(w, estimate)
+        w = w + estimate
 
         bound = cond40 = cond41 = None
         if channels.num_relays == 1:

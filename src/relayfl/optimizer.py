@@ -367,15 +367,18 @@ def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np
     return b
 
 
+def _wiener(residual: np.ndarray, gain: np.ndarray, noise: float) -> complex:
+    """Receive scalar minimizing sum_k |residual_k - c gain_k|^2 + |c|^2 noise."""
+    numerator = (residual * np.conj(gain)).sum()
+    return complex(numerator / (float((np.abs(gain) ** 2).sum()) + noise))
+
+
 def update_c1(problem: Problem, a1: np.ndarray, c2: complex, phase2: np.ndarray) -> complex:
     """Exact minimizer of the MSE over the phase-1 receive scalar.
 
     `phase2` is the phase-2 gain h * a2 + a1 * path, which `update_c2` shares.
     """
-    direct1 = problem.h * a1
-    numerator = ((problem.rho - c2 * phase2) * np.conj(direct1)).sum()
-    denominator = float((np.abs(direct1) ** 2).sum()) + problem.sigma2
-    return complex(numerator / denominator)
+    return _wiener(problem.rho - c2 * phase2, problem.h * a1, problem.sigma2)
 
 
 def update_c2(problem: Problem, a1: np.ndarray, c1: complex, phase2: np.ndarray,
@@ -384,9 +387,8 @@ def update_c2(problem: Problem, a1: np.ndarray, c1: complex, phase2: np.ndarray,
 
     `forwarded` is the forwarded-noise gain of ``aggregation.relay_gains``.
     """
-    numerator = ((problem.rho - c1 * problem.h * a1) * np.conj(phase2)).sum()
-    denominator = float((np.abs(phase2) ** 2).sum()) + (1.0 + forwarded) * problem.sigma2
-    return complex(numerator / denominator)
+    return _wiener(problem.rho - c1 * problem.h * a1, phase2,
+                   (1.0 + forwarded) * problem.sigma2)
 
 
 def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBudget,
@@ -422,10 +424,8 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
 
     warnings: list[str] = []
     objectives = [relay_mse(config, channels, weights, sigma2)]
-    iterations = 0
     terminated = "max_iterations"
-    for _ in range(solver_cfg.j_max):
-        iterations += 1
+    for iterations in range(1, solver_cfg.j_max + 1):
         a1, a2, inner_ok = update_device_scalars(problem, a1, a2, b, c1, c2, path)
         if not inner_ok:
             warnings.append(f"sweep {iterations}: device QCQP gap above tolerance at exit")

@@ -39,18 +39,6 @@ class SnrSummary:
 
 
 @dataclass(frozen=True)
-class TheoremCheck:
-    """Outcome of the two sufficient conditions for relaying to help.
-
-    The second condition is undefined when delta exceeds one (cond_40 False)
-    and is then reported False.
-    """
-
-    cond_40: bool
-    cond_41: bool
-
-
-@dataclass(frozen=True)
 class AnalyticConstruction:
     """Closed-form phase-2-only configuration and its certified MSE.
 
@@ -91,16 +79,20 @@ def snr_summary(channels: ChannelRealization, budget: PowerBudget) -> SnrSummary
     )
 
 
-def check_theorem_conditions(summary: SnrSummary, num_devices: int) -> TheoremCheck:
-    """Evaluate both sufficient conditions for the relay-assisted MSE bound."""
-    cond_40 = summary.delta <= 1.0
-    if not cond_40:
-        return TheoremCheck(cond_40=False, cond_41=False)
+def check_theorem_conditions(summary: SnrSummary, num_devices: int) -> tuple[bool, bool]:
+    """(cond40, cond41): whether each sufficient condition for the relay-assisted
+    MSE bound holds.
+
+    The second condition is undefined when delta exceeds one (cond40 False)
+    and is then reported False.
+    """
+    if not summary.delta <= 1.0:
+        return False, False
     worst = float(np.min(summary.snr_device_ap))
     threshold = (num_devices * worst + summary.delta) / (
         1.0 + np.sqrt(2.0 - 2.0 * summary.delta)
     ) ** 2
-    return TheoremCheck(cond_40=True, cond_41=bool(summary.snr_relay_ap >= threshold))
+    return True, bool(summary.snr_relay_ap >= threshold)
 
 
 def theorem_certificate(channels: ChannelRealization, weights: DeviceWeights,
@@ -110,8 +102,7 @@ def theorem_certificate(channels: ChannelRealization, weights: DeviceWeights,
     relaying to beat that bound holds."""
     _, _, bound = norelay_optimum(channels.h, weights, 2.0 * budget.p0, budget.sigma2)
     summary = snr_summary(channels, budget)
-    check = check_theorem_conditions(summary, channels.num_devices)
-    return summary.delta, bound, check.cond_40, check.cond_41
+    return (summary.delta, bound, *check_theorem_conditions(summary, channels.num_devices))
 
 
 def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,

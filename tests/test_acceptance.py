@@ -37,7 +37,7 @@ from relayfl.aggregation import (
     norelay_optimum,
     normalize,
     relay_mse,
-    simulate_round_complex,
+    simulate_round,
 )
 from relayfl.experiment import parse_config, run_experiment, summarize
 from relayfl.geometry import (
@@ -102,7 +102,7 @@ def test_criterion_02_analytic_mse_matches_monte_carlo():
             config, ch, weights, budget = random_feasible_setup(2000 + i, k, n)
             rng = stream(2100, i)
             symbols = rng.standard_normal((k, draws))
-            est = simulate_round_complex(config, ch, symbols, budget.sigma2, rng)
+            est = simulate_round(config, ch, symbols, budget.sigma2, rng)
             empirical = float(np.mean(np.abs(est - weights.rho @ symbols) ** 2))
             analytic = relay_mse(config, ch, weights, budget.sigma2)
             assert abs(empirical - analytic) <= 0.01 * analytic
@@ -216,8 +216,8 @@ def test_criterion_06_single_relay_bound_certification():
         solver_cfg = SolverConfig()
         for i in range(1000):
             ch, weights, budget = single_relay_instance(6000 + i, enforce_conditions=True)
-            check = check_theorem_conditions(snr_summary(ch, budget), weights.rho.size)
-            assert check.cond_40 and check.cond_41
+            cond40, cond41 = check_theorem_conditions(snr_summary(ch, budget), weights.rho.size)
+            assert cond40 and cond41
             built = analytic_construction(ch, weights, budget)
             _, _, bound = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)
             assert built.mse <= bound * (1.0 + 1e-12)

@@ -331,6 +331,25 @@ MALFORMED = [
                  id="lr-base-huge"),
     pytest.param({"trials": 1, "fl": {"total_blocks": 4, "separation": 1e300}}, [],
                  id="separation-huge"),
+    # Updates whose squares underflow: every variance is zero and so is the truth's norm.
+    pytest.param({"trials": 1, "fl": {"total_blocks": 4, "lr_base": 1e-300,
+                                      "lr_floor": 1e-300}}, [], id="lr-and-floor-tiny"),
+    # Values the solver section's own checks reject.
+    pytest.param(_one_trial(solver={"j_max": 0}), [], id="j-max-zero"),
+    pytest.param(_one_trial(solver={"qcqp_max_iter": 0}), [], id="qcqp-max-iter-zero"),
+    pytest.param(_one_trial(solver={"epsilon": -1}), [], id="epsilon-negative"),
+    pytest.param(_one_trial(solver={"qcqp_tol": 0}), [], id="qcqp-tol-zero"),
+    # Well-typed values out of range.
+    pytest.param(_one_trial(num_relays=-1, layout={"kind": "cell"}), [],
+                 id="cell-relays-negative"),
+    pytest.param(_one_trial(budget={"p0_watts": -1}), [], id="p0-negative"),
+    pytest.param(_one_trial(layout={"kind": "hex"}), [], id="layout-kind-unknown"),
+    pytest.param(_one_trial(layout={"kind": "cell", "cell_radius": -1}), [],
+                 id="cell-radius-negative"),
+    pytest.param({"trials": 1, "fl": {"total_blocks": 2, "tau": 0}}, [], id="tau-zero"),
+    pytest.param({"trials": 1, "fl": {"total_blocks": 2, "partition": "dirichlet"}}, [],
+                 id="partition-unknown"),
+    pytest.param(_sweep("pr_watts"), [], id="sweep-values-empty"),
 ]
 
 
@@ -385,6 +404,9 @@ class TestCli:
         # The analytic and signal-chain MSEs of the construction disagree at this scale.
         pytest.param({"trials": 1, "budget": {"p0_watts": 1e100}}, id="p0-huge-ratio"),
         pytest.param({"trials": 1, "layout": {"antenna_gain": 1e100}}, id="antenna-gain-huge"),
+        # The certificate is defined for one relay only.
+        pytest.param({"trials": 1, "num_relays": 2, "layout": {"kind": "cell"}},
+                     id="cell-two-relays"),
     ])
     def test_malformed_theorem_sweep_is_config_error(self, tmp_path, capsys, document):
         cfg_path = tmp_path / "bad.json"

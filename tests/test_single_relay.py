@@ -59,22 +59,22 @@ class TestTheoremConditions:
 
     def test_unit_delta_threshold(self):
         # at delta = 1 the requirement reduces to K * worst SNR + 1
-        check = check_theorem_conditions(self._summary(1.0, 10.0, 201.0), 20)
-        assert check.cond_40 and check.cond_41
-        check = check_theorem_conditions(self._summary(1.0, 10.0, 200.99), 20)
-        assert check.cond_40 and not check.cond_41
+        cond40, cond41 = check_theorem_conditions(self._summary(1.0, 10.0, 201.0), 20)
+        assert cond40 and cond41
+        cond40, cond41 = check_theorem_conditions(self._summary(1.0, 10.0, 200.99), 20)
+        assert cond40 and not cond41
 
     def test_zero_delta_threshold(self):
         threshold = 20 * 10.0 / (1.0 + np.sqrt(2.0)) ** 2
-        check = check_theorem_conditions(self._summary(0.0, 10.0, threshold * 1.001), 20)
-        assert check.cond_41
-        check = check_theorem_conditions(self._summary(0.0, 10.0, threshold * 0.999), 20)
-        assert not check.cond_41
+        _, cond41 = check_theorem_conditions(self._summary(0.0, 10.0, threshold * 1.001), 20)
+        assert cond41
+        _, cond41 = check_theorem_conditions(self._summary(0.0, 10.0, threshold * 0.999), 20)
+        assert not cond41
 
     def test_delta_above_one_flags_condition(self):
-        check = check_theorem_conditions(self._summary(1.5, 10.0, 1e9), 20)
-        assert not check.cond_40
-        assert not check.cond_41
+        cond40, cond41 = check_theorem_conditions(self._summary(1.5, 10.0, 1e9), 20)
+        assert not cond40
+        assert not cond41
 
 
 class TestAnalyticConstruction:
@@ -127,8 +127,8 @@ class TestAnalyticConstruction:
     def test_certified_dominance_on_condition_satisfying_instances(self):
         for seed in range(300):
             ch, weights, budget = single_relay_instance(seed, enforce_conditions=True)
-            check = check_theorem_conditions(snr_summary(ch, budget), weights.rho.size)
-            assert check.cond_40 and check.cond_41
+            cond40, cond41 = check_theorem_conditions(snr_summary(ch, budget), weights.rho.size)
+            assert cond40 and cond41
             built = analytic_construction(ch, weights, budget)
             _, _, bound = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)
             assert built.mse <= bound * (1.0 + 1e-9)
