@@ -153,7 +153,7 @@ def relay_gains(channels: ChannelRealization, b: np.ndarray):
     Both are 0 without relays.
     """
     fb = channels.f * b
-    return channels.g @ fb, float((np.abs(fb) ** 2).sum())
+    return channels.g @ fb, float(np.add.reduce(np.abs(fb) ** 2))
 
 
 def transceiver_mse(a1: np.ndarray, a2: np.ndarray, c1: complex, c2: complex, path,
@@ -166,7 +166,7 @@ def transceiver_mse(a1: np.ndarray, a2: np.ndarray, c1: complex, c2: complex, pa
     """
     misalign = c1 * h * a1 + c2 * h * a2 + c2 * a1 * path - rho
     noise_gain = abs(c1) ** 2 + abs(c2) ** 2 * (1.0 + forwarded)
-    return float((np.abs(misalign) ** 2).sum() + noise_gain * sigma2)
+    return float(np.add.reduce(np.abs(misalign) ** 2) + noise_gain * sigma2)
 
 
 def relay_mse(config: TransceiverConfig, channels: ChannelRealization,

@@ -373,7 +373,8 @@ def theorem_sweep(config: ExperimentConfig) -> list[dict]:
         with _trial_numerics(f"trial {trial}"):
             rng = geometry.stream(config.master_seed, trial)
             layout = _make_layout(config, rng)
-            channels = geometry.realize_channels(layout, params, rng)
+            gains = geometry.path_gain_profile(layout, params)
+            channels = geometry.realize_channels(gains, rng)
             delta, bound, cond40, cond41 = single_relay.theorem_certificate(
                 channels, weights, budget)
             construction = single_relay.analytic_construction(channels, weights, budget)

@@ -293,7 +293,7 @@ def train(scheme: str, task: LearningTask, partition: Partition,
         for members, indices in groups:
             deltas[members] = local_update(w, task, indices, tau=tau, lr=lr)
         truth = weights.rho @ deltas
-        channels = geometry.realize_channels(layout, pl_params, rng)
+        channels = geometry.realize_channels(gains, rng)
         perceived = channels if csi_kappa is None else geometry.perturb_channels(
             channels, gains, csi_kappa, rng)
 

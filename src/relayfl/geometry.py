@@ -152,13 +152,12 @@ def path_gain_profile(layout: NodeLayout, params: PathLossParams) -> PathGains:
     return PathGains(h=gh, g=gg, f=gf)
 
 
-def realize_channels(layout: NodeLayout, params: PathLossParams,
-                     rng: np.random.Generator) -> ChannelRealization:
+def realize_channels(gains: PathGains, rng: np.random.Generator) -> ChannelRealization:
     """Draw one block-fading realization: sqrt(path gain) times unit Rayleigh fading.
 
+    `gains` is the layout's ``path_gain_profile``, computed once per layout.
     Draw order is fixed (h, then g, then f) so equal seeds give equal channels.
     """
-    gains = path_gain_profile(layout, params)
     h = np.sqrt(gains.h) * _complex_normal(rng, gains.h.shape)
     g = np.sqrt(gains.g) * _complex_normal(rng, gains.g.shape)
     f = np.sqrt(gains.f) * _complex_normal(rng, gains.f.shape)

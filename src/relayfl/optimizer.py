@@ -14,6 +14,15 @@ once per solve (`Problem`); the relay path and the forwarded-noise gain are
 computed once after each relay update and shared by the blocks that follow.
 The objective is ``aggregation.transceiver_mse``, the one formula behind
 ``aggregation.relay_mse``.
+
+A sweep is a few dozen NumPy calls on arrays of K or N entries, so the call
+count sets its cost.  Masks that mask nothing are skipped: the device update
+builds its unlinked-device masks (theta_k or phi_k zero) and clamps the
+incoming scalars they keep only when some device is unlinked, and drops
+silent relays from the caps only when some relay is silent; the relay update
+indexes the relays that reach the AP only when some relay does not.  Skipping
+a mask leaves every result bit for bit the same.  The receive scalars are
+NumPy complex inside the loop, and reductions call the ufuncs directly.
 """
 
 from __future__ import annotations
@@ -84,14 +93,18 @@ class Problem:
 
     The block updates take the instance in this form, so what depends only on
     the channels, weights, budget and variant is computed once per solve:
-    |g^T|^2, the relays that reach the AP (f_n != 0) with their columns of g
-    and its conjugate transpose, sigma2 I over those relays, the device radii
-    of both phases and the QCQP tolerance scaled by the squared weight norm.
+    |g^T|^2, the relays that reach the AP (f_n != 0) and whether that is all
+    of them, their columns of g and its conjugate transpose, sigma2 I over
+    those relays, the device radii of both phases and the QCQP tolerance
+    scaled by the squared weight norm.  |g^T|^2 is kept in two memory
+    layouts, because a BLAS product can round differently in another one:
+    `g2` in the layout of g for the relay input power, `g2_rows` with each
+    relay's row contiguous for the device update.
     """
 
     __slots__ = ("channels", "weights", "budget", "solver_cfg", "h", "rho", "sigma2",
-                 "r1", "r2", "tol", "g2", "reach", "g_reach", "g_reach_h", "f_reach",
-                 "abs_f_reach", "noise_eye")
+                 "r1", "r2", "tol", "g2", "g2_rows", "reach", "all_reach", "g_reach",
+                 "g_reach_h", "f_reach", "abs_f_reach", "noise_eye")
 
     def __init__(self, channels: ChannelRealization, weights: DeviceWeights,
                  budget: PowerBudget, solver_cfg: SolverConfig,
@@ -102,7 +115,9 @@ class Problem:
         self.r1, self.r2 = _radii(budget, variant)
         self.tol = solver_cfg.qcqp_tol * float(self.rho @ self.rho)
         self.g2 = np.abs(channels.g.T) ** 2  # (N, K)
+        self.g2_rows = np.ascontiguousarray(self.g2)
         self.reach = channels.f != 0
+        self.all_reach = bool(np.logical_and.reduce(self.reach))
         self.g_reach = channels.g[:, self.reach]
         self.g_reach_h = self.g_reach.conj().T
         self.f_reach = channels.f[self.reach]
@@ -137,7 +152,7 @@ def init_config(channels: ChannelRealization, weights: DeviceWeights,
 
 
 def _misalignment(theta, phi, a1, a2, rho) -> float:
-    return float(np.sum(np.abs(theta * a1 + phi * a2 - rho) ** 2))
+    return float(np.add.reduce(np.abs(theta * a1 + phi * a2 - rho) ** 2))
 
 
 def _clamp_disc(a: np.ndarray, radius: float) -> np.ndarray:
@@ -147,10 +162,14 @@ def _clamp_disc(a: np.ndarray, radius: float) -> np.ndarray:
     return a * (radius / np.maximum(np.abs(a), radius))
 
 
-def _transmit_scalars(copy, coef, coef2, dead):
-    """Scalars a with coef * a = copy, where coef2 = |coef|^2; dead where coef2 = 0."""
-    linked = coef2 > 0
-    return np.where(linked, copy / np.where(linked, coef, 1.0), dead)
+def _transmit_scalars(copy, coef, linked, dead):
+    """Scalars a with coef * a = copy where `linked`, `dead` elsewhere.
+
+    `linked` None means every scalar is linked; `dead` is then not read.
+    """
+    if linked is None:
+        return copy / coef
+    return np.divide(copy, coef, out=np.array(dead, dtype=complex), where=linked)
 
 
 def _bounded_newton_step(lam, rhs, system):
@@ -160,10 +179,11 @@ def _bounded_newton_step(lam, rhs, system):
     multiplier the step would push below zero is pinned there and the rest
     re-solved.  Singular systems take the least-norm step.
     """
-    free = (lam > 0) | (rhs > 0)
     if lam.size == 1:  # one multiplier: a scalar equation, no active set
-        step = -rhs / system[0] if free[0] and system[0, 0] else np.zeros(1)
+        free = lam[0] > 0 or rhs[0] > 0
+        step = -rhs / system[0] if free and system[0, 0] else np.zeros(1)
         return np.maximum(step, -lam)
+    free = (lam > 0) | (rhs > 0)
     step = -lam  # every multiplier that is not free ends at zero
     while free.any():
         rows = system[free]
@@ -213,35 +233,42 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
     abs_th, abs_ph = np.abs(theta), np.abs(phi)
     th2, ph2 = abs_th**2, abs_ph**2
     w1, w2 = abs_th * r1, abs_ph * r2
-    # A subnormal |theta_k|^2 counts as unlinked: 1 / |theta_k|^2 overflows.
-    linked = th2 >= _TINY
-    th2 = np.where(linked, th2, 0.0)
-    th2_den = np.where(linked, th2, 1.0)
-    inv_th2 = linked / th2_den
-    # The incoming point, feasible by the solve-loop invariant, fills in the
-    # scalars whose coefficient is zero on every exit.
-    incoming1 = _clamp_disc(a1, r1)
-    incoming2 = _clamp_disc(a2, r2)
-    # Relay n bounds sum_k g2[n, k] |a1_k|^2 by radii_sq[n] once the load of
-    # the unlinked devices is charged; silent relays, and relays whose |b_n|^2
-    # is too small for pr / |b_n|^2 to be finite, bound nothing.
-    b2 = np.abs(b) ** 2
-    live = b2 > pr / _MAX
-    g2 = problem.g2[live]  # (Na, K)
-    radii_sq = (np.maximum(pr / b2[live] - sigma2, 0.0)
-                - g2 @ np.where(linked, 0.0, np.abs(incoming1) ** 2))
+    # Relay n bounds sum_k g2[n, k] |a1_k|^2 by radii_sq[n]; silent relays,
+    # and relays whose |b_n|^2 is too small for pr / |b_n|^2 to be finite,
+    # bound nothing.  Masks are built only when some entry is masked out.
+    g2, b2 = problem.g2_rows, np.abs(b) ** 2
+    if not np.minimum.reduce(b2, initial=np.inf) > pr / _MAX:
+        live = b2 > pr / _MAX
+        g2, b2 = g2[live], b2[live]  # (Na, K), (Na,)
+    radii_sq = np.maximum(pr / b2 - sigma2, 0.0)
+    # A scalar whose coefficient is zero keeps its incoming value, feasible by
+    # the solve-loop invariant and clamped to its box, on every exit; a
+    # subnormal |theta_k|^2 counts as unlinked, since 1 / |theta_k|^2
+    # overflows.  The unlinked devices' phase-1 load is charged first.
+    if np.minimum.reduce(th2) >= _TINY:
+        linked1 = dead1 = None
+        th2_den, inv_th2 = th2, 1.0 / th2
+    else:
+        linked1, dead1 = th2 >= _TINY, _clamp_disc(a1, r1)
+        th2 = np.where(linked1, th2, 0.0)
+        th2_den = np.where(linked1, th2, 1.0)
+        inv_th2 = linked1 / th2_den
+        radii_sq = radii_sq - g2 @ np.where(linked1, 0.0, np.abs(dead1) ** 2)
+    linked2 = dead2 = None
+    if not np.minimum.reduce(ph2) > 0:
+        linked2, dead2 = ph2 > 0, _clamp_disc(a2, r2)
 
     direct = np.minimum(rho, w2)  # the free direct copy carries all it can
     short = rho - direct  # and the relayed copy the rest
-    a2 = _transmit_scalars(direct, phi, ph2, incoming2)
+    new2 = _transmit_scalars(direct, phi, linked2, dead2)
     # lam = 0: the box-only optimum; if every relay fits it, it solves the dual.
     u = np.minimum(short, w1)
-    if (g2 @ (u * u * inv_th2) <= radii_sq).all():
-        return _transmit_scalars(u, theta, th2, incoming1), a2, True
-    if (radii_sq <= 0).any():
+    if np.logical_and.reduce(g2 @ (u * u * inv_th2) <= radii_sq):
+        return _transmit_scalars(u, theta, linked1, dead1), new2, True
+    if np.logical_or.reduce(radii_sq <= 0):
         # A relay already spends its whole budget on forwarded noise and the
         # unlinked devices; phase-1 transmission must stop entirely.
-        return _transmit_scalars(np.zeros_like(rho), theta, th2, incoming1), a2, True
+        return _transmit_scalars(np.zeros(rho.size), theta, linked1, dead1), new2, True
 
     # With penalty mu the relayed copy is u = min(gain / (th2 + mu), w1); a
     # device leaves its cap once mu reaches mu_free.
@@ -258,10 +285,10 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
         u_at = np.minimum(gain[:, None] / (th2_den[:, None] + row[:, None] * breaks),
                           w1[:, None])
         h_at = (row * inv_th2) @ u_at**2 - radii_sq[n]
-        lam[n] = breaks[h_at > 0].max(initial=0.0)
+        lam[n] = np.maximum.reduce(breaks[h_at > 0], initial=0.0)
     base, base_dual, damping = lam, -np.inf, 0.0
     best_gap = np.inf
-    best = np.zeros_like(rho)  # a silent phase 1 is always feasible
+    best = np.zeros(rho.size)  # a silent phase 1 is always feasible
     converged = False
     for _ in range(problem.solver_cfg.qcqp_max_iter):
         mu = lam @ g2
@@ -273,7 +300,7 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
         dual = float(err @ err + lam @ h)
         # Nearest feasible point: shrink every relayed copy until all relays
         # fit; the direct copy already carries all it can.
-        feasible = u * np.sqrt((radii_sq / (radii_sq + np.maximum(h, 0.0))).min())
+        feasible = u * np.sqrt(np.minimum.reduce(radii_sq / (radii_sq + np.maximum(h, 0.0))))
         err = short - feasible
         gap = float(err @ err) - dual
         if gap < best_gap:
@@ -292,8 +319,11 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
             free_power = g2 @ moving
             target = free_power - h
             secular = (free_power > 0) & (target > 0)
-            rhs = np.where(secular, 2.0 * free_power
-                           * (np.sqrt(free_power / np.where(secular, target, 1.0)) - 1.0), h)
+            everywhere = np.logical_and.reduce(secular)
+            ratio = free_power / (target if everywhere else np.where(secular, target, 1.0))
+            rhs = 2.0 * free_power * (np.sqrt(ratio) - 1.0)
+            if not everywhere:
+                rhs = np.where(secular, rhs, h)
             base, base_dual, base_rhs, base_slope, damping = lam, dual, rhs, slope, 0.0
             system = slope
         else:
@@ -309,17 +339,18 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
             system = base_slope - damping * np.diag(curvature)
         step = _bounded_newton_step(base, base_rhs, system)
         cand = np.maximum(base + step, 0.0)
-        if (cand == lam).all():
+        if np.logical_and.reduce(cand == lam):
             break
         lam = cand
-    a1 = _transmit_scalars(best, theta, th2, incoming1)
+    new1 = _transmit_scalars(best, theta, linked1, dead1)
 
     # Never return anything worse than the incoming point, even when the
     # multiplier search exits early or its point is not finite.
-    if not (_misalignment(theta, phi, a1, a2, rho)
+    incoming1, incoming2 = _clamp_disc(a1, r1), _clamp_disc(a2, r2)
+    if not (_misalignment(theta, phi, new1, new2, rho)
             <= _misalignment(theta, phi, incoming1, incoming2, rho)):
-        a1, a2 = incoming1, incoming2
-    return a1, a2, converged
+        return incoming1, incoming2, converged
+    return new1, new2, converged
 
 
 def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np.ndarray,
@@ -346,34 +377,41 @@ def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np
     residual = problem.rho - problem.h * (c1 * a1 + c2 * a2)
     q = g_h @ (residual * np.conj(a1)) / c2
     # pr over the relay input power sum_k |g_kn|^2 |a1_k|^2 + sigma2
-    cap = problem.budget.pr / (problem.g2 @ pow1 + problem.sigma2)[reach]
+    cap = problem.budget.pr / (problem.g2 @ pow1 + problem.sigma2)
+    if not problem.all_reach:
+        cap = cap[reach]
     radius = problem.abs_f_reach * np.sqrt(cap)
 
     x = np.linalg.solve(m, q)
-    if not (np.abs(x) <= radius).all():
+    if not np.logical_and.reduce(np.abs(x) <= radius):
         x = f * b[reach]
         diag = m.diagonal().real
+        weight = abs(c2) ** 2
         for _ in range(problem.solver_cfg.qcqp_max_iter):
             drop = 0.0
             for n in range(x.size):
                 s = x[n] + (q[n] - m[n] @ x) / diag[n]
-                new = s if abs(s) <= radius[n] else s * (radius[n] / abs(s))
+                size = abs(s)
+                new = s if size <= radius[n] else s * (radius[n] / size)
                 drop += diag[n] * (abs(x[n] - s) ** 2 - abs(new - s) ** 2)
                 x[n] = new
-            if abs(c2) ** 2 * drop <= problem.tol:
+            if weight * drop <= problem.tol:
                 break
+    if problem.all_reach:
+        return x / f
     b = np.zeros(reach.size, dtype=complex)
     b[reach] = x / f
     return b
 
 
-def _wiener(residual: np.ndarray, gain: np.ndarray, noise: float) -> complex:
+def _wiener(residual: np.ndarray, gain: np.ndarray, noise: float) -> np.complex128:
     """Receive scalar minimizing sum_k |residual_k - c gain_k|^2 + |c|^2 noise."""
-    numerator = (residual * np.conj(gain)).sum()
-    return complex(numerator / (float((np.abs(gain) ** 2).sum()) + noise))
+    numerator = np.add.reduce(residual * np.conj(gain))
+    return numerator / (np.add.reduce(np.abs(gain) ** 2) + noise)
 
 
-def update_c1(problem: Problem, a1: np.ndarray, c2: complex, phase2: np.ndarray) -> complex:
+def update_c1(problem: Problem, a1: np.ndarray, c2: complex,
+              phase2: np.ndarray) -> np.complex128:
     """Exact minimizer of the MSE over the phase-1 receive scalar.
 
     `phase2` is the phase-2 gain h * a2 + a1 * path, which `update_c2` shares.
@@ -382,7 +420,7 @@ def update_c1(problem: Problem, a1: np.ndarray, c2: complex, phase2: np.ndarray)
 
 
 def update_c2(problem: Problem, a1: np.ndarray, c1: complex, phase2: np.ndarray,
-              forwarded: float) -> complex:
+              forwarded: float) -> np.complex128:
     """Exact minimizer of the MSE over the phase-2 receive scalar.
 
     `forwarded` is the forwarded-noise gain of ``aggregation.relay_gains``.
@@ -417,7 +455,9 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
         channels, weights, budget, variant)
     if relay_only:
         config = replace(config, a2=np.zeros_like(config.a2), c1=0.0 + 0.0j)
-    a1, a2, b, c1, c2 = config.a1, config.a2, config.b, config.c1, config.c2
+    # NumPy receive scalars: a Python complex is converted on every array operation.
+    a1, a2, b = config.a1, config.a2, config.b
+    c1, c2 = np.complex128(config.c1), np.complex128(config.c2)
     problem = Problem(channels, weights, budget, solver_cfg, variant)
     h, rho, sigma2 = problem.h, problem.rho, problem.sigma2
     path, forwarded = relay_gains(channels, b)

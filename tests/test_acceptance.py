@@ -45,6 +45,7 @@ from relayfl.geometry import (
     PathLossParams,
     cell_layout,
     line_layout,
+    path_gain_profile,
     realize_channels,
     stream,
 )
@@ -119,7 +120,7 @@ def test_criterion_03_solver_monotone_and_converges():
                 layout = line_layout(20, rng)
             else:
                 layout = cell_layout(20, 4, rng)
-            ch = realize_channels(layout, PL, rng)
+            ch = realize_channels(path_gain_profile(layout, PL), rng)
             _, trace = solve(ch, weights, TABLE_BUDGET, solver_cfg)
             diffs = np.diff(trace.objectives)
             assert np.all(diffs <= 1e-9 * np.abs(trace.objectives[:-1]))

@@ -49,8 +49,8 @@ class TestPathLoss:
 def _many_device_channels(seed, num_devices=25_000, num_relays=4):
     """Channels and path gains of a large cell, so statistics come from vector draws."""
     layout = cell_layout(num_devices, num_relays, stream(seed))
-    params = PathLossParams()
-    return realize_channels(layout, params, stream(seed, 1)), path_gain_profile(layout, params)
+    gains = path_gain_profile(layout, PathLossParams())
+    return realize_channels(gains, stream(seed, 1)), gains
 
 
 def _entries(links):
@@ -92,7 +92,7 @@ def _toy_layout(num_relays=1):
 class TestRealizeChannels:
     def test_relay_free_layout_gives_empty_relay_gains(self):
         layout = _toy_layout(num_relays=0)
-        ch = realize_channels(layout, PathLossParams(), stream(1))
+        ch = realize_channels(path_gain_profile(layout, PathLossParams()), stream(1))
         assert ch.h.shape == (3,)
         assert ch.g.shape == (3, 0)
         assert ch.f.shape == (0,)
@@ -101,17 +101,18 @@ class TestRealizeChannels:
         layout = _toy_layout()
         params = PathLossParams()
         expected = path_loss(layout.device_ap_distances(), params)
+        gains = path_gain_profile(layout, params)
         rng = stream(21)
         trials = 30_000
         sampled = np.empty((trials, 3), dtype=complex)
         for i in range(trials):
-            sampled[i] = realize_channels(layout, params, rng).h
+            sampled[i] = realize_channels(gains, rng).h
         assert np.mean(np.abs(sampled) ** 2, axis=0) == pytest.approx(expected, rel=0.02)
 
     def test_identical_seeds_identical_realizations(self):
-        layout = _toy_layout()
-        a = realize_channels(layout, PathLossParams(), stream(3, 1))
-        b = realize_channels(layout, PathLossParams(), stream(3, 1))
+        gains = path_gain_profile(_toy_layout(), PathLossParams())
+        a = realize_channels(gains, stream(3, 1))
+        b = realize_channels(gains, stream(3, 1))
         assert np.array_equal(a.h, b.h)
         assert np.array_equal(a.g, b.g)
         assert np.array_equal(a.f, b.f)
@@ -150,9 +151,8 @@ class TestCsiError:
 
     def test_perturb_channels_perfect_csi(self):
         layout = _toy_layout()
-        params = PathLossParams()
-        ch = realize_channels(layout, params, stream(4))
-        gains = path_gain_profile(layout, params)
+        gains = path_gain_profile(layout, PathLossParams())
+        ch = realize_channels(gains, stream(4))
         same = perturb_channels(ch, gains, 1.0, stream(5))
         assert np.allclose(same.h, ch.h)
         assert np.allclose(same.g, ch.g)

@@ -1,4 +1,6 @@
 import functools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -19,6 +21,7 @@ from relayfl.geometry import (
     PathLossParams,
     cell_layout,
     line_layout,
+    path_gain_profile,
     realize_channels,
     stream,
 )
@@ -172,7 +175,7 @@ class TestDeviceUpdate:
     def test_transmit_scalars_at_subnormal_coefficients(self):
         # |coef|^2 is subnormal for both: 1 / |coef|^2 overflows, copy / coef does not
         coef = np.array([1e-160 + 0j, (3 + 2j) * 1e-155])
-        a = _transmit_scalars(np.array([0.0, 0.7]), coef, np.abs(coef) ** 2, np.zeros(2))
+        a = _transmit_scalars(np.array([0.0, 0.7]), coef, np.abs(coef) ** 2 > 0, np.zeros(2))
         assert a[0] == 0
         assert a[1] == pytest.approx(0.7 / ((3 + 2j) * 1e-155), rel=1e-12)
 
@@ -205,6 +208,61 @@ class TestDeviceUpdate:
         assert a1[0] == cfg.a1[0]
         assert 64.0 * abs(a1[1]) ** 2 == pytest.approx(2.0 - 0.1 - 0.64, rel=1e-9)
         assert max_constraint_violation(final, ch, budget) <= 1e-12
+
+    def test_one_unlinked_device_where_the_cap_binds_matches_oracle(self):
+        # theta_0 = 1 - 0.125 * 8 = 0: device 0 keeps its input and its load
+        # 64 |a1_0|^2 = 0.64 is charged first, so devices 1 and 2 meet the cap
+        # of the same instance without device 0 and 0.64 more relay noise.
+        ch = ChannelRealization(h=[1.0, 1.0, 0.5], g=[[-8.0], [8.0], [4.0]], f=[1.0])
+        cfg = TransceiverConfig(a1=[0.1, 0.05, 0.05], a2=[0.1, 0.1, 0.1], b=[1.0],
+                                c1=1.0, c2=0.125)
+        budget = PowerBudget(p0=1.0, pr=1.5, sigma2=0.1)
+        weights = DeviceWeights.uniform(3)
+        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
+        final = replace(cfg, a1=a1, a2=a2)
+        assert ok
+        assert a1[0] == cfg.a1[0]
+        assert relay_power_used(final, ch, budget.sigma2) == pytest.approx([1.5], rel=1e-9)
+        assert max_constraint_violation(final, ch, budget) <= 1e-12
+        rest = ChannelRealization(h=ch.h[1:], g=ch.g[1:], f=ch.f)
+        rest_cfg = replace(cfg, a1=cfg.a1[1:], a2=cfg.a2[1:])
+        rest_weights = SimpleNamespace(rho=weights.rho[1:])
+        oracle = device_update_oracle(rest_cfg, rest, rest_weights,
+                                      replace(budget, sigma2=0.1 + 0.64))
+        mine = misalignment_of(replace(rest_cfg, a1=a1[1:], a2=a2[1:]), rest, rest_weights)
+        assert mine == pytest.approx(oracle, rel=1e-6)
+
+    def test_silent_relay_bounds_nothing_where_the_live_cap_binds(self):
+        # |b_0|^2 = 1e-320 is below pr / finfo(float).max, so pr / |b_0|^2
+        # overflows: relay 0 bounds nothing, and relay 1's cap binds.
+        ch, weights, budget, _ = random_instance(140, 3, 2, sigma2=0.2)
+        cfg = off_start(ch, weights, budget)
+        live = replace(cfg, b=np.array([0.0, 3.0 * cfg.b[1]]))
+        silent = replace(live, b=np.array([1e-160, live.b[1]]))
+        a1, a2, ok = device_block(silent, ch, weights, budget, SOLVER)
+        final = replace(silent, a1=a1, a2=a2)
+        assert ok
+        assert relay_power_used(final, ch, budget.sigma2)[1] == pytest.approx(budget.pr,
+                                                                              rel=1e-9)
+        assert max_constraint_violation(final, ch, budget) <= 1e-12
+        oracle = device_update_oracle(live, ch, weights, budget, seed=140)
+        assert misalignment_of(final, ch, weights) == pytest.approx(oracle, rel=1e-6)
+
+    def test_zero_direct_channel_keeps_its_phase2_input(self):
+        # phi_0 = c2 h_0 = 0: a2_0 keeps its input, and device 0's whole weight
+        # goes over the relay.
+        ch = ChannelRealization(h=[0.0, 1.0], g=[[1.0], [1.0]], f=[1.0])
+        cfg = TransceiverConfig(a1=[0.1, 0.1], a2=[0.3 + 0.4j, 0.1], b=[1.0], c1=1.0,
+                                c2=1.0)
+        budget = PowerBudget(p0=1.0, pr=2.0, sigma2=0.1)
+        weights = DeviceWeights.uniform(2)
+        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
+        final = replace(cfg, a1=a1, a2=a2)
+        assert ok
+        assert a2[0] == cfg.a2[0]
+        assert a1[0] == pytest.approx(0.5, rel=1e-12)
+        assert misalignment_of(final, ch, weights) == pytest.approx(
+            device_update_oracle(cfg, ch, weights, budget), abs=1e-10)
 
     def test_slack_relays_put_the_direct_copy_first(self):
         ch, weights, budget, _ = random_instance(131, 6, 2)
@@ -269,7 +327,7 @@ class TestDualSolveAtScale:
         budget = PowerBudget(p0=0.05, pr=0.01, sigma2=1e-10)
         weights = DeviceWeights.uniform(20)
         rng = stream(7100, seed)
-        ch = realize_channels(line_layout(20, rng), PathLossParams(), rng)
+        ch = realize_channels(path_gain_profile(line_layout(20, rng), PathLossParams()), rng)
         cfg = off_start(ch, weights, budget)
         a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
 
@@ -309,7 +367,7 @@ class TestDualSolveAtScale:
         budget = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
         weights = DeviceWeights.uniform(20)
         rng = stream(7200, 0)
-        ch = realize_channels(cell_layout(20, 4, rng), PathLossParams(), rng)
+        ch = realize_channels(path_gain_profile(cell_layout(20, 4, rng), PathLossParams()), rng)
         cfg = off_start(ch, weights, budget)
         a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
         final = replace(cfg, a1=a1, a2=a2)
@@ -327,7 +385,7 @@ class TestDualSolveAtScale:
         budget = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
         weights = DeviceWeights.uniform(20)
         rng = stream(5000, seed)
-        ch = realize_channels(cell_layout(20, 4, rng), PathLossParams(), rng)
+        ch = realize_channels(path_gain_profile(cell_layout(20, 4, rng), PathLossParams()), rng)
         cfg, trace = solve(ch, weights, budget, SOLVER)
         assert not [w for w in trace.warnings if "QCQP" in w]
         assert np.all(np.diff(trace.objectives) <= 1e-9 * np.abs(trace.objectives[:-1]))
@@ -436,7 +494,7 @@ class TestRelayUpdate:
         weights = DeviceWeights.uniform(20)
         for seed in range(10):
             rng = stream(9200, seed)
-            ch = realize_channels(cell_layout(20, 4, rng), PathLossParams(), rng)
+            ch = realize_channels(path_gain_profile(cell_layout(20, 4, rng), PathLossParams()), rng)
             solve(ch, weights, budget, SOLVER)
         before, after, violation = np.array(checked).T
         assert np.all(after <= before * (1 + 1e-12))
@@ -540,7 +598,7 @@ class TestSolve:
         for seed in range(8):
             rng = stream(7300, seed)
             layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
-            ch = realize_channels(layout, PathLossParams(), rng)
+            ch = realize_channels(path_gain_profile(layout, PathLossParams()), rng)
             _, trace = solve(ch, weights, budget, SOLVER)
             _, _, bound = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)
             assert np.all(np.diff(trace.objectives) <= 1e-9 * np.abs(trace.objectives[:-1]))
@@ -600,7 +658,7 @@ def reference_grid_cell(kind, noise_dbm, pr, variant):
     for seed in range(2):
         rng = stream(9500, seed)
         layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
-        ch = realize_channels(layout, PathLossParams(), rng)
+        ch = realize_channels(path_gain_profile(layout, PathLossParams()), rng)
         starts = [None]
         if kind == "line":
             starts.append(analytic_construction(ch, weights, budget).config)

@@ -1,0 +1,76 @@
+"""SHA-256 prefixes of the CSVs written for the reference configs.
+
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python3 tools/csv_digests.py [NAME ...]
+
+Each config runs through ``relayfl.cli.main`` with no ``--seed`` and one BLAS
+thread (the hashes depend on the OpenBLAS thread count), and one line
+``name sha256[:12]`` is printed per config.  A refactor that must keep the
+output byte-identical keeps every line; point PYTHONPATH at another
+checkout's ``src`` to print that checkout's table.  The first four configs
+are the benchmark workload documents of ``perfbench/spec.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = ("line-k20-n1", "fl-k100-norelay", "theorem-k20-hisnr", "cell-k100-n4")
+ZERO_RELAY_SCHEMES = ("proposed", "relay_only", "no_relay", "error_free")
+
+
+def reference_configs() -> dict[str, tuple[str, dict]]:
+    """Name -> (relayfl subcommand, config document)."""
+    sys.path.insert(0, str(PERFBENCH))
+    import spec
+
+    configs = {name: (spec.WORKLOADS_BY_NAME[name].command, spec.WORKLOADS_BY_NAME[name].config)
+               for name in WORKLOADS}
+    configs["trials-3"] = ("run", {"trials": 3})
+    configs["relay-only-100dbm"] = ("run", {"scheme": "relay_only", "trials": 2,
+                                            "budget": {"noise_dbm": -100.0},
+                                            "fl": {"total_blocks": 20}})
+    configs["csi-kappa-0.5"] = ("run", {"trials": 2, "csi_kappa": 0.5,
+                                        "fl": {"total_blocks": 8}})
+    for scheme in ZERO_RELAY_SCHEMES:
+        configs[f"zero-relay-cell-{scheme}"] = ("run", {
+            "scheme": scheme, "num_relays": 0, "trials": 2, "layout": {"kind": "cell"},
+            "fl": {"total_blocks": 8}})
+    configs["num-relays-0-2"] = ("run", {"trials": 2, "layout": {"kind": "cell"},
+                                         "sweep": {"key": "num_relays", "values": [0, 2]},
+                                         "fl": {"total_blocks": 8}})
+    return configs
+
+
+def main(names: list[str]) -> int:
+    configs = reference_configs()
+    unknown = sorted(set(names) - set(configs))
+    if unknown:
+        print(f"unknown config {unknown[0]}; known: {', '.join(configs)}", file=sys.stderr)
+        return 1
+    # Before NumPy loads OpenBLAS, which reads the thread count once.
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    from relayfl import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp, "config.json"), Path(tmp, "out.csv")
+        for name in names or configs:
+            command, document = configs[name]
+            config.write_text(json.dumps(document))
+            code = cli.main([command, "--config", str(config), "--out", str(out)])
+            if code != 0:
+                print(f"{name}: relayfl {command} exited {code}", file=sys.stderr)
+                return code
+            print(name, hashlib.sha256(out.read_bytes()).hexdigest()[:12], flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
