@@ -442,28 +442,3 @@ def read_csv(path: str) -> list[dict]:
                 row[col] = float(cell)
         out.append(row)
     return out
-
-
-def summarize(rows: list[dict], column: str, final_round_only: bool = False) -> dict:
-    """Mean and standard error of one metric per sweep value (over trials/rounds)."""
-    if final_round_only:
-        last = {}
-        for row in rows:
-            key = (row["sweep_value"], row["trial"])
-            if key not in last or row["round"] > last[key]["round"]:
-                last[key] = row
-        rows = list(last.values())
-    grouped: dict = {}
-    for row in rows:
-        if row[column] is None:
-            continue
-        grouped.setdefault(row["sweep_value"], []).append(float(row[column]))
-    out = {}
-    for value, xs in grouped.items():
-        arr = np.asarray(xs)
-        if arr.size > 1 and np.all(np.isfinite(arr)):
-            stderr = float(arr.std(ddof=1) / math.sqrt(arr.size))
-        else:
-            stderr = float("nan") if not np.all(np.isfinite(arr)) else 0.0
-        out[value] = {"mean": float(arr.mean()), "stderr": stderr, "count": arr.size}
-    return out

@@ -180,25 +180,6 @@ def _gradient(mat: np.ndarray, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return grad
 
 
-def cross_entropy_gradient(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
-                           num_classes: int) -> np.ndarray:
-    """Mean cross-entropy gradient for flattened softmax-regression weights.
-
-    Leading axes batch independent problems: w (..., C (d + 1)), features
-    (..., n, d) and labels (..., n) give one gradient row per problem."""
-    x = _augment(features)
-    mat = w.reshape(w.shape[:-1] + (num_classes, x.shape[-1]))
-    return _gradient(mat, x, labels).reshape(w.shape)
-
-
-def cross_entropy_loss(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
-                       num_classes: int) -> float:
-    x = _augment(features)
-    mat = w.reshape(num_classes, x.shape[1])
-    probs = _softmax(x @ mat.T)
-    return float(-np.mean(np.log(probs[np.arange(labels.size), labels] + 1e-300)))
-
-
 def local_update(w: np.ndarray, task: LearningTask, device_indices: np.ndarray,
                  tau: int, lr: float) -> np.ndarray:
     """Cumulative model change after tau full-batch gradient steps on local data.

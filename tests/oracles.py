@@ -7,6 +7,7 @@ the package's block updates at a TransceiverConfig, and `solve_reference`
 strings them into the per-block loop that `optimizer.solve` is compared with.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from relayfl.aggregation import (
     relay_gains,
     relay_mse,
 )
+from relayfl.federated import _augment, _gradient
 from relayfl.geometry import ChannelRealization, stream
 from relayfl.optimizer import (
     Problem,
@@ -189,6 +191,53 @@ def local_update_reference(w, task, device_indices, tau, lr):
         probs[np.arange(labels.size), labels] -= 1.0
         w_local = w_local - lr * ((probs.T @ x).reshape(-1) / labels.size)
     return w_local - w
+
+
+def cross_entropy_gradient(w, features, labels, num_classes):
+    """Mean cross-entropy gradient for flattened softmax-regression weights.
+
+    The package's batched kernel (``federated._gradient``, which
+    ``local_update`` steps with) on flat weights: leading axes batch
+    independent problems, so w (..., C (d + 1)), features (..., n, d) and
+    labels (..., n) give one gradient row per problem.
+    """
+    x = _augment(features)
+    mat = w.reshape(w.shape[:-1] + (num_classes, x.shape[-1]))
+    return _gradient(mat, x, labels).reshape(w.shape)
+
+
+def cross_entropy_loss(w, features, labels, num_classes):
+    """Mean cross-entropy of flattened softmax-regression weights, written directly."""
+    x = np.column_stack([features, np.ones(labels.size)])
+    logits = x @ w.reshape(num_classes, x.shape[1]).T
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    return float(-np.mean(np.log(probs[np.arange(labels.size), labels] + 1e-300)))
+
+
+def summarize(rows, column, final_round_only=False):
+    """Mean and standard error of one CSV column per sweep value (over trials/rounds)."""
+    if final_round_only:
+        last = {}
+        for row in rows:
+            key = (row["sweep_value"], row["trial"])
+            if key not in last or row["round"] > last[key]["round"]:
+                last[key] = row
+        rows = list(last.values())
+    grouped = {}
+    for row in rows:
+        if row[column] is None:
+            continue
+        grouped.setdefault(row["sweep_value"], []).append(float(row[column]))
+    out = {}
+    for value, xs in grouped.items():
+        arr = np.asarray(xs)
+        if arr.size > 1 and np.all(np.isfinite(arr)):
+            stderr = float(arr.std(ddof=1) / math.sqrt(arr.size))
+        else:
+            stderr = float("nan") if not np.all(np.isfinite(arr)) else 0.0
+        out[value] = {"mean": float(arr.mean()), "stderr": stderr, "count": arr.size}
+    return out
 
 
 def fd_complex_gradient(fun, value, eps=1e-6):

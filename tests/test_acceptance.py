@@ -26,6 +26,7 @@ from oracles import (
     random_feasible_setup,
     relay_block,
     single_relay_instance,
+    summarize,
 )
 from relayfl import federated
 from relayfl.aggregation import (
@@ -39,7 +40,7 @@ from relayfl.aggregation import (
     relay_mse,
     simulate_round,
 )
-from relayfl.experiment import parse_config, run_experiment, summarize
+from relayfl.experiment import parse_config, run_experiment
 from relayfl.geometry import (
     ChannelRealization,
     PathLossParams,

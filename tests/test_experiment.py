@@ -20,11 +20,12 @@ from relayfl.experiment import (
     read_csv,
     run_experiment,
     run_trial,
-    summarize,
     sweep_points,
     theorem_sweep,
     write_csv,
 )
+
+from oracles import summarize
 
 TINY_FL = {"total_blocks": 4, "num_classes": 3, "feature_dim": 4,
            "samples_per_class": 30, "separation": 5.0}

@@ -8,8 +8,6 @@ from relayfl.federated import (
     LrSchedule,
     Partition,
     blocks_per_round,
-    cross_entropy_gradient,
-    cross_entropy_loss,
     evaluate_accuracy,
     local_update,
     make_synthetic_task,
@@ -22,7 +20,7 @@ from relayfl.federated import (
 from relayfl.geometry import PathLossParams, line_layout, stream
 from relayfl.optimizer import SolverConfig
 
-from oracles import local_update_reference
+from oracles import cross_entropy_gradient, cross_entropy_loss, local_update_reference
 
 BUDGET = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
 PL = PathLossParams()
