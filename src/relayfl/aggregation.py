@@ -153,28 +153,37 @@ def relay_gains(channels: ChannelRealization, b: np.ndarray):
     Both are 0 without relays.
     """
     fb = channels.f * b
-    return channels.g @ fb, float(np.add.reduce(np.abs(fb) ** 2))
+    return channels.g @ fb, float(np.vdot(fb, fb).real)
 
 
-def transceiver_mse(a1: np.ndarray, a2: np.ndarray, c1: complex, c2: complex, path,
-                    forwarded: float, h: np.ndarray, rho: np.ndarray, sigma2: float) -> float:
-    """Analytic aggregation MSE from the scalars and the relay gains of `relay_gains`.
+def _combined_gains(c1, c2, h: np.ndarray, path):
+    """Per-device gains (theta, phi) = (c1 h + c2 path, c2 h) of a1 and a2 in the estimate."""
+    return c1 * h + c2 * path, c2 * h
 
-    Misalignment power plus the receive noise amplified by
+
+def transceiver_mse(theta: np.ndarray, phi: np.ndarray, a1: np.ndarray, a2: np.ndarray,
+                    c1: complex, c2: complex, forwarded: float, rho: np.ndarray,
+                    sigma2: float) -> float:
+    """Analytic aggregation MSE from the combined gains and the forwarded-noise gain.
+
+    (theta, phi) are the gains of a1 and a2 at the AP (``_combined_gains``)
+    and `forwarded` the noise gain of ``relay_gains``: misalignment power
+    |theta a1 + phi a2 - rho|^2 plus the receive noise amplified by
     |c1|^2 + |c2|^2 (1 + forwarded).  ``relay_mse`` and the solver's
     objective both evaluate this one formula.
     """
-    misalign = c1 * h * a1 + c2 * h * a2 + c2 * a1 * path - rho
+    misalign = theta * a1 + phi * a2 - rho
     noise_gain = abs(c1) ** 2 + abs(c2) ** 2 * (1.0 + forwarded)
-    return float(np.add.reduce(np.abs(misalign) ** 2) + noise_gain * sigma2)
+    return float(np.vdot(misalign, misalign).real + noise_gain * sigma2)
 
 
 def relay_mse(config: TransceiverConfig, channels: ChannelRealization,
               weights: DeviceWeights, sigma2: float) -> float:
     """Analytic aggregation MSE: misalignment power plus amplified noise power."""
     path, forwarded = relay_gains(channels, config.b)
-    return transceiver_mse(config.a1, config.a2, config.c1, config.c2, path, forwarded,
-                           channels.h, weights.rho, sigma2)
+    theta, phi = _combined_gains(config.c1, config.c2, channels.h, path)
+    return transceiver_mse(theta, phi, config.a1, config.a2, config.c1, config.c2, forwarded,
+                           weights.rho, sigma2)
 
 
 def relay_input_power(channels: ChannelRealization, a1: np.ndarray, sigma2: float) -> np.ndarray:

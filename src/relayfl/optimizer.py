@@ -10,19 +10,30 @@ sweep raises the objective.
 
 A solve holds its state (a1, a2, b, c1, c2) in plain arrays and builds one
 ``TransceiverConfig`` on exit.  What depends only on the instance is computed
-once per solve (`Problem`); the relay path and the forwarded-noise gain are
-computed once after each relay update and shared by the blocks that follow.
-The objective is ``aggregation.transceiver_mse``, the one formula behind
-``aggregation.relay_mse``.
+once per solve (`Problem`).  The products the blocks share form the sweep
+state, and each is formed once per sweep:
+
+- the relay path and the forwarded-noise gain (``aggregation.relay_gains``),
+  after the relay update; the next receive updates and the objective read
+  them, and the path enters the next device update through theta;
+- the phase gains h * a1 and h * a2 + a1 * path, after the relay update;
+  `update_c1` takes h * a1 as its gain and `update_c2` inside its residual,
+  and both take the phase-2 gain;
+- the combined gains theta = c1 h + c2 path and phi = c2 h of a1 and a2 at
+  the AP (``aggregation._combined_gains``), after the receive updates; the
+  objective ``aggregation.transceiver_mse`` (the one formula behind
+  ``aggregation.relay_mse``) and the next device update read them.
 
 A sweep is a few dozen NumPy calls on arrays of K or N entries, so the call
-count sets its cost.  Masks that mask nothing are skipped: the device update
-builds its unlinked-device masks (theta_k or phi_k zero) and clamps the
-incoming scalars they keep only when some device is unlinked, and drops
-silent relays from the caps only when some relay is silent; the relay update
-indexes the relays that reach the AP only when some relay does not.  Skipping
-a mask leaves every result bit for bit the same.  The receive scalars are
-NumPy complex inside the loop, and reductions call the ufuncs directly.
+count sets its cost.  The receive updates, the objective and the
+forwarded-noise gain reduce with single BLAS dots (``np.vdot``), and a
+one-relay system is solved by one division.  Masks that mask nothing are
+skipped: the device update builds its unlinked-device masks (theta_k or phi_k
+zero) and clamps the incoming scalars they keep only when some device is
+unlinked, and drops silent relays from the caps only when some relay is
+silent; the relay update indexes the relays that reach the AP only when some
+relay does not.  Skipping a mask leaves every result bit for bit the same.
+The receive scalars are NumPy complex inside the loop.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from .aggregation import (
     PowerBudget,
     SingularChannelError,
     TransceiverConfig,
+    _combined_gains,
     relay_gains,
     relay_input_power,
     relay_mse,
@@ -96,15 +108,14 @@ class Problem:
     |g^T|^2, the relays that reach the AP (f_n != 0) and whether that is all
     of them, their columns of g and its conjugate transpose, sigma2 I over
     those relays, the device radii of both phases and the QCQP tolerance
-    scaled by the squared weight norm.  |g^T|^2 is kept in two memory
-    layouts, because a BLAS product can round differently in another one:
-    `g2` in the layout of g for the relay input power, `g2_rows` with each
-    relay's row contiguous for the device update.
+    scaled by the squared weight norm.  |g^T|^2 is kept with each relay's
+    row contiguous, whatever the layout of g, because a BLAS product can
+    round differently in another layout.
     """
 
     __slots__ = ("channels", "weights", "budget", "solver_cfg", "h", "rho", "sigma2",
-                 "r1", "r2", "tol", "g2", "g2_rows", "reach", "all_reach", "g_reach",
-                 "g_reach_h", "f_reach", "abs_f_reach", "noise_eye")
+                 "r1", "r2", "tol", "g2", "reach", "all_reach", "g_reach", "g_reach_h",
+                 "f_reach", "abs_f_reach", "noise_eye")
 
     def __init__(self, channels: ChannelRealization, weights: DeviceWeights,
                  budget: PowerBudget, solver_cfg: SolverConfig,
@@ -114,8 +125,7 @@ class Problem:
         self.h, self.rho, self.sigma2 = channels.h, weights.rho, budget.sigma2
         self.r1, self.r2 = _radii(budget, variant)
         self.tol = solver_cfg.qcqp_tol * float(self.rho @ self.rho)
-        self.g2 = np.abs(channels.g.T) ** 2  # (N, K)
-        self.g2_rows = np.ascontiguousarray(self.g2)
+        self.g2 = np.ascontiguousarray(np.abs(channels.g.T) ** 2)  # (N, K)
         self.reach = channels.f != 0
         self.all_reach = bool(np.logical_and.reduce(self.reach))
         self.g_reach = channels.g[:, self.reach]
@@ -139,9 +149,9 @@ def init_config(channels: ChannelRealization, weights: DeviceWeights,
     if h.shape != rho.shape:
         raise ValueError("channel and weight lengths differ")
     mag = np.abs(h)
-    if np.any(mag == 0):
+    if np.fmin.reduce(mag) == 0:
         raise SingularChannelError("zero device-to-AP channel")
-    peak = float(np.max(rho / mag))
+    peak = float(np.maximum.reduce(rho / mag))
     r1, r2 = _radii(budget, variant)
     a1 = r1 * rho / (h * peak)
     a2 = r2 * rho / (h * peak)
@@ -198,10 +208,12 @@ def _bounded_newton_step(lam, rhs, system):
 
 
 def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np.ndarray,
-                          c1: complex, c2: complex, path):
-    """Minimize the misalignment over (a1, a2) with the other blocks fixed.
+                          theta: np.ndarray, phi: np.ndarray):
+    """Minimize the misalignment |theta a1 + phi a2 - rho|^2 over (a1, a2) with the
+    other blocks fixed.
 
-    `path` is the relay path of `b` (``aggregation.relay_gains``).  Returns
+    theta = c1 h + c2 path and phi = c2 h are the per-device gains of a1 and
+    a2 at the AP (``aggregation._combined_gains``).  Returns
     (a1, a2, converged).  The feasible set is the per-device power boxes (the
     radii of the problem's variant) intersected with the per-relay quadratic
     constraints on a1, which are dualized with multipliers lam >= 0; the dual
@@ -227,16 +239,13 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
     """
     rho, r1, r2 = problem.rho, problem.r1, problem.r2
     pr, sigma2 = problem.budget.pr, problem.sigma2
-    # Per-device effective gains multiplying a1 and a2 in the combined estimate.
-    theta = c1 * problem.h + c2 * path
-    phi = c2 * problem.h
     abs_th, abs_ph = np.abs(theta), np.abs(phi)
     th2, ph2 = abs_th**2, abs_ph**2
     w1, w2 = abs_th * r1, abs_ph * r2
     # Relay n bounds sum_k g2[n, k] |a1_k|^2 by radii_sq[n]; silent relays,
     # and relays whose |b_n|^2 is too small for pr / |b_n|^2 to be finite,
     # bound nothing.  Masks are built only when some entry is masked out.
-    g2, b2 = problem.g2_rows, np.abs(b) ** 2
+    g2, b2 = problem.g2, np.abs(b) ** 2
     if not np.minimum.reduce(b2, initial=np.inf) > pr / _MAX:
         live = b2 > pr / _MAX
         g2, b2 = g2[live], b2[live]  # (Na, K), (Na,)
@@ -382,7 +391,7 @@ def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np
         cap = cap[reach]
     radius = problem.abs_f_reach * np.sqrt(cap)
 
-    x = np.linalg.solve(m, q)
+    x = q / m[0, 0] if q.size == 1 else np.linalg.solve(m, q)
     if not np.logical_and.reduce(np.abs(x) <= radius):
         x = f * b[reach]
         diag = m.diagonal().real
@@ -406,27 +415,26 @@ def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np
 
 def _wiener(residual: np.ndarray, gain: np.ndarray, noise: float) -> np.complex128:
     """Receive scalar minimizing sum_k |residual_k - c gain_k|^2 + |c|^2 noise."""
-    numerator = np.add.reduce(residual * np.conj(gain))
-    return numerator / (np.add.reduce(np.abs(gain) ** 2) + noise)
+    return np.vdot(gain, residual) / (np.vdot(gain, gain).real + noise)
 
 
-def update_c1(problem: Problem, a1: np.ndarray, c2: complex,
+def update_c1(problem: Problem, phase1: np.ndarray, c2: complex,
               phase2: np.ndarray) -> np.complex128:
     """Exact minimizer of the MSE over the phase-1 receive scalar.
 
-    `phase2` is the phase-2 gain h * a2 + a1 * path, which `update_c2` shares.
+    `phase1` is the phase-1 gain h * a1 and `phase2` the phase-2 gain
+    h * a2 + a1 * path; `update_c2` shares both.
     """
-    return _wiener(problem.rho - c2 * phase2, problem.h * a1, problem.sigma2)
+    return _wiener(problem.rho - c2 * phase2, phase1, problem.sigma2)
 
 
-def update_c2(problem: Problem, a1: np.ndarray, c1: complex, phase2: np.ndarray,
+def update_c2(problem: Problem, phase1: np.ndarray, c1: complex, phase2: np.ndarray,
               forwarded: float) -> np.complex128:
     """Exact minimizer of the MSE over the phase-2 receive scalar.
 
     `forwarded` is the forwarded-noise gain of ``aggregation.relay_gains``.
     """
-    return _wiener(problem.rho - c1 * problem.h * a1, phase2,
-                   (1.0 + forwarded) * problem.sigma2)
+    return _wiener(problem.rho - c1 * phase1, phase2, (1.0 + forwarded) * problem.sigma2)
 
 
 def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBudget,
@@ -441,14 +449,12 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
     the relay-only variant a2 and c1 are pinned at zero and phase 1 carries
     the full device budget.
 
-    The scalars live in plain arrays until the one config built on exit.  The
-    relay path and forwarded-noise gain are computed once per relay update
-    and shared by the next device update, both receive updates and the
-    objective; the phase-2 gain h * a2 + a1 * path is computed once for both
-    receive updates.  The first objective is ``relay_mse`` of the starting
-    config and each sweep's is ``aggregation.transceiver_mse``, the formula
-    ``relay_mse`` evaluates, so the last one equals ``relay_mse`` of the
-    returned config exactly.
+    The scalars live in plain arrays until the one config built on exit, and
+    each product of the sweep state (module docstring) is formed once per
+    sweep.  The first objective is ``relay_mse`` of the starting config and
+    each sweep's is ``aggregation.transceiver_mse`` at the sweep's combined
+    gains, the formula ``relay_mse`` evaluates, so the last one equals
+    ``relay_mse`` of the returned config exactly.
     """
     relay_only = variant is SchemeVariant.RELAY_ONLY
     config = warm_start if warm_start is not None else init_config(
@@ -461,12 +467,13 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
     problem = Problem(channels, weights, budget, solver_cfg, variant)
     h, rho, sigma2 = problem.h, problem.rho, problem.sigma2
     path, forwarded = relay_gains(channels, b)
+    theta, phi = _combined_gains(c1, c2, h, path)
 
     warnings: list[str] = []
     objectives = [relay_mse(config, channels, weights, sigma2)]
     terminated = "max_iterations"
     for iterations in range(1, solver_cfg.j_max + 1):
-        a1, a2, inner_ok = update_device_scalars(problem, a1, a2, b, c1, c2, path)
+        a1, a2, inner_ok = update_device_scalars(problem, a1, a2, b, theta, phi)
         if not inner_ok:
             warnings.append(f"sweep {iterations}: device QCQP gap above tolerance at exit")
 
@@ -474,12 +481,13 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
             b = update_relay_scalars(problem, a1, a2, b, c1, c2)
             path, forwarded = relay_gains(channels, b)
 
-        phase2 = h * a2 + a1 * path
+        phase1, phase2 = h * a1, h * a2 + a1 * path
         if not relay_only:
-            c1 = update_c1(problem, a1, c2, phase2)
-        c2 = update_c2(problem, a1, c1, phase2, forwarded)
+            c1 = update_c1(problem, phase1, c2, phase2)
+        c2 = update_c2(problem, phase1, c1, phase2, forwarded)
 
-        objectives.append(transceiver_mse(a1, a2, c1, c2, path, forwarded, h, rho, sigma2))
+        theta, phi = _combined_gains(c1, c2, h, path)
+        objectives.append(transceiver_mse(theta, phi, a1, a2, c1, c2, forwarded, rho, sigma2))
         improvement = abs(objectives[-1] - objectives[-2]) / max(abs(objectives[-1]), 1e-300)
         if improvement <= solver_cfg.epsilon:
             terminated = "converged"

@@ -17,6 +17,7 @@ from relayfl.aggregation import (
     DeviceWeights,
     PowerBudget,
     TransceiverConfig,
+    _combined_gains,
     relay_gains,
     relay_mse,
 )
@@ -98,9 +99,24 @@ def random_feasible_setup(seed, num_devices, num_relays):
     return config, ch, weights, budget
 
 
+def _disc_constraint(radius_sq, re, im):
+    """SLSQP inequality radius_sq - z[re]^2 - z[im]^2 >= 0 with its exact gradient."""
+    def jac(z):
+        grad = np.zeros(z.size)
+        grad[re], grad[im] = -2.0 * z[re], -2.0 * z[im]
+        return grad
+
+    return {"type": "ineq", "fun": lambda z: radius_sq - (z[re] ** 2 + z[im] ** 2),
+            "jac": jac}
+
+
 def device_update_oracle(config, ch, weights, budget, phase1_budget=None,
                          restarts=16, seed=0):
-    """SLSQP multistart on the device subproblem, independent of the package solver."""
+    """SLSQP multistart on the device subproblem, independent of the package solver.
+
+    The objective and every constraint are quadratics in the real and
+    imaginary parts of (a1, a2), so SLSQP gets their exact gradients.
+    """
     k = ch.num_devices
     p1 = budget.p0 if phase1_budget is None else phase1_budget
     relay_path = ch.g @ (ch.f * config.b) if config.b.size else np.zeros(k)
@@ -116,26 +132,33 @@ def device_update_oracle(config, ch, weights, budget, phase1_budget=None,
         a1, a2 = unpack(z)
         return float(np.sum(np.abs(theta * a1 + phi * a2 - weights.rho) ** 2))
 
+    def gradient(z):
+        # d|e|^2 / dx = 2 Re(conj(e) de/dx), with de/d(Re a) = gain, de/d(Im a) = 1j gain
+        a1, a2 = unpack(z)
+        err = np.conj(theta * a1 + phi * a2 - weights.rho)
+        return 2.0 * np.concatenate([(err * theta).real, (1j * err * theta).real,
+                                     (err * phi).real, (1j * err * phi).real])
+
     constraints = []
     for i in range(k):
-        constraints.append({"type": "ineq",
-                            "fun": lambda z, i=i: p1 - (z[i] ** 2 + z[k + i] ** 2)})
-        constraints.append({"type": "ineq", "fun": lambda z, i=i:
-                            budget.p0 - (z[2 * k + i] ** 2 + z[3 * k + i] ** 2)})
+        constraints.append(_disc_constraint(p1, i, k + i))
+        constraints.append(_disc_constraint(budget.p0, 2 * k + i, 3 * k + i))
     for n in range(config.b.size):
         if config.b[n] == 0:
             continue
         w = np.abs(ch.g[:, n]) ** 2
         cap = budget.pr / abs(config.b[n]) ** 2 - budget.sigma2
         constraints.append({"type": "ineq", "fun": lambda z, w=w, cap=cap:
-                            cap - float(w @ (z[:k] ** 2 + z[k:2 * k] ** 2))})
+                            cap - float(w @ (z[:k] ** 2 + z[k:2 * k] ** 2)),
+                            "jac": lambda z, w=w: np.concatenate(
+                                [-2.0 * w * z[:k], -2.0 * w * z[k:2 * k], np.zeros(2 * k)])})
 
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(restarts):
         start = 0.2 * np.sqrt(min(p1, budget.p0)) * rng.standard_normal(4 * k)
-        res = minimize(objective, start, method="SLSQP", constraints=constraints,
-                       options={"maxiter": 400, "ftol": 1e-14})
+        res = minimize(objective, start, method="SLSQP", jac=gradient,
+                       constraints=constraints, options={"maxiter": 400, "ftol": 1e-14})
         if res.success:
             z = res.x
             if all(c["fun"](z) >= -1e-10 for c in constraints):
@@ -149,26 +172,35 @@ def relay_update_oracle(config, ch, weights, budget, restarts=16, seed=0):
     Minimizes the full two-phase MSE over b with a1, a2, c1 and c2 fixed,
     subject to |b_n|^2 (sum_k |g_kn|^2 |a1_k|^2 + sigma2) <= pr for each relay.
     The search variables are b_n / sqrt(cap_n), so every constraint is the
-    unit disc.
+    unit disc.  SLSQP gets the exact gradients of the objective and the discs.
     """
     n = ch.num_relays
     fixed = config.c1 * ch.h * config.a1 + config.c2 * ch.h * config.a2
     caps = budget.pr / ((np.abs(ch.g) ** 2).T @ (np.abs(config.a1) ** 2) + budget.sigma2)
+    scale = ch.f * np.sqrt(caps)  # fb = scale * (z[:n] + 1j z[n:])
+    # d misalign / d Re(z_n): column n of c2 a1 g diag(scale)
+    slope = config.c2 * config.a1[:, None] * ch.g * scale
+    noise_weight = abs(config.c2) ** 2 * budget.sigma2
 
     def objective(z):
-        fb = ch.f * np.sqrt(caps) * (z[:n] + 1j * z[n:])
+        fb = scale * (z[:n] + 1j * z[n:])
         misalign = fixed + config.c2 * config.a1 * (ch.g @ fb) - weights.rho
         noise = abs(config.c1) ** 2 + abs(config.c2) ** 2 * (1.0 + np.sum(np.abs(fb) ** 2))
         return float(np.sum(np.abs(misalign) ** 2) + noise * budget.sigma2)
 
-    constraints = [{"type": "ineq", "fun": lambda z, i=i: 1.0 - (z[i] ** 2 + z[n + i] ** 2)}
-                   for i in range(n)]
+    def gradient(z):
+        fb = scale * (z[:n] + 1j * z[n:])
+        misalign = fixed + config.c2 * config.a1 * (ch.g @ fb) - weights.rho
+        d = np.conj(misalign) @ slope + noise_weight * np.conj(fb) * scale
+        return 2.0 * np.concatenate([d.real, (1j * d).real])
+
+    constraints = [_disc_constraint(1.0, i, n + i) for i in range(n)]
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(restarts):
         start = rng.uniform(-0.7, 0.7, 2 * n)
-        res = minimize(objective, start, method="SLSQP", constraints=constraints,
-                       options={"maxiter": 400, "ftol": 1e-14})
+        res = minimize(objective, start, method="SLSQP", jac=gradient,
+                       constraints=constraints, options={"maxiter": 400, "ftol": 1e-14})
         if res.success and all(c["fun"](res.x) >= -1e-10 for c in constraints):
             best = min(best, objective(res.x))
     return best
@@ -240,6 +272,20 @@ def summarize(rows, column, final_round_only=False):
     return out
 
 
+def mse_reference(config, ch, weights, sigma2):
+    """The aggregation MSE written term by term from the config.
+
+    |c1 h a1 + c2 h a2 + c2 a1 path - rho|^2 summed with ``np.sum``, plus
+    the receive noise amplified by |c1|^2 + |c2|^2 (1 + sum_n |f_n b_n|^2).
+    """
+    fb = ch.f * config.b
+    path = ch.g @ fb
+    misalign = (config.c1 * ch.h * config.a1 + config.c2 * ch.h * config.a2
+                + config.c2 * config.a1 * path - weights.rho)
+    noise = abs(config.c1) ** 2 + abs(config.c2) ** 2 * (1.0 + np.sum(np.abs(fb) ** 2))
+    return float(np.sum(np.abs(misalign) ** 2) + noise * sigma2)
+
+
 def fd_complex_gradient(fun, value, eps=1e-6):
     """Central finite-difference Wirtinger-style gradient of a real function."""
     real = (fun(value + eps) - fun(value - eps)) / (2 * eps)
@@ -279,8 +325,9 @@ def single_relay_instance(seed, num_devices=None, enforce_conditions=False):
 def device_block(config, ch, weights, budget, solver_cfg, variant=SchemeVariant.FULL):
     """``update_device_scalars`` at a config: (a1, a2, converged)."""
     path, _ = relay_gains(ch, config.b)
+    theta, phi = _combined_gains(config.c1, config.c2, ch.h, path)
     return update_device_scalars(Problem(ch, weights, budget, solver_cfg, variant),
-                                 config.a1, config.a2, config.b, config.c1, config.c2, path)
+                                 config.a1, config.a2, config.b, theta, phi)
 
 
 def relay_block(config, ch, weights, budget, solver_cfg):
@@ -289,21 +336,21 @@ def relay_block(config, ch, weights, budget, solver_cfg):
                                 config.a1, config.a2, config.b, config.c1, config.c2)
 
 
-def _phase2(config, ch):
+def _phase_gains(config, ch):
     path, forwarded = relay_gains(ch, config.b)
-    return ch.h * config.a2 + config.a1 * path, forwarded
+    return ch.h * config.a1, ch.h * config.a2 + config.a1 * path, forwarded
 
 
 def c1_block(config, ch, weights, budget):
     """``update_c1`` at a config: the new c1."""
-    phase2, _ = _phase2(config, ch)
-    return update_c1(Problem(ch, weights, budget, SolverConfig()), config.a1, config.c2, phase2)
+    phase1, phase2, _ = _phase_gains(config, ch)
+    return update_c1(Problem(ch, weights, budget, SolverConfig()), phase1, config.c2, phase2)
 
 
 def c2_block(config, ch, weights, budget):
     """``update_c2`` at a config: the new c2."""
-    phase2, forwarded = _phase2(config, ch)
-    return update_c2(Problem(ch, weights, budget, SolverConfig()), config.a1, config.c1,
+    phase1, phase2, forwarded = _phase_gains(config, ch)
+    return update_c2(Problem(ch, weights, budget, SolverConfig()), phase1, config.c1,
                      phase2, forwarded)
 
 
@@ -313,8 +360,8 @@ def solve_reference(channels, weights, budget, solver_cfg, variant=SchemeVariant
 
     The same sweep as ``optimizer.solve`` through the same public block
     updates, but every block starts from the current config: each one builds
-    its own ``Problem``, recomputes the relay path and forwarded-noise gain,
-    and leaves a new config made with ``replace``; the objective is
+    its own ``Problem``, recomputes the relay path, the forwarded-noise gain
+    and the products of the sweep state (theta, phi, h a1), and leaves a new config made with ``replace``; the objective is
     ``relay_mse``.  ``solve`` must return the same bits.
     """
     relay_only = variant is SchemeVariant.RELAY_ONLY

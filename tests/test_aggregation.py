@@ -18,9 +18,19 @@ from relayfl.aggregation import (
     relay_power_used,
     simulate_round,
 )
-from relayfl.geometry import ChannelRealization, _complex_normal, stream
+from relayfl.geometry import (
+    ChannelRealization,
+    PathLossParams,
+    _complex_normal,
+    cell_layout,
+    line_layout,
+    path_gain_profile,
+    realize_channels,
+    stream,
+)
+from relayfl.optimizer import SchemeVariant, SolverConfig, init_config, solve
 
-from oracles import norelay_objective, norelay_oracle, random_feasible_setup
+from oracles import mse_reference, norelay_objective, norelay_oracle, random_feasible_setup
 
 
 class TestLocalStats:
@@ -193,6 +203,28 @@ class TestRelayMse:
                                 c1=1.0, c2=1.0)
         expected = float(np.sum(weights.rho**2)) + 2.0 * budget.sigma2
         assert relay_mse(cfg, ch, weights, budget.sigma2) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("variant", list(SchemeVariant))
+    @pytest.mark.parametrize("kind", ["line", "cell", "cell-no-relay"])
+    def test_matches_term_by_term_reference(self, kind, variant):
+        # The formula multiplies by the combined gains theta = c1 h + c2 path and
+        # phi = c2 h and sums with one dot product; the reference multiplies term
+        # by term and sums |.|^2 with np.sum.  Checked at the start and at the
+        # solution of seeded K = 20 solves, at low and high SNR.
+        weights = DeviceWeights.uniform(20)
+        for seed in range(3):
+            rng = stream(6500, seed)
+            layout = (line_layout(20, rng) if kind == "line"
+                      else cell_layout(20, 0 if kind == "cell-no-relay" else 4, rng))
+            ch = realize_channels(path_gain_profile(layout, PathLossParams()), rng)
+            for sigma2 in (1e-10, 1e-13):
+                budget = PowerBudget(p0=0.05, pr=0.1, sigma2=sigma2)
+                cfg, trace = solve(ch, weights, budget, SolverConfig(j_max=20), variant)
+                for config in (init_config(ch, weights, budget, variant), cfg):
+                    assert relay_mse(config, ch, weights, sigma2) == pytest.approx(
+                        mse_reference(config, ch, weights, sigma2), rel=1e-13, abs=0)
+                assert trace.objectives[-1] == pytest.approx(
+                    mse_reference(cfg, ch, weights, sigma2), rel=1e-13, abs=0)
 
     def test_matches_monte_carlo(self):
         config, ch, weights, budget = random_feasible_setup(52, 2, 1)

@@ -393,6 +393,25 @@ class TestDualSolveAtScale:
 
 
 class TestRelayUpdate:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_relay_stationary_point_matches_lapack(self, seed):
+        # With one relay M x = q is a 1x1 Hermitian positive-definite system;
+        # the relay update's stationary point must agree with LAPACK's solve of
+        # the same M and q, built here as the relay update builds them, to 4 ulp.
+        rng = stream(6400, seed)
+        for _ in range(50):
+            k = int(rng.integers(1, 6))
+            cfg, ch, weights, budget = random_feasible_setup(int(rng.integers(1 << 30)), k, 1)
+            budget = replace(budget, pr=1e6)  # the stationary point fits the cap
+            problem = optimizer.Problem(ch, weights, budget, SOLVER)
+            g, g_h = problem.g_reach, problem.g_reach_h
+            m = (g_h * np.abs(cfg.a1) ** 2) @ g + problem.noise_eye
+            residual = weights.rho - ch.h * (cfg.c1 * cfg.a1 + cfg.c2 * cfg.a2)
+            q = g_h @ (residual * np.conj(cfg.a1)) / cfg.c2
+            expected = np.linalg.solve(m, q)
+            x = ch.f * relay_block(cfg, ch, weights, budget, SOLVER)
+            assert abs(x[0] - expected[0]) <= 4 * np.finfo(float).eps * abs(expected[0])
+
     def test_radial_projection_worked_example(self):
         # stationary point lands at 3+4i and the power cap allows magnitude 2
         ch = ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j]], f=[1.0 + 0j])

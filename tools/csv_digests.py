@@ -49,7 +49,12 @@ def reference_configs() -> dict[str, tuple[str, dict]]:
     return configs
 
 
-def main(names: list[str]) -> int:
+def write_csvs(names, out_dir: Path, report) -> int:
+    """Run each named config (all when `names` is empty) into out_dir/<name>.csv.
+
+    Calls ``report(name, path)`` after each CSV is written; returns the first
+    nonzero exit code, or 0.
+    """
     configs = reference_configs()
     unknown = sorted(set(names) - set(configs))
     if unknown:
@@ -59,17 +64,25 @@ def main(names: list[str]) -> int:
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     from relayfl import cli
 
-    with tempfile.TemporaryDirectory() as tmp:
-        config, out = Path(tmp, "config.json"), Path(tmp, "out.csv")
-        for name in names or configs:
-            command, document = configs[name]
-            config.write_text(json.dumps(document))
-            code = cli.main([command, "--config", str(config), "--out", str(out)])
-            if code != 0:
-                print(f"{name}: relayfl {command} exited {code}", file=sys.stderr)
-                return code
-            print(name, hashlib.sha256(out.read_bytes()).hexdigest()[:12], flush=True)
+    config = Path(out_dir, "config.json")
+    for name in names or configs:
+        command, document = configs[name]
+        config.write_text(json.dumps(document))
+        out = Path(out_dir, f"{name}.csv")
+        code = cli.main([command, "--config", str(config), "--out", str(out)])
+        if code != 0:
+            print(f"{name}: relayfl {command} exited {code}", file=sys.stderr)
+            return code
+        report(name, out)
     return 0
+
+
+def main(names: list[str]) -> int:
+    def digest(name, path):
+        print(name, hashlib.sha256(path.read_bytes()).hexdigest()[:12], flush=True)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        return write_csvs(names, Path(tmp), digest)
 
 
 if __name__ == "__main__":
