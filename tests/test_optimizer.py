@@ -408,9 +408,9 @@ class TestRelayUpdate:
             m = (g_h * np.abs(cfg.a1) ** 2) @ g + problem.noise_eye
             residual = weights.rho - ch.h * (cfg.c1 * cfg.a1 + cfg.c2 * cfg.a2)
             q = g_h @ (residual * np.conj(cfg.a1)) / cfg.c2
-            expected = np.linalg.solve(m, q)
-            x = ch.f * relay_block(cfg, ch, weights, budget, SOLVER)
-            assert abs(x[0] - expected[0]) <= 4 * np.finfo(float).eps * abs(expected[0])
+            expected = np.linalg.solve(m, q)[0] / ch.f[0]
+            b = relay_block(cfg, ch, weights, budget, SOLVER)[0]
+            assert abs(b - expected) <= 4 * np.finfo(float).eps * abs(expected)
 
     def test_radial_projection_worked_example(self):
         # stationary point lands at 3+4i and the power cap allows magnitude 2

@@ -19,7 +19,6 @@ and 0 otherwise; a numeric bound is for the reader to check.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import subprocess
 import sys
@@ -53,9 +52,7 @@ def _number(cell: str) -> float | None:
 
 
 def relative_difference(old: float, new: float) -> float:
-    if old == new or (math.isnan(old) and math.isnan(new)):
-        return 0.0
-    return abs(old - new) / max(abs(old), abs(new))
+    return 0.0 if old == new else abs(old - new) / max(abs(old), abs(new))
 
 
 def compare(old_path: Path, new_path: Path) -> tuple[list[str], dict[str, float], int, int]:
