@@ -2,8 +2,10 @@
 
 The oracles are deliberately decoupled from the package's closed forms:
 brute-force searches, bisection on feasibility predicates, and off-the-shelf
-constrained optimization.  The block adapters at the end are not: they call
-the package's block updates at a TransceiverConfig, and `solve_reference`
+constrained optimization.  Two kinds of helper are not: the test-side
+helpers `cross_entropy_gradient` (the package's batched gradient kernel on
+flat weights) and `summarize`, and the block adapters at the end, which call
+the package's block updates at a TransceiverConfig; `solve_reference`
 strings them into the per-block loop that `optimizer.solve` is compared with.
 """
 
