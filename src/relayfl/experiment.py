@@ -10,6 +10,7 @@ reproducible and trial order irrelevant.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -123,12 +124,18 @@ def _check_value(kind, value, path: str):
     raise ConfigError(f"{path} must be {expected[kind]}")
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    """The resolved field annotations of config dataclass `cls`; read-only."""
+    return typing.get_type_hints(cls)
+
+
 def _load(cls, data, prefix: str = ""):
     """Dataclass `cls` from a JSON object at `prefix`; its own ValueErrors name the section."""
     section = prefix[:-1] or "configuration"
     if not isinstance(data, dict):
         raise ConfigError(f"{section} must be a JSON object")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"unknown key {prefix}{unknown[0]}")

@@ -5,6 +5,10 @@ error-free run is a clean reference trajectory).  Every aggregation scheme
 shares the same local-update and bookkeeping code; they differ only in how the
 weighted sum of model changes crosses the channel and how many transmission
 blocks one round costs (relay schemes use two, the rest one).
+
+`train` gathers each trial's samples once: one `DeviceData` stack per group
+of devices with equal sample counts, and one for the test set.  The local
+steps run class-major, on (..., C, n) logits.
 """
 
 from __future__ import annotations
@@ -35,6 +39,34 @@ class LearningTask:
     def model_dim(self) -> int:
         return self.num_classes * (self.feature_dim + 1)
 
+    def train_data(self, device_indices: np.ndarray) -> DeviceData:
+        """Training samples of one device's index list (n,) or a (G, n) stack."""
+        idx = np.asarray(device_indices)
+        return DeviceData.build(self.train_features[idx], self.train_labels[idx],
+                                self.num_classes)
+
+    def test_data(self) -> DeviceData:
+        return DeviceData.build(self.test_features, self.test_labels, self.num_classes)
+
+
+@dataclass(frozen=True)
+class DeviceData:
+    """Samples prepared once for the softmax steps: features x (..., n, d + 1)
+    with the bias column, labels (..., n), and `label_index`, the flat position
+    of each sample's label entry in a C-contiguous class-major (..., C, n) array."""
+
+    x: np.ndarray
+    labels: np.ndarray
+    label_index: np.ndarray
+    num_classes: int
+
+    @classmethod
+    def build(cls, features: np.ndarray, labels: np.ndarray, num_classes: int) -> DeviceData:
+        n = labels.shape[-1]
+        rows = np.arange(labels.size // n).reshape(labels.shape[:-1] + (1,))
+        label_index = ((rows * num_classes + labels) * n + np.arange(n)).reshape(-1)
+        return cls(_augment(features), labels, label_index, num_classes)
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -58,10 +90,10 @@ class Partition:
     def sizes(self) -> np.ndarray:
         return np.array([p.size for p in self.assignments])
 
-    def size_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(device positions, (G, n) index stack) for each distinct sample count n."""
+    def device_groups(self, task: LearningTask) -> list[tuple[np.ndarray, DeviceData]]:
+        """(device positions, their stacked DeviceData) for each distinct sample count n."""
         sizes = self.sizes()
-        return [(members, np.stack([self.assignments[k] for k in members]))
+        return [(members, task.train_data(np.stack([self.assignments[k] for k in members])))
                 for members in (np.flatnonzero(sizes == n) for n in np.unique(sizes))]
 
 
@@ -156,53 +188,49 @@ def partition_shards(task: LearningTask, num_devices: int, shards_per_device: in
     return Partition(assignments=tuple(parts))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax along the last axis, computed in place."""
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
-
-
 def _augment(features: np.ndarray) -> np.ndarray:
     """Features (..., n, d) with a bias column of ones appended: (..., n, d + 1)."""
     return np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
 
 
-def _gradient(mat: np.ndarray, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy gradient (..., C, d + 1) of weights `mat` on augmented
-    features x (..., n, d + 1) with labels (..., n); one stacked matmul per product."""
-    probs = _softmax(x @ mat.swapaxes(-1, -2))
-    rows = probs.reshape(-1, probs.shape[-1])  # a view: probs is fresh and contiguous
-    rows[np.arange(rows.shape[0]), labels.reshape(-1)] -= 1.0
-    grad = probs.swapaxes(-1, -2) @ x
-    grad /= labels.shape[-1]
+def _gradient(mat: np.ndarray, data: DeviceData) -> np.ndarray:
+    """Mean cross-entropy gradient (..., C, d + 1) of weights `mat` on `data`.
+
+    Class-major: the logits are (..., C, n), so the softmax max and sum run
+    over the class axis -2, row by row, and no transposed copy of x is made
+    (BLAS reads the swapped view as a transposed operand).
+    """
+    probs = mat @ data.x.swapaxes(-1, -2)
+    probs -= probs.max(axis=-2, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-2, keepdims=True)
+    probs.reshape(-1)[data.label_index] -= 1.0  # a view: probs is fresh and contiguous
+    grad = probs @ data.x
+    grad /= data.labels.shape[-1]
     return grad
 
 
-def local_update(w: np.ndarray, task: LearningTask, device_indices: np.ndarray,
-                 tau: int, lr: float) -> np.ndarray:
+def local_update(w: np.ndarray, data: DeviceData, tau: int, lr: float) -> np.ndarray:
     """Cumulative model change after tau full-batch gradient steps on local data.
 
-    `device_indices` is one device's index list (n,) or a (G, n) stack of
-    equal-length lists, one row per device.  The devices' features are
-    gathered once and all G models take each step together as (G, C, d + 1)
-    stacked matmuls; the result has one model-change row per device, (G,
-    model_dim), or a single (model_dim,) vector for one index list.  Every
-    device sees exactly the arithmetic of a step on its own.
+    `data` holds one device's samples (n,) or a (G, n) stack of devices with
+    equal sample counts (`LearningTask.train_data`), gathered once by the
+    caller and reused every round.  All G models take each step together:
+    class-major (G, C, n) logits, then (G, C, d + 1) gradients, each one
+    stacked matmul.  The result has one model-change row per device, (G,
+    model_dim), or a single (model_dim,) vector for one device.  Every device
+    sees exactly the arithmetic of a step on its own.
     """
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    idx = np.asarray(device_indices)
-    x = _augment(task.train_features[idx])
-    labels = task.train_labels[idx]
-    start = w.reshape(task.num_classes, x.shape[-1])
-    mat = np.broadcast_to(start, idx.shape[:-1] + start.shape)
+    lead = data.labels.shape[:-1]
+    start = w.reshape(data.num_classes, data.x.shape[-1])
+    mat = np.broadcast_to(start, lead + start.shape)
     for _ in range(tau):
-        grad = _gradient(mat, x, labels)
+        grad = _gradient(mat, data)
         grad *= lr
         mat = np.subtract(mat, grad, out=grad)  # w - lr * grad, in the gradient's buffer
-    return (mat - start).reshape(idx.shape[:-1] + (-1,))
+    return (mat - start).reshape(lead + (-1,))
 
 
 def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -222,11 +250,11 @@ def nmse_db(value: float) -> float:
     return 10.0 * np.log10(value)
 
 
-def evaluate_accuracy(w: np.ndarray, task: LearningTask) -> float:
-    x = _augment(task.test_features)
-    mat = w.reshape(task.num_classes, x.shape[1])
-    predicted = np.argmax(x @ mat.T, axis=1)
-    return float(np.mean(predicted == task.test_labels))
+def evaluate_accuracy(w: np.ndarray, data: DeviceData) -> float:
+    """Share of the samples in `data` (one device, or the test set) that w classifies right."""
+    mat = w.reshape(data.num_classes, data.x.shape[-1])
+    predicted = np.argmax(data.x @ mat.T, axis=1)
+    return float(np.mean(predicted == data.labels))
 
 
 def blocks_per_round(scheme: str) -> int:
@@ -264,15 +292,16 @@ def train(scheme: str, task: LearningTask, partition: Partition,
     num_rounds = total_blocks // bpr
     gains = geometry.path_gain_profile(layout, pl_params)
     dim = task.model_dim
-    groups = partition.size_groups()
+    groups = partition.device_groups(task)
+    test = task.test_data()
     w = np.zeros(dim)
     metrics: list[RoundMetrics] = []
 
     for t in range(1, num_rounds + 1):
         lr = schedule(t)
         deltas = np.empty((partition.num_devices, dim))
-        for members, indices in groups:
-            deltas[members] = local_update(w, task, indices, tau=tau, lr=lr)
+        for members, data in groups:
+            deltas[members] = local_update(w, data, tau=tau, lr=lr)
         truth = weights.rho @ deltas
         channels = geometry.realize_channels(gains, rng)
         perceived = channels if csi_kappa is None else geometry.perturb_channels(
@@ -316,7 +345,7 @@ def train(scheme: str, task: LearningTask, partition: Partition,
                 channels, weights, budget)
         metrics.append(RoundMetrics(
             round=t, blocks_used=t * bpr, nmse_db=nmse_db(nmse(estimate, truth)),
-            test_accuracy=evaluate_accuracy(w, task), mse_predicted=mse_pred,
+            test_accuracy=evaluate_accuracy(w, test), mse_predicted=mse_pred,
             mse_norelay_bound=bound, cond40=cond40, cond41=cond41,
             warnings=round_warnings))
     return metrics, w

@@ -23,7 +23,7 @@ from relayfl.aggregation import (
     relay_gains,
     relay_mse,
 )
-from relayfl.federated import _augment, _gradient
+from relayfl.federated import DeviceData, _gradient
 from relayfl.geometry import ChannelRealization, stream
 from relayfl.optimizer import (
     Problem,
@@ -212,9 +212,24 @@ def local_update_reference(w, task, device_indices, tau, lr):
     """One device's model change after tau full-batch softmax-regression steps.
 
     Written per device with 2-D arrays only, in the operation order of the
-    package's batched kernel: row softmax, label entries minus one, then
-    (probs^T x) / n and w - lr * grad.
+    package's batched kernel: class-major logits (C, n), max and sum over the
+    class axis, label entries minus one, then (probs x) / n and w - lr * grad.
     """
+    x = np.column_stack([task.train_features[device_indices], np.ones(len(device_indices))])
+    labels = task.train_labels[device_indices]
+    w_local = w.copy()
+    for _ in range(tau):
+        logits = w_local.reshape(task.num_classes, x.shape[1]) @ x.T
+        e = np.exp(logits - logits.max(axis=0))
+        probs = e / e.sum(axis=0)
+        probs[labels, np.arange(labels.size)] -= 1.0
+        w_local = w_local - lr * ((probs @ x).reshape(-1) / labels.size)
+    return w_local - w
+
+
+def local_update_row_major(w, task, device_indices, tau, lr):
+    """The same model change with sample-major logits (n, C) and row softmax,
+    whose class sum NumPy groups pairwise for C >= 8."""
     x = np.column_stack([task.train_features[device_indices], np.ones(len(device_indices))])
     labels = task.train_labels[device_indices]
     w_local = w.copy()
@@ -235,9 +250,9 @@ def cross_entropy_gradient(w, features, labels, num_classes):
     independent problems, so w (..., C (d + 1)), features (..., n, d) and
     labels (..., n) give one gradient row per problem.
     """
-    x = _augment(features)
-    mat = w.reshape(w.shape[:-1] + (num_classes, x.shape[-1]))
-    return _gradient(mat, x, labels).reshape(w.shape)
+    data = DeviceData.build(features, labels, num_classes)
+    mat = w.reshape(w.shape[:-1] + (num_classes, data.x.shape[-1]))
+    return _gradient(mat, data).reshape(w.shape)
 
 
 def cross_entropy_loss(w, features, labels, num_classes):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relayfl.aggregation import DeviceWeights, PowerBudget
+from relayfl import federated
 from relayfl.federated import (
     LearningTask,
     LrSchedule,
@@ -20,7 +21,12 @@ from relayfl.federated import (
 from relayfl.geometry import PathLossParams, line_layout, stream
 from relayfl.optimizer import SolverConfig
 
-from oracles import cross_entropy_gradient, cross_entropy_loss, local_update_reference
+from oracles import (
+    cross_entropy_gradient,
+    cross_entropy_loss,
+    local_update_reference,
+    local_update_row_major,
+)
 
 BUDGET = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
 PL = PathLossParams()
@@ -54,11 +60,11 @@ class TestSyntheticTask:
         for _ in range(400):
             w = w - 0.5 * cross_entropy_gradient(w, task.train_features,
                                                  task.train_labels, task.num_classes)
-        assert evaluate_accuracy(w, task) >= 0.99
+        assert evaluate_accuracy(w, task.test_data()) >= 0.99
 
     def test_single_class_trivially_perfect(self):
         task = small_task(seed=11, num_classes=1)
-        assert evaluate_accuracy(np.zeros(task.model_dim), task) == 1.0
+        assert evaluate_accuracy(np.zeros(task.model_dim), task.test_data()) == 1.0
 
     def test_split_is_eighty_twenty(self):
         task = small_task(seed=12, samples_per_class=50, num_classes=4)
@@ -138,7 +144,7 @@ class TestLocalUpdate:
     def test_zero_learning_rate(self):
         task = small_task()
         idx = np.arange(10)
-        delta = local_update(np.zeros(task.model_dim), task, idx, tau=1, lr=0.0)
+        delta = local_update(np.zeros(task.model_dim), task.train_data(idx), tau=1, lr=0.0)
         assert np.all(delta == 0.0)
 
     def test_single_step_matches_finite_differences(self):
@@ -147,7 +153,7 @@ class TestLocalUpdate:
         rng = stream(21)
         w = 0.3 * rng.standard_normal(task.model_dim)
         lr = 0.07
-        delta = local_update(w, task, idx, tau=1, lr=lr)
+        delta = local_update(w, task.train_data(idx), tau=1, lr=lr)
         feats, labels = task.train_features[idx], task.train_labels[idx]
         grad_fd = np.zeros_like(w)
         eps = 1e-6
@@ -163,18 +169,18 @@ class TestLocalUpdate:
         task = small_task(seed=22)
         idx = np.arange(8)
         w = 0.1 * stream(23).standard_normal(task.model_dim)
-        d1 = local_update(w, task, idx, tau=2, lr=0.05)
-        d2 = local_update(w, task, idx, tau=2, lr=0.05)
+        d1 = local_update(w, task.train_data(idx), tau=2, lr=0.05)
+        d2 = local_update(w, task.train_data(idx), tau=2, lr=0.05)
         assert np.array_equal(d1, d2)
 
     def test_multi_step_accumulates(self):
         task = small_task(seed=24)
         idx = np.arange(16)
         w = np.zeros(task.model_dim)
-        one = local_update(w, task, idx, tau=1, lr=0.05)
-        two = local_update(w, task, idx, tau=2, lr=0.05)
+        one = local_update(w, task.train_data(idx), tau=1, lr=0.05)
+        two = local_update(w, task.train_data(idx), tau=2, lr=0.05)
         assert not np.allclose(one, two)
-        manual = local_update(w + one, task, idx, tau=1, lr=0.05)
+        manual = local_update(w + one, task.train_data(idx), tau=1, lr=0.05)
         assert two == pytest.approx(one + manual, rel=1e-12, abs=1e-15)
 
 
@@ -184,11 +190,33 @@ class TestBatchedLocalUpdate:
         task = small_task(seed=25, num_classes=4, feature_dim=7, samples_per_class=50)
         stack = np.stack(partition_iid(task, 6, stream(26)).assignments)
         w = 0.2 * stream(27).standard_normal(task.model_dim)
-        batched = local_update(w, task, stack, tau=tau, lr=0.07)
+        batched = local_update(w, task.train_data(stack), tau=tau, lr=0.07)
         reference = np.stack([local_update_reference(w, task, idx, tau, 0.07) for idx in stack])
         assert batched.shape == (6, task.model_dim)
         assert np.array_equal(batched, reference)
-        assert np.array_equal(local_update(w, task, stack[2], tau=tau, lr=0.07), reference[2])
+        single = local_update(w, task.train_data(stack[2]), tau=tau, lr=0.07)
+        assert np.array_equal(single, reference[2])
+
+    def test_ten_classes_rows_equal_per_device_reference(self):
+        # From 8 classes on, a row softmax sums its classes pairwise and the
+        # class-major kernel row by row; the reference takes the kernel's order.
+        task = small_task(seed=33, num_classes=10, feature_dim=12, samples_per_class=40)
+        stack = np.stack(partition_iid(task, 8, stream(34)).assignments)
+        w = 0.2 * stream(35).standard_normal(task.model_dim)
+        batched = local_update(w, task.train_data(stack), tau=5, lr=0.07)
+        reference = np.stack([local_update_reference(w, task, idx, 5, 0.07) for idx in stack])
+        assert np.array_equal(batched, reference)
+
+    @pytest.mark.parametrize("num_classes", [3, 10])
+    def test_agrees_with_row_major_reference(self, num_classes):
+        task = small_task(seed=36, num_classes=num_classes, feature_dim=12,
+                          samples_per_class=40)
+        stack = np.stack(partition_iid(task, 8, stream(37)).assignments)
+        w = 0.2 * stream(38).standard_normal(task.model_dim)
+        batched = local_update(w, task.train_data(stack), tau=5, lr=0.07)
+        for row, idx in zip(batched, stack):
+            row_major = local_update_row_major(w, task, idx, 5, 0.07)
+            assert np.linalg.norm(row - row_major) <= 1e-13 * np.linalg.norm(row_major)
 
     def test_gradient_batches_over_leading_axes(self):
         task = small_task(seed=28, num_classes=3, feature_dim=5, samples_per_class=40)
@@ -217,9 +245,28 @@ class TestBatchedLocalUpdate:
             deltas = np.stack([local_update_reference(w, task, idx, 3, schedule(t))
                                for idx in partition.assignments])
             w = w + rho @ deltas
-            assert m.test_accuracy == evaluate_accuracy(w, task)
+            assert m.test_accuracy == evaluate_accuracy(w, task.test_data())
         assert len(metrics) == 6
         assert np.array_equal(final_w, w)
+
+    @pytest.mark.parametrize("blocks", [2, 6])
+    def test_train_prepares_device_data_once(self, monkeypatch, blocks):
+        task = small_task(seed=31, num_classes=5, feature_dim=6, samples_per_class=101)
+        partition = partition_shards(task, 7, 3)
+        calls = []
+        augment = federated._augment
+
+        def counting_augment(features):
+            calls.append(features.shape)
+            return augment(features)
+
+        monkeypatch.setattr(federated, "_augment", counting_augment)
+        rng = stream(32)
+        metrics, _ = train("error_free", task, partition, line_layout(7, rng), PL, BUDGET,
+                           SolverConfig(), LrSchedule(base=0.3), blocks, rng, tau=3)
+        assert len(metrics) == blocks
+        # One gather per size group (57 and 62 samples) and one for the test set.
+        assert sorted(calls) == sorted([(6, 57, 6), (1, 62, 6), task.test_features.shape])
 
 
 class TestGlobalUpdateAndNmse:
@@ -271,11 +318,11 @@ class TestTrain:
         schedule = LrSchedule()
         for t in range(1, 7):
             deltas = np.stack([
-                local_update(w, task, idx, tau=1, lr=schedule(t))
+                local_update(w, task.train_data(idx), tau=1, lr=schedule(t))
                 for idx in partition.assignments
             ])
             w = w + rho @ deltas
-        assert metrics[-1].test_accuracy == pytest.approx(evaluate_accuracy(w, task))
+        assert metrics[-1].test_accuracy == pytest.approx(evaluate_accuracy(w, task.test_data()))
 
     def test_block_accounting(self):
         assert blocks_per_round("proposed") == 2
@@ -326,7 +373,7 @@ class TestTrain:
                                      task.num_classes)]
         for _ in range(30):
             deltas = np.stack([
-                local_update(w, task, idx, tau=1, lr=0.02)
+                local_update(w, task.train_data(idx), tau=1, lr=0.02)
                 for idx in partition.assignments
             ])
             w = w + rho @ deltas
