@@ -125,9 +125,10 @@ def _check_value(kind, value, path: str):
 
 
 @functools.cache
-def _type_hints(cls) -> dict:
-    """The resolved field annotations of config dataclass `cls`; read-only."""
-    return typing.get_type_hints(cls)
+def _type_hints(cls) -> types.MappingProxyType:
+    """The resolved field annotations of config dataclass `cls`, read-only
+    because every parse shares them."""
+    return types.MappingProxyType(typing.get_type_hints(cls))
 
 
 def _load(cls, data, prefix: str = ""):
