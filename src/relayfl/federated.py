@@ -8,7 +8,7 @@ blocks one round costs (relay schemes use two, the rest one).
 
 `train` gathers each trial's samples once: one `DeviceData` stack per group
 of devices with equal sample counts, and one for the test set.  The local
-steps run class-major, on (..., C, n) logits.
+steps run class-major, on (C, ..., n) logits.
 """
 
 from __future__ import annotations
@@ -42,30 +42,26 @@ class LearningTask:
     def train_data(self, device_indices: np.ndarray) -> DeviceData:
         """Training samples of one device's index list (n,) or a (G, n) stack."""
         idx = np.asarray(device_indices)
-        return DeviceData.build(self.train_features[idx], self.train_labels[idx],
-                                self.num_classes)
+        return DeviceData.build(self.train_features[idx], self.train_labels[idx])
 
     def test_data(self) -> DeviceData:
-        return DeviceData.build(self.test_features, self.test_labels, self.num_classes)
+        return DeviceData.build(self.test_features, self.test_labels)
 
 
 @dataclass(frozen=True)
 class DeviceData:
     """Samples prepared once for the softmax steps: features x (..., n, d + 1)
     with the bias column, labels (..., n), and `label_index`, the flat position
-    of each sample's label entry in a C-contiguous class-major (..., C, n) array."""
+    of each sample's label entry in a C-contiguous class-major (C, ..., n) array."""
 
     x: np.ndarray
     labels: np.ndarray
     label_index: np.ndarray
-    num_classes: int
 
     @classmethod
-    def build(cls, features: np.ndarray, labels: np.ndarray, num_classes: int) -> DeviceData:
-        n = labels.shape[-1]
-        rows = np.arange(labels.size // n).reshape(labels.shape[:-1] + (1,))
-        label_index = ((rows * num_classes + labels) * n + np.arange(n)).reshape(-1)
-        return cls(_augment(features), labels, label_index, num_classes)
+    def build(cls, features: np.ndarray, labels: np.ndarray) -> DeviceData:
+        label_index = labels.reshape(-1) * labels.size + np.arange(labels.size)
+        return cls(_augment(features), labels, label_index)
 
 
 @dataclass(frozen=True)
@@ -196,16 +192,19 @@ def _augment(features: np.ndarray) -> np.ndarray:
 def _gradient(mat: np.ndarray, data: DeviceData) -> np.ndarray:
     """Mean cross-entropy gradient (..., C, d + 1) of weights `mat` on `data`.
 
-    Class-major: the logits are (..., C, n), so the softmax max and sum run
-    over the class axis -2, row by row, and no transposed copy of x is made
-    (BLAS reads the swapped view as a transposed operand).
+    Class-major: the logits are kept as (C, ..., n), so the softmax max and
+    sum run over axis 0, row by row, on rows that hold every sample.  Each
+    stacked matmul writes or reads its (C, n) slices through a strided view,
+    and x.swapaxes is read by BLAS as a transposed operand; nothing is copied.
     """
-    probs = mat @ data.x.swapaxes(-1, -2)
-    probs -= probs.max(axis=-2, keepdims=True)
+    probs = np.empty(mat.shape[-2:-1] + data.labels.shape)
+    stacked = probs.transpose(*range(1, probs.ndim - 1), 0, -1)  # the (..., C, n) view
+    np.matmul(mat, data.x.swapaxes(-1, -2), out=stacked)
+    probs -= probs.max(axis=0)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-2, keepdims=True)
-    probs.reshape(-1)[data.label_index] -= 1.0  # a view: probs is fresh and contiguous
-    grad = probs @ data.x
+    probs /= probs.sum(axis=0)
+    probs.reshape(-1)[data.label_index] -= 1.0
+    grad = stacked @ data.x
     grad /= data.labels.shape[-1]
     return grad
 
@@ -216,7 +215,7 @@ def local_update(w: np.ndarray, data: DeviceData, tau: int, lr: float) -> np.nda
     `data` holds one device's samples (n,) or a (G, n) stack of devices with
     equal sample counts (`LearningTask.train_data`), gathered once by the
     caller and reused every round.  All G models take each step together:
-    class-major (G, C, n) logits, then (G, C, d + 1) gradients, each one
+    class-major (C, G, n) logits, then (G, C, d + 1) gradients, each one
     stacked matmul.  The result has one model-change row per device, (G,
     model_dim), or a single (model_dim,) vector for one device.  Every device
     sees exactly the arithmetic of a step on its own.
@@ -224,7 +223,7 @@ def local_update(w: np.ndarray, data: DeviceData, tau: int, lr: float) -> np.nda
     if tau < 1:
         raise ValueError("tau must be at least 1")
     lead = data.labels.shape[:-1]
-    start = w.reshape(data.num_classes, data.x.shape[-1])
+    start = w.reshape(-1, data.x.shape[-1])
     mat = np.broadcast_to(start, lead + start.shape)
     for _ in range(tau):
         grad = _gradient(mat, data)
@@ -251,8 +250,8 @@ def nmse_db(value: float) -> float:
 
 
 def evaluate_accuracy(w: np.ndarray, data: DeviceData) -> float:
-    """Share of the samples in `data` (one device, or the test set) that w classifies right."""
-    mat = w.reshape(data.num_classes, data.x.shape[-1])
+    """Share of the samples in one device's or the test set's `data` that w classifies right."""
+    mat = w.reshape(-1, data.x.shape[-1])
     predicted = np.argmax(data.x @ mat.T, axis=1)
     return float(np.mean(predicted == data.labels))
 

@@ -250,7 +250,7 @@ def cross_entropy_gradient(w, features, labels, num_classes):
     independent problems, so w (..., C (d + 1)), features (..., n, d) and
     labels (..., n) give one gradient row per problem.
     """
-    data = DeviceData.build(features, labels, num_classes)
+    data = DeviceData.build(features, labels)
     mat = w.reshape(w.shape[:-1] + (num_classes, data.x.shape[-1]))
     return _gradient(mat, data).reshape(w.shape)
 

@@ -13,12 +13,9 @@ def test_csv_drift_finds_no_change_between_a_tree_and_itself():
         [sys.executable, str(ROOT / "tools" / "csv_drift.py"), src, src,
          "zero-relay-cell-no_relay"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].startswith("zero-relay-cell-no_relay: rows ")
-    assert lines[0].endswith(" same")
-    old_rows, new_rows = lines[0].split("rows ")[1].removesuffix(" same").split(" / ")
-    assert old_rows == new_rows and int(old_rows) > 0
-    # A zero-relay run without a sweep leaves the sweep and single-relay
-    # columns empty, so every other column is numeric.
-    assert lines[1:] == ["  unchanged: trial, round, blocks_used, nmse_db, test_accuracy, "
-                         "mse_predicted"]
+    # Two trials of 8 one-block rounds.  A zero-relay run without a sweep
+    # leaves the sweep and single-relay columns empty; every other is numeric.
+    assert proc.stdout.splitlines() == [
+        "zero-relay-cell-no_relay: rows 16 / 16 same",
+        "  unchanged: trial, round, blocks_used, nmse_db, test_accuracy, mse_predicted",
+    ]
