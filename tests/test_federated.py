@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relayfl.aggregation import DeviceWeights, PowerBudget
 from relayfl import federated
+from relayfl.aggregation import DeviceWeights, PowerBudget
 from relayfl.federated import (
     LearningTask,
     LrSchedule,
