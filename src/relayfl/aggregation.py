@@ -11,11 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChannelRealization, _complex_normal
-
-
-class SingularChannelError(ValueError):
-    """A device channel is exactly zero where inversion is required."""
+from .geometry import ChannelRealization, SingularChannelError, _complex_normal
 
 
 class DegenerateUpdateError(ValueError):

@@ -31,9 +31,8 @@ SWEEP_PATHS = {"pr_watts": "budget.pr_watts", "p0_watts": "budget.p0_watts",
                "shards_c": "fl.shards_c", "csi_kappa": "csi_kappa",
                "total_blocks": "fl.total_blocks"}
 
-CSV_COLUMNS = ("sweep_key", "sweep_value", "trial", "round", "blocks_used",
-               "nmse_db", "test_accuracy", "mse_predicted", "mse_norelay_bound",
-               "cond40", "cond41")
+CSV_COLUMNS = ("sweep_key", "sweep_value", "trial",
+               *(f.name for f in dataclasses.fields(federated.RoundMetrics)))
 
 
 class ConfigError(ValueError):
@@ -439,13 +438,8 @@ def read_csv(path: str) -> list[dict]:
                 row[col] = int(cell)
             elif col in ("cond40", "cond41"):
                 row[col] = cell == "true"
-            elif col in ("sweep_key",):
+            elif col == "sweep_key":
                 row[col] = cell
-            elif col == "sweep_value":
-                try:
-                    row[col] = float(cell)
-                except ValueError:
-                    row[col] = cell
             else:
                 row[col] = float(cell)
         out.append(row)

@@ -108,6 +108,8 @@ class LrSchedule:
 
 @dataclass(frozen=True)
 class RoundMetrics:
+    """One round's result; its fields, in order, are the CSV columns after the trial."""
+
     round: int
     blocks_used: int
     nmse_db: float | None
@@ -116,7 +118,6 @@ class RoundMetrics:
     mse_norelay_bound: float | None = None
     cond40: bool | None = None
     cond41: bool | None = None
-    warnings: tuple[str, ...] = ()
 
 
 def train_size(num_samples: int) -> int:
@@ -307,7 +308,6 @@ def train(scheme: str, task: LearningTask, partition: Partition,
             channels, gains, csi_kappa, rng)
 
         g_mean, g_var = agg.compute_global_stats(*agg.compute_local_stats(deltas), weights)
-        round_warnings: tuple[str, ...] = ()
 
         if scheme == "error_free":
             estimate = truth
@@ -329,9 +329,7 @@ def train(scheme: str, task: LearningTask, partition: Partition,
             else:
                 variant = (optimizer.SchemeVariant.FULL if scheme == "proposed"
                            else optimizer.SchemeVariant.RELAY_ONLY)
-                config, trace = optimizer.solve(perceived, weights, budget,
-                                                solver_cfg, variant)
-                round_warnings = trace.warnings
+                config, _ = optimizer.solve(perceived, weights, budget, solver_cfg, variant)
             x_hat = agg.simulate_round(config, channels, symbols, budget.sigma2, rng).real
             estimate = agg.denormalize(x_hat, g_mean, np.sqrt(g_var))
             mse_pred = agg.relay_mse(config, channels, weights, budget.sigma2)
@@ -345,6 +343,5 @@ def train(scheme: str, task: LearningTask, partition: Partition,
         metrics.append(RoundMetrics(
             round=t, blocks_used=t * bpr, nmse_db=nmse_db(nmse(estimate, truth)),
             test_accuracy=evaluate_accuracy(w, test), mse_predicted=mse_pred,
-            mse_norelay_bound=bound, cond40=cond40, cond41=cond41,
-            warnings=round_warnings))
+            mse_norelay_bound=bound, cond40=cond40, cond41=cond41))
     return metrics, w

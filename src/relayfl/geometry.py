@@ -26,6 +26,10 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     )
 
 
+class SingularChannelError(ValueError):
+    """A channel gain is exactly zero where inversion is required."""
+
+
 def _complex_normal(rng: np.random.Generator, shape=()) -> np.ndarray:
     # Circularly-symmetric unit-variance: real and imaginary parts are
     # independent N(0, 1/2).
@@ -93,9 +97,11 @@ class NodeLayout:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One coherence interval of complex gains.
+    """One coherence interval of complex gains, all finite and nonzero.
 
     h: device-to-AP, length K.  g: device-to-relay, K x N.  f: relay-to-AP, length N.
+    A gain is a path loss times a Rayleigh draw, so zero has probability zero;
+    a realization that has one raises ``SingularChannelError``.
     """
 
     h: np.ndarray
@@ -111,6 +117,8 @@ class ChannelRealization:
         object.__setattr__(self, "f", f)
         if not (np.isfinite(h).all() and np.isfinite(g).all() and np.isfinite(f).all()):
             raise ValueError("channel gains must be finite")
+        if not (h.all() and g.all() and f.all()):
+            raise SingularChannelError("channel gains must be nonzero")
 
     @property
     def num_devices(self) -> int:

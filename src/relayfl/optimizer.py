@@ -31,9 +31,12 @@ one-relay system is solved by one division.  Masks that mask nothing are
 skipped: the device update builds its unlinked-device masks (theta_k or phi_k
 zero) and clamps the incoming scalars they keep only when some device is
 unlinked, and drops silent relays from the caps only when some relay is
-silent; the relay update indexes the relays that reach the AP only when some
-relay does not.  Skipping a mask leaves every result bit for bit the same.
-The receive scalars are NumPy complex inside the loop.
+silent.  Skipping a mask leaves every result bit for bit the same.  Every
+relay reaches the AP, because a ``ChannelRealization`` has no zero gain.  The
+relay update reads g in Fortran order, whatever the layout of
+``channels.g``: its BLAS products round differently in another layout, and
+the reference CSVs were written in this one.  The receive scalars are NumPy
+complex inside the loop.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import numpy as np
 from .aggregation import (
     DeviceWeights,
     PowerBudget,
-    SingularChannelError,
     TransceiverConfig,
     _combined_gains,
     relay_gains,
@@ -105,17 +107,15 @@ class Problem:
 
     The block updates take the instance in this form, so what depends only on
     the channels, weights, budget and variant is computed once per solve:
-    |g^T|^2, the relays that reach the AP (f_n != 0) and whether that is all
-    of them, their columns of g and its conjugate transpose, sigma2 I over
-    those relays, the device radii of both phases and the QCQP tolerance
-    scaled by the squared weight norm.  |g^T|^2 is kept with each relay's
-    row contiguous, whatever the layout of g, because a BLAS product can
-    round differently in another layout.
+    |g^T|^2, g and its conjugate transpose, |f|, sigma2 I over the relays,
+    the device radii of both phases and the QCQP tolerance scaled by the
+    squared weight norm.  |g^T|^2 is kept with each relay's row contiguous
+    and g in Fortran order, whatever the layout of ``channels.g``, because a
+    BLAS product can round differently in another layout.
     """
 
     __slots__ = ("channels", "weights", "budget", "solver_cfg", "h", "rho", "sigma2",
-                 "r1", "r2", "tol", "g2", "reach", "all_reach", "g_reach", "g_reach_h",
-                 "f_reach", "abs_f_reach", "noise_eye")
+                 "r1", "r2", "tol", "g2", "g", "g_h", "abs_f", "noise_eye")
 
     def __init__(self, channels: ChannelRealization, weights: DeviceWeights,
                  budget: PowerBudget, solver_cfg: SolverConfig,
@@ -126,13 +126,11 @@ class Problem:
         self.r1, self.r2 = _radii(budget, variant)
         self.tol = solver_cfg.qcqp_tol * float(self.rho @ self.rho)
         self.g2 = np.ascontiguousarray(np.abs(channels.g.T) ** 2)  # (N, K)
-        self.reach = channels.f != 0
-        self.all_reach = bool(np.logical_and.reduce(self.reach))
-        self.g_reach = channels.g[:, self.reach]
-        self.g_reach_h = self.g_reach.conj().T
-        self.f_reach = channels.f[self.reach]
-        self.abs_f_reach = np.abs(self.f_reach)
-        self.noise_eye = budget.sigma2 * np.eye(self.f_reach.size)
+        # Fortran order, the layout the relay update's products are pinned to round in.
+        self.g = np.asfortranarray(channels.g)
+        self.g_h = self.g.conj().T
+        self.abs_f = np.abs(channels.f)
+        self.noise_eye = budget.sigma2 * np.eye(channels.num_relays)
 
 
 def init_config(channels: ChannelRealization, weights: DeviceWeights,
@@ -148,10 +146,7 @@ def init_config(channels: ChannelRealization, weights: DeviceWeights,
     rho = weights.rho
     if h.shape != rho.shape:
         raise ValueError("channel and weight lengths differ")
-    mag = np.abs(h)
-    if np.fmin.reduce(mag) == 0:
-        raise SingularChannelError("zero device-to-AP channel")
-    peak = float(np.maximum.reduce(rho / mag))
+    peak = float(np.maximum.reduce(rho / np.abs(h)))
     r1, r2 = _radii(budget, variant)
     a1 = r1 * rho / (h * peak)
     a2 = r2 * rho / (h * peak)
@@ -366,7 +361,7 @@ def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np
                          c1: complex, c2: complex) -> np.ndarray:
     """Minimize the MSE over the relay scalars b with the other blocks fixed.
 
-    In x = f * b over the relays with f_n != 0 the objective is
+    In x = f * b the objective is
     |c2|^2 (x^H M x - 2 Re q^H x) + const with M = G^H diag|a1|^2 G + sigma2 I
     positive definite, and relay n's power cap reads |x_n| <= |f_n| sqrt(cap_n).
     The stationary point M^-1 q is returned when it fits every cap.  Otherwise
@@ -374,26 +369,22 @@ def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np
     exact minimizer with the others fixed: the stationary point along x_n,
     scaled radially onto the cap.  Every pass descends and stays feasible; the
     passes stop once one lowers the MSE by at most ``qcqp_tol`` times the
-    squared weight norm, or after ``qcqp_max_iter`` passes.  Relays with
-    f_n = 0 reach the AP with nothing and stay silent.
+    squared weight norm, or after ``qcqp_max_iter`` passes.
     """
     if c2 == 0:
         raise ValueError("relay update requires a nonzero phase-2 receive scalar")
-    reach = problem.reach
-    g, g_h, f = problem.g_reach, problem.g_reach_h, problem.f_reach
+    g, g_h, f = problem.g, problem.g_h, problem.channels.f
     pow1 = np.abs(a1) ** 2
     m = (g_h * pow1) @ g + problem.noise_eye
     residual = problem.rho - problem.h * (c1 * a1 + c2 * a2)
     q = g_h @ (residual * np.conj(a1)) / c2
     # pr over the relay input power sum_k |g_kn|^2 |a1_k|^2 + sigma2
     cap = problem.budget.pr / (problem.g2 @ pow1 + problem.sigma2)
-    if not problem.all_reach:
-        cap = cap[reach]
-    radius = problem.abs_f_reach * np.sqrt(cap)
+    radius = problem.abs_f * np.sqrt(cap)
 
     x = q / m[0, 0] if q.size == 1 else np.linalg.solve(m, q)
     if not np.logical_and.reduce(np.abs(x) <= radius):
-        x = f * b[reach]
+        x = f * b
         diag = m.diagonal().real
         weight = abs(c2) ** 2
         for _ in range(problem.solver_cfg.qcqp_max_iter):
@@ -406,11 +397,7 @@ def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np
                 x[n] = new
             if weight * drop <= problem.tol:
                 break
-    if problem.all_reach:
-        return x / f
-    b = np.zeros(reach.size, dtype=complex)
-    b[reach] = x / f
-    return b
+    return x / f
 
 
 def _wiener(residual: np.ndarray, gain: np.ndarray, noise: float) -> np.complex128:

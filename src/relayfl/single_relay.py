@@ -15,7 +15,6 @@ from .aggregation import (
     DeviceWeights,
     InconsistentMseError,
     PowerBudget,
-    SingularChannelError,
     TransceiverConfig,
     norelay_optimum,
     relay_mse,
@@ -126,8 +125,6 @@ def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,
     h = channels.h
     g = channels.g[:, 0]
     f = complex(channels.f[0])
-    if np.any(np.abs(h) == 0) or np.any(np.abs(g) == 0) or abs(f) == 0:
-        raise SingularChannelError("zero channel gain in single-relay construction")
     h2_min = float(np.min(np.abs(h) ** 2))
     g2_min = float(np.min(np.abs(g) ** 2))
     f2 = abs(f) ** 2

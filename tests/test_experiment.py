@@ -518,6 +518,12 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "missing" / "x.csv")]) == 2
 
+    def test_missing_config_file_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert not out.exists()
+
     def test_theorem_sweep_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"num_devices": 4, "trials": 3}))

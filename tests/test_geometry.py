@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relayfl import geometry
+from relayfl import aggregation, geometry
 from relayfl.geometry import (
     ChannelRealization,
     NodeLayout,
     PathLossParams,
+    SingularChannelError,
     cell_layout,
     line_layout,
     path_gain_profile,
@@ -116,6 +117,25 @@ class TestRealizeChannels:
         assert np.array_equal(a.h, b.h)
         assert np.array_equal(a.g, b.g)
         assert np.array_equal(a.f, b.f)
+
+
+class TestChannelRealization:
+    @pytest.mark.parametrize("link", ["h", "g", "f"])
+    def test_zero_gain_rejected(self, link):
+        gains = {"h": np.ones(3, dtype=complex), "g": np.full((3, 2), 0.5 - 0.5j),
+                 "f": np.array([1j, 2.0])}
+        gains[link].flat[1] = 0
+        with pytest.raises(SingularChannelError):
+            ChannelRealization(**gains)
+
+    def test_error_is_the_one_aggregation_raises(self):
+        assert aggregation.SingularChannelError is SingularChannelError
+        assert issubclass(SingularChannelError, ValueError)
+
+    def test_empty_relay_axis_accepted(self):
+        ch = ChannelRealization(h=[1.0, 1j], g=np.zeros((2, 0)), f=np.zeros(0))
+        assert ch.g.shape == (2, 0)
+        assert ch.num_relays == 0
 
 
 class TestCsiError:

@@ -96,8 +96,8 @@ class TestInitConfig:
         assert cfg.a2[0] == pytest.approx(cfg.a2[1])
 
     def test_zero_channel_rejected(self):
-        ch = ChannelRealization(h=[0j, 1 + 0j], g=np.ones((2, 1)), f=[1.0 + 0j])
         with pytest.raises(SingularChannelError):
+            ch = ChannelRealization(h=[0j, 1 + 0j], g=np.ones((2, 1)), f=[1.0 + 0j])
             init_config(ch, DeviceWeights.uniform(2), PowerBudget(p0=1.0, pr=1.0, sigma2=0.1))
 
     def test_direct_paths_align_perfectly(self):
@@ -249,20 +249,22 @@ class TestDeviceUpdate:
         assert misalignment_of(final, ch, weights) == pytest.approx(oracle, rel=1e-6)
 
     def test_zero_direct_channel_keeps_its_phase2_input(self):
-        # phi_0 = c2 h_0 = 0: a2_0 keeps its input, and device 0's whole weight
-        # goes over the relay.
-        ch = ChannelRealization(h=[0.0, 1.0], g=[[1.0], [1.0]], f=[1.0])
-        cfg = TransceiverConfig(a1=[0.1, 0.1], a2=[0.3 + 0.4j, 0.1], b=[1.0], c1=1.0,
-                                c2=1.0)
+        # phi_0 = 0: a2_0 keeps its input, and device 0's whole weight goes
+        # over the relay.  A realization has no zero gain, so the combined
+        # gains are passed directly.
+        ch = ChannelRealization(h=[1.0, 1.0], g=[[1.0], [1.0]], f=[1.0])
         budget = PowerBudget(p0=1.0, pr=2.0, sigma2=0.1)
         weights = DeviceWeights.uniform(2)
-        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
-        final = replace(cfg, a1=a1, a2=a2)
+        problem = optimizer.Problem(ch, weights, budget, SOLVER)
+        theta, phi = np.array([1.0 + 0j, 2.0]), np.array([0j, 1.0])
+        a2_in = np.array([0.3 + 0.4j, 0.1])
+        a1, a2, ok = optimizer.update_device_scalars(
+            problem, np.full(2, 0.1 + 0j), a2_in, np.ones(1, dtype=complex), theta, phi)
         assert ok
-        assert a2[0] == cfg.a2[0]
+        assert a2[0] == a2_in[0]
         assert a1[0] == pytest.approx(0.5, rel=1e-12)
-        assert misalignment_of(final, ch, weights) == pytest.approx(
-            device_update_oracle(cfg, ch, weights, budget), abs=1e-10)
+        # Device 0 relays its weight and device 1 sends it direct: no misalignment.
+        assert theta * a1 + phi * a2 == pytest.approx(weights.rho, abs=1e-15)
 
     def test_slack_relays_put_the_direct_copy_first(self):
         ch, weights, budget, _ = random_instance(131, 6, 2)
@@ -404,7 +406,7 @@ class TestRelayUpdate:
             cfg, ch, weights, budget = random_feasible_setup(int(rng.integers(1 << 30)), k, 1)
             budget = replace(budget, pr=1e6)  # the stationary point fits the cap
             problem = optimizer.Problem(ch, weights, budget, SOLVER)
-            g, g_h = problem.g_reach, problem.g_reach_h
+            g, g_h = problem.g, problem.g_h
             m = (g_h * np.abs(cfg.a1) ** 2) @ g + problem.noise_eye
             residual = weights.rho - ch.h * (cfg.c1 * cfg.a1 + cfg.c2 * cfg.a2)
             q = g_h @ (residual * np.conj(cfg.a1)) / cfg.c2
@@ -479,17 +481,26 @@ class TestRelayUpdate:
         assert relay_mse(new, ch, weights, budget.sigma2) == pytest.approx(
             relay_update_oracle(cfg, ch, weights, budget), rel=1e-6)
 
-    def test_zero_relay_to_ap_gain_stays_silent(self):
-        cfg, ch, weights, budget = random_feasible_setup(6310, 6, 2)
-        ch = replace(ch, f=np.array([0.0, ch.f[1]]))
-        budget = replace(budget, pr=0.1 * budget.pr)
-        cfg = replace(cfg, b=np.sqrt(0.1) * cfg.b)
-        b = relay_block(cfg, ch, weights, budget, SOLVER)
-        assert b[0] == 0
-        new = replace(cfg, b=b)
-        assert relay_power_used(new, ch, budget.sigma2)[1] == pytest.approx(budget.pr, rel=1e-9)
-        assert relay_mse(new, ch, weights, budget.sigma2) == pytest.approx(
-            relay_update_oracle(cfg, ch, weights, budget), rel=1e-6)
+    def test_zero_relay_to_ap_gain_is_rejected(self):
+        # Every relay reaches the AP: a realization with f_n = 0 is never built.
+        _, ch, _, _ = random_feasible_setup(6310, 6, 2)
+        with pytest.raises(SingularChannelError):
+            replace(ch, f=np.array([0.0, ch.f[1]]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_layout_of_g_does_not_change_b(self, seed):
+        # The relay update reads g in one layout, so a C- and an F-ordered g
+        # give the same b bit for bit, on the stationary point and the capped
+        # path alike.
+        cfg, ch, weights, budget = random_feasible_setup(6320 + seed, 100, 4)
+        f_ordered = ChannelRealization(h=ch.h, g=np.asfortranarray(ch.g), f=ch.f)
+        assert ch.g.flags.c_contiguous and f_ordered.g.flags.f_contiguous
+        assert not f_ordered.g.flags.c_contiguous
+        for pr in (1e6, 0.1 * budget.pr):
+            tight = replace(budget, pr=pr)
+            b_c = relay_block(cfg, ch, weights, tight, SOLVER)
+            b_f = relay_block(cfg, f_ordered, weights, tight, SOLVER)
+            assert np.array_equal(b_c, b_f)
 
     @pytest.mark.parametrize("pr", [0.01, 0.1])
     @pytest.mark.parametrize("noise_dbm", [-70.0, -80.0])
