@@ -39,14 +39,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             config = override(config, "master_seed", args.seed)
         rows = run_experiment(config) if args.command == "run" else theorem_sweep(config)
+        write_csv(rows, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        write_csv(rows, args.out)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

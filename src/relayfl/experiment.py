@@ -195,8 +195,9 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("layout distances and propagation values must give finite, nonzero "
                           "path gains and power-to-noise ratios on every link")
     fl = config.fl
-    if fl.total_blocks < 1 or fl.tau < 1:
-        raise ConfigError("fl.total_blocks and fl.tau must be at least 1")
+    if fl.total_blocks < federated.blocks_per_round(config.scheme) or fl.tau < 1:
+        raise ConfigError("fl.total_blocks must buy one round (a relay scheme needs two "
+                          "blocks) and fl.tau must be at least 1")
     if fl.partition not in ("iid", "shards"):
         raise ConfigError("fl.partition must be 'iid' or 'shards'")
     if (min(fl.num_classes, fl.feature_dim, fl.samples_per_class, fl.shards_c) < 1
@@ -251,12 +252,8 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"configuration is not UTF-8 text: {exc}") from exc
-        except RecursionError as exc:
-            raise ConfigError("configuration nests too deeply to parse") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"configuration is not readable JSON: {exc}") from exc
     return parse_config(data)
 
 

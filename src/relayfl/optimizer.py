@@ -51,6 +51,7 @@ from .aggregation import (
     PowerBudget,
     TransceiverConfig,
     _combined_gains,
+    norelay_optimum,
     relay_gains,
     relay_input_power,
     relay_mse,
@@ -136,22 +137,16 @@ class Problem:
 def init_config(channels: ChannelRealization, weights: DeviceWeights,
                 budget: PowerBudget,
                 variant: SchemeVariant = SchemeVariant.FULL) -> TransceiverConfig:
-    """Channel-inversion starting point with all relay power constraints active.
+    """The no-relay optimum at 2 * p0, split by the phase radii, with relays at full power.
 
-    Devices invert the direct channel at the phase radii (r1, r2), scaled so the
-    largest rho_k / |h_k| sits on them; the receive scalars make the direct copies
-    sum to the target weights (c1 = 0 when r2 = 0).  Relays start at full power.
+    ``norelay_optimum`` gives the scalars (a, c) at the device power 2 * p0.
+    Phase i takes the share s_i = r_i / sqrt(2 p0) of a, and c2 = s1 c,
+    c1 = s2 c.  The FULL start (a1 = a2, c1 = c2) with b = 0 is that optimum;
+    the relay-only start has a1 = a, c2 = c and a2 = c1 = 0.
     """
-    h = channels.h
-    rho = weights.rho
-    if h.shape != rho.shape:
-        raise ValueError("channel and weight lengths differ")
-    peak = float(np.maximum.reduce(rho / np.abs(h)))
-    r1, r2 = _radii(budget, variant)
-    a1 = r1 * rho / (h * peak)
-    a2 = r2 * rho / (h * peak)
-    c2 = complex(peak / (r1 + r2))
-    c1 = c2 if r2 > 0 else 0j
+    a, c, _ = norelay_optimum(channels.h, weights, 2.0 * budget.p0, budget.sigma2)
+    s1, s2 = (r / np.sqrt(2.0 * budget.p0) for r in _radii(budget, variant))
+    a1, a2, c1, c2 = s1 * a, s2 * a, s2 * c, s1 * c
     b = np.sqrt(budget.pr / relay_input_power(channels, a1, budget.sigma2)).astype(complex)
     return TransceiverConfig(a1=a1, a2=a2, b=b, c1=c1, c2=c2)
 

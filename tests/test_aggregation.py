@@ -320,3 +320,27 @@ class TestRelayPower:
         hot = TransceiverConfig(a1=config.a1, a2=config.a2, b=10.0 * config.b,
                                 c1=config.c1, c2=config.c2)
         assert max_constraint_violation(hot, ch, budget) > 0
+
+
+def _one_device_round(symbols):
+    ch = ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j]], f=[1.0 + 0j])
+    cfg = TransceiverConfig(a1=[1.0], a2=[1.0], b=[1.0], c1=0.5, c2=0.5)
+    return simulate_round(cfg, ch, symbols, 0.1, stream(1))
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: DeviceWeights([1.5, -0.5]), "positive", id="weights-negative"),
+    pytest.param(lambda: DeviceWeights([0.3, 0.3]), "sum to one", id="weights-sum"),
+    pytest.param(lambda: PowerBudget(p0=0.0, pr=1.0, sigma2=0.1), "positive",
+                 id="budget-zero-p0"),
+    pytest.param(lambda: TransceiverConfig(a1=[1.0], a2=[1.0, 1.0], b=[], c1=1.0, c2=1.0),
+                 "equal length", id="config-lengths"),
+    pytest.param(lambda: norelay_optimum(np.ones(2, dtype=complex), DeviceWeights([1.0]),
+                                         1.0, 0.1), "lengths differ", id="norelay-lengths"),
+    pytest.param(lambda: norelay_optimum(np.ones(1, dtype=complex), DeviceWeights([1.0]),
+                                         0.0, 0.1), "positive", id="norelay-zero-power"),
+    pytest.param(lambda: _one_device_round(np.zeros(3)), "K x d", id="round-symbols-1d"),
+])
+def test_bad_input_raises_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

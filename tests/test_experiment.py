@@ -168,6 +168,11 @@ class TestRunExperiment:
         assert len(rows) == 2  # floor(4 / 2) rounds
         assert max(r["blocks_used"] for r in rows) == 4
 
+    def test_no_relay_single_block_runs_one_round(self):
+        rows = run_experiment(tiny_config(scheme="no_relay", trials=1,
+                                          fl={**TINY_FL, "total_blocks": 1}))
+        assert [r["round"] for r in rows] == [1]
+
     def test_rows_deterministic(self):
         config = tiny_config(scheme="no_relay")
         assert run_experiment(config) == run_experiment(config)
@@ -341,6 +346,7 @@ MALFORMED = [
     pytest.param(_one_trial(solver={"epsilon": -1}), [], id="epsilon-negative"),
     pytest.param(_one_trial(solver={"qcqp_tol": 0}), [], id="qcqp-tol-zero"),
     # Well-typed values out of range.
+    pytest.param(_one_trial(num_devices=0), [], id="num-devices-zero"),
     pytest.param(_one_trial(num_relays=-1, layout={"kind": "cell"}), [],
                  id="cell-relays-negative"),
     pytest.param(_one_trial(budget={"p0_watts": -1}), [], id="p0-negative"),
@@ -390,6 +396,9 @@ class TestCli:
     @pytest.mark.parametrize("raw", [
         pytest.param(b'{"trials": 1, "x": "\xff"}', id="not-utf8"),
         pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-200000-deep"),
+        # Past the interpreter's integer-string limit of 4,300 digits.
+        pytest.param(b'{"trials": ' + b"1" * 5000 + b"}", id="int-5000-digits"),
+        pytest.param(b'{"fl": {"tau": ' + b"1" * 5000 + b"}}", id="int-5000-digits-in-section"),
     ])
     def test_unparseable_file_is_config_error(self, tmp_path, capsys, raw):
         cfg_path = tmp_path / "bad.json"
@@ -398,6 +407,26 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, document, message", [
+        pytest.param("run", {"fl": {"total_blocks": 1}}, "fl.total_blocks", id="proposed"),
+        pytest.param("run", {"scheme": "relay_only", "fl": {"total_blocks": 1}},
+                     "fl.total_blocks", id="relay-only"),
+        pytest.param("run", _sweep("total_blocks", 2, 1), "sweep value 1: fl.total_blocks",
+                     id="sweep"),
+        pytest.param("theorem-sweep", {"trials": 1, "fl": {"total_blocks": 1}},
+                     "fl.total_blocks", id="theorem-sweep"),
+    ])
+    def test_block_budget_without_a_round_is_config_error(self, tmp_path, capsys, command,
+                                                          document, message):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(document))
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {message}")
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -398,3 +398,32 @@ class TestTrain:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             self._run("shout_louder")
+
+
+def _train_four_devices(blocks=2, layout_devices=4):
+    task = small_task(seed=30, num_classes=3, feature_dim=5, samples_per_class=40)
+    rng = stream(30, 1)
+    partition = partition_iid(task, 4, rng)
+    return train("error_free", task, partition, line_layout(layout_devices, rng), PL, BUDGET,
+                 SolverConfig(), LrSchedule(), blocks, rng)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: Partition(assignments=(np.array([0, 1]), np.array([], dtype=int))),
+                 "at least one sample", id="partition-empty-device"),
+    pytest.param(lambda: make_synthetic_task(0, 4, 10, 1.0, stream(1)), "positive",
+                 id="task-no-classes"),
+    pytest.param(lambda: make_synthetic_task(1, 4, 1, 1.0, stream(1)), "two samples",
+                 id="task-one-sample"),
+    pytest.param(lambda: partition_iid(small_task(), 1000, stream(1)), "fewer training samples",
+                 id="iid-too-many-devices"),
+    pytest.param(lambda: local_update(np.zeros(small_task().model_dim),
+                                      small_task().train_data(np.arange(5)), 0, 0.1),
+                 "tau", id="local-update-tau-zero"),
+    pytest.param(lambda: _train_four_devices(blocks=0), "total_blocks", id="train-zero-blocks"),
+    pytest.param(lambda: _train_four_devices(layout_devices=3), "disagree",
+                 id="train-device-count-mismatch"),
+])
+def test_bad_input_raises_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

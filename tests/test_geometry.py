@@ -211,3 +211,23 @@ class TestLayouts:
         _ = stream(42, 0, 3).standard_normal(4)
         b = stream(42, 0, 5).standard_normal(4)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: PathLossParams(antenna_gain=0.0), "positive", id="path-loss-gain"),
+    pytest.param(lambda: NodeLayout(ap_position=[0, 0], relay_positions=[[50, 0]],
+                                    device_positions=np.zeros((0, 2))),
+                 "at least one device", id="layout-no-devices"),
+    pytest.param(lambda: NodeLayout(ap_position=[0, 0], relay_positions=[[50, 0]],
+                                    device_positions=[[np.inf, 0]]),
+                 "finite", id="layout-infinite-device"),
+    pytest.param(lambda: ChannelRealization(h=[np.inf + 0j], g=[[1.0 + 0j]], f=[1.0 + 0j]),
+                 "finite", id="channel-infinite-gain"),
+    pytest.param(lambda: line_layout(0, stream(1)), "at least one device", id="line-no-devices"),
+    pytest.param(lambda: cell_layout(0, 2, stream(1)), "at least one device",
+                 id="cell-no-devices"),
+    pytest.param(lambda: cell_layout(3, -1, stream(1)), "nonnegative", id="cell-relays-negative"),
+])
+def test_bad_input_raises_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

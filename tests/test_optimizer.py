@@ -106,6 +106,26 @@ class TestInitConfig:
         combined = (cfg.c1 + cfg.c2) * ch.h * cfg.a1
         assert combined == pytest.approx(weights.rho, abs=1e-14)
 
+    def test_full_start_without_relays_is_the_norelay_optimum(self):
+        ch, weights, budget, _ = random_instance(84, 6, 2, uniform=False)
+        cfg = init_config(ch, weights, budget)
+        assert np.array_equal(cfg.a1, cfg.a2) and cfg.c1 == cfg.c2
+        silent = replace(cfg, b=np.zeros(2, dtype=complex))
+        _, _, bound = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)
+        assert relay_mse(silent, ch, weights, budget.sigma2) == pytest.approx(bound, rel=1e-12)
+
+    def test_relay_only_start_is_the_norelay_optimum_in_phase_one(self):
+        ch, weights, budget, _ = random_instance(85, 6, 2, uniform=False)
+        cfg = init_config(ch, weights, budget, SchemeVariant.RELAY_ONLY)
+        a, c, _ = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)
+        assert np.array_equal(cfg.a1, a) and cfg.c2 == c
+        assert cfg.c1 == 0 and not cfg.a2.any()
+
+    def test_length_mismatch_rejected(self):
+        ch, _, budget, _ = random_instance(86, 3, 1)
+        with pytest.raises(ValueError, match="lengths differ"):
+            init_config(ch, DeviceWeights.uniform(2), budget)
+
 
 class TestDeviceUpdate:
     def test_flat_objective_keeps_input(self):

@@ -152,3 +152,19 @@ class TestAnalyticConstruction:
         ch, _, budget = single_relay_instance(3, num_devices=2)
         with pytest.raises(ValueError):
             analytic_construction(ch, DeviceWeights([0.3, 0.7]), budget)
+
+
+@pytest.mark.parametrize("call, match", [
+    # |g|^2 of 1e-170 underflows to 0, so the device-to-relay SNR is zero.
+    pytest.param(lambda: snr_summary(ChannelRealization(h=[1.0 + 0j], g=[[1e-170 + 0j]],
+                                                        f=[1.0 + 0j]),
+                                     PowerBudget(p0=1.0, pr=1.0, sigma2=1.0)),
+                 "SNR is zero", id="snr-underflow"),
+    pytest.param(lambda: analytic_construction(
+        ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j, 1.0 + 0j]], f=[1.0 + 0j, 1.0 + 0j]),
+        DeviceWeights([1.0]), PowerBudget(p0=1.0, pr=1.0, sigma2=1.0)),
+                 "exactly one relay", id="construction-two-relays"),
+])
+def test_bad_input_raises_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
