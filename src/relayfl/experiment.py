@@ -381,11 +381,10 @@ def theorem_sweep(config: ExperimentConfig) -> list[dict]:
             channels = geometry.realize_channels(gains, rng)
             delta, bound, cond40, cond41 = single_relay.theorem_certificate(
                 channels, weights, budget)
-            construction = single_relay.analytic_construction(channels, weights, budget)
+            start, start_mse = single_relay.analytic_construction(channels, weights, budget)
             _, trace = optimizer.solve(channels, weights, budget, config.solver,
-                                       optimizer.SchemeVariant.FULL,
-                                       warm_start=construction.config)
-        for rnd, mse in ((0, construction.mse), (1, trace.objectives[-1])):
+                                       optimizer.SchemeVariant.FULL, warm_start=start)
+        for rnd, mse in ((0, start_mse), (1, trace.objectives[-1])):
             rows.append(_row("delta", delta, trial, federated.RoundMetrics(
                 round=rnd, blocks_used=0, nmse_db=None, test_accuracy=None,
                 mse_predicted=mse, mse_norelay_bound=bound, cond40=cond40, cond41=cond41)))

@@ -24,6 +24,10 @@ state, and each is formed once per sweep:
   objective ``aggregation.transceiver_mse`` (the one formula behind
   ``aggregation.relay_mse``) and the next device update read them.
 
+The start's sweep state is formed the same way before the first sweep, and
+the first objective is ``transceiver_mse`` at it, with the same bits as
+``relay_mse`` of the starting config.
+
 A sweep is a few dozen NumPy calls on arrays of K or N entries, so the call
 count sets its cost.  The receive updates, the objective and the
 forwarded-noise gain reduce with single BLAS dots (``np.vdot``), and a
@@ -54,7 +58,7 @@ from .aggregation import (
     norelay_optimum,
     relay_gains,
     relay_input_power,
-    relay_mse,
+    relay_mse,  # unused here; the perfbench tracer wraps and restores optimizer.relay_mse
     transceiver_mse,
 )
 from .geometry import ChannelRealization
@@ -433,10 +437,11 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
 
     The scalars live in plain arrays until the one config built on exit, and
     each product of the sweep state (module docstring) is formed once per
-    sweep.  The first objective is ``relay_mse`` of the starting config and
-    each sweep's is ``aggregation.transceiver_mse`` at the sweep's combined
-    gains, the formula ``relay_mse`` evaluates, so the last one equals
-    ``relay_mse`` of the returned config exactly.
+    sweep.  Every objective is ``aggregation.transceiver_mse``, the formula
+    ``relay_mse`` evaluates, at a sweep state: the first at the start's, with
+    the same bits as ``relay_mse`` of the starting config, and each later one
+    at its sweep's, so the last one equals ``relay_mse`` of the returned
+    config exactly.
     """
     relay_only = variant is SchemeVariant.RELAY_ONLY
     config = warm_start if warm_start is not None else init_config(
@@ -452,7 +457,10 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
     theta, phi = _combined_gains(c1, c2, h, path)
 
     warnings: list[str] = []
-    objectives = [relay_mse(config, channels, weights, sigma2)]
+    # The config's Python receive scalars, as relay_mse takes them: on overflow
+    # abs(c2) ** 2 then raises OverflowError or gives inf, not FloatingPointError.
+    objectives = [transceiver_mse(theta, phi, a1, a2, config.c1, config.c2, forwarded,
+                                  rho, sigma2)]
     terminated = "max_iterations"
     for iterations in range(1, solver_cfg.j_max + 1):
         a1, a2, inner_ok = update_device_scalars(problem, a1, a2, b, theta, phi)

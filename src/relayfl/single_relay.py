@@ -24,7 +24,7 @@ from .geometry import ChannelRealization
 
 @dataclass(frozen=True)
 class SnrSummary:
-    """Peak received SNRs of all links and their worst-case ratio.
+    """Peak received SNRs at the AP and the worst-case SNR ratio delta.
 
     delta divides the worst device-to-AP SNR by the worst device-to-relay SNR;
     values at or below one mean the relay hears every device at least as well
@@ -32,29 +32,8 @@ class SnrSummary:
     """
 
     snr_device_ap: np.ndarray
-    snr_device_relay: np.ndarray
     snr_relay_ap: float
     delta: float
-
-
-@dataclass(frozen=True)
-class AnalyticConstruction:
-    """Closed-form phase-2-only configuration and its certified MSE.
-
-    alpha and beta split the target weight between the relayed and the direct
-    copy; gamma = |c2 b|^2 and eta = |c2|^2 are the squared combining levels;
-    alpha_bar is the split at which the direct-link and relay-power limits on
-    eta coincide.  `case` names the branch that sets eta at the chosen alpha.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    eta: float
-    alpha_bar: float
-    config: TransceiverConfig
-    mse: float
-    case: str  # "relay_limited" or "direct_limited"
 
 
 def snr_summary(channels: ChannelRealization, budget: PowerBudget) -> SnrSummary:
@@ -65,22 +44,20 @@ def snr_summary(channels: ChannelRealization, budget: PowerBudget) -> SnrSummary
     g2 = np.abs(channels.g[:, 0]) ** 2
     f2 = float(np.abs(channels.f[0]) ** 2)
     snr_ap = budget.p0 * h2 / budget.sigma2
-    snr_relay = budget.p0 * g2 / budget.sigma2
-    worst_relay = float(np.min(snr_relay))
+    worst_relay = float(np.min(budget.p0 * g2 / budget.sigma2))
     if worst_relay == 0:
         raise ValueError("worst device-to-relay SNR is zero; delta undefined")
     delta = float(np.min(snr_ap)) / worst_relay
     return SnrSummary(
         snr_device_ap=snr_ap,
-        snr_device_relay=snr_relay,
         snr_relay_ap=budget.pr * f2 / budget.sigma2,
         delta=delta,
     )
 
 
-def check_theorem_conditions(summary: SnrSummary, num_devices: int) -> tuple[bool, bool]:
+def check_theorem_conditions(summary: SnrSummary) -> tuple[bool, bool]:
     """(cond40, cond41): whether each sufficient condition for the relay-assisted
-    MSE bound holds.
+    MSE bound holds.  The device count K is the length of the summary's SNRs.
 
     The second condition is undefined when delta exceeds one (cond40 False)
     and is then reported False.
@@ -88,7 +65,7 @@ def check_theorem_conditions(summary: SnrSummary, num_devices: int) -> tuple[boo
     if not summary.delta <= 1.0:
         return False, False
     worst = float(np.min(summary.snr_device_ap))
-    threshold = (num_devices * worst + summary.delta) / (
+    threshold = (summary.snr_device_ap.size * worst + summary.delta) / (
         1.0 + np.sqrt(2.0 - 2.0 * summary.delta)
     ) ** 2
     return True, bool(summary.snr_relay_ap >= threshold)
@@ -101,18 +78,20 @@ def theorem_certificate(channels: ChannelRealization, weights: DeviceWeights,
     relaying to beat that bound holds."""
     _, _, bound = norelay_optimum(channels.h, weights, 2.0 * budget.p0, budget.sigma2)
     summary = snr_summary(channels, budget)
-    return (summary.delta, bound, *check_theorem_conditions(summary, channels.num_devices))
+    return (summary.delta, bound, *check_theorem_conditions(summary))
 
 
 def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,
-                          budget: PowerBudget) -> AnalyticConstruction:
-    """Build the perfectly aligned phase-2-only configuration.
+                          budget: PowerBudget) -> tuple[TransceiverConfig, float]:
+    """(config, mse) of the perfectly aligned phase-2-only configuration.
 
     Requires uniform weights and a single relay.  The relayed copy carries a
     fraction alpha of each weight and the direct phase-2 copy the remaining
     beta = 1 - alpha, with every device inverting its own path so alignment is
     exact and only amplified noise remains.  alpha is one half whenever the
-    relay-power limit allows it, otherwise the boundary value alpha_bar.
+    relay-power limit allows it, otherwise the boundary value alpha_bar at
+    which the direct-link and relay-power limits on eta = |c2|^2 coincide;
+    gamma = |c2 b|^2.  The split and both levels can be read off the config.
     """
     if channels.num_relays != 1:
         raise ValueError("analytic construction is defined for exactly one relay")
@@ -141,7 +120,6 @@ def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,
     eta_relay = (num_devices * alpha**2 * rho**2 + gamma * budget.sigma2 * f2) / (
         budget.pr * f2)
     eta = max(eta_direct, eta_relay)
-    case = "direct_limited" if eta_direct >= eta_relay else "relay_limited"
 
     # Magnitudes fix eta and gamma; phases are chosen so c2 and c2 * f * b are
     # real positive, and the per-device inversions absorb everything else.
@@ -156,5 +134,4 @@ def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,
     cross = relay_mse(config, channels, weights, budget.sigma2)
     if abs(cross - mse) > 1e-9 * max(mse, 1e-300):
         raise InconsistentMseError("analytic MSE and signal-chain MSE disagree")
-    return AnalyticConstruction(alpha=alpha, beta=beta, gamma=gamma, eta=eta,
-                                alpha_bar=alpha_bar, config=config, mse=mse, case=case)
+    return config, mse

@@ -218,14 +218,14 @@ def test_criterion_06_single_relay_bound_certification():
         solver_cfg = SolverConfig()
         for i in range(1000):
             ch, weights, budget = single_relay_instance(6000 + i, enforce_conditions=True)
-            cond40, cond41 = check_theorem_conditions(snr_summary(ch, budget), weights.rho.size)
+            cond40, cond41 = check_theorem_conditions(snr_summary(ch, budget))
             assert cond40 and cond41
-            built = analytic_construction(ch, weights, budget)
+            start, start_mse = analytic_construction(ch, weights, budget)
             _, _, bound = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)
-            assert built.mse <= bound * (1.0 + 1e-12)
+            assert start_mse <= bound * (1.0 + 1e-12)
             _, trace = solve(ch, weights, budget, solver_cfg, SchemeVariant.FULL,
-                             warm_start=built.config)
-            assert trace.objectives[-1] <= built.mse + 1e-9
+                             warm_start=start)
+            assert trace.objectives[-1] <= start_mse + 1e-9
 
 
 TREND_BASE = {

@@ -680,6 +680,20 @@ class TestSolve:
             relay_mse(start, ch, weights, budget.sigma2))
         assert trace.objectives[-1] <= trace.objectives[0] + 1e-12
 
+    def test_calls_no_relay_mse(self, monkeypatch):
+        # The first objective is formed from the start's sweep state, not by
+        # relay_mse; the tracer still wraps the module's binding.
+        def fail(*args):
+            raise AssertionError("solve called relay_mse")
+
+        ch, weights, budget, _ = random_instance(178, 3, 1)
+        start, _ = analytic_construction(ch, weights, budget)
+        monkeypatch.setattr(optimizer, "relay_mse", fail)
+        for variant, warm in [(SchemeVariant.FULL, None), (SchemeVariant.RELAY_ONLY, None),
+                              (SchemeVariant.FULL, start)]:
+            _, trace = solve(ch, weights, budget, SOLVER, variant, warm_start=warm)
+            assert np.all(np.isfinite(trace.objectives))
+
     def test_dead_phase2_keeps_relays_silent(self):
         # with c2 = 0 the relay update is skipped for the sweep; the dead
         # phase-2 path stays dead and the solver still descends monotonically
@@ -711,7 +725,7 @@ def reference_grid_cell(kind, noise_dbm, pr, variant):
         ch = realize_channels(path_gain_profile(layout, PathLossParams()), rng)
         starts = [None]
         if kind == "line":
-            starts.append(analytic_construction(ch, weights, budget).config)
+            starts.append(analytic_construction(ch, weights, budget)[0])
         for start in starts:
             cfg, trace = solve(ch, weights, budget, SOLVER, variant, warm_start=start)
             solves.append((ch, budget, start, cfg, trace))
@@ -746,6 +760,18 @@ class TestSolveMatchesReference:
             assert trace.iterations_run == ref.iterations_run
             assert trace.terminated_by == ref.terminated_by
             assert trace.warnings == ref.warnings
+
+    @pytest.mark.parametrize("kind, noise_dbm, pr, variant", REFERENCE_GRID)
+    def test_first_objective_is_relay_mse_of_the_start(self, kind, noise_dbm, pr, variant):
+        # Cold FULL and RELAY_ONLY starts, and on line warm starts from the
+        # analytic construction; relay-only solves pin a2 and c1 at zero.
+        weights = DeviceWeights.uniform(20)
+        for ch, budget, start, _, trace in reference_grid_cell(kind, noise_dbm, pr, variant):
+            if start is None:
+                start = init_config(ch, weights, budget, variant)
+            if variant is SchemeVariant.RELAY_ONLY:
+                start = replace(start, a2=np.zeros_like(start.a2), c1=0.0)
+            assert trace.objectives[0] == relay_mse(start, ch, weights, budget.sigma2)
 
     @pytest.mark.parametrize("kind, noise_dbm, pr, variant", REFERENCE_GRID)
     def test_last_objective_is_relay_mse(self, kind, noise_dbm, pr, variant):

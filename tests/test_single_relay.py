@@ -28,7 +28,6 @@ class TestSnrSummary:
                                 f=[1.0 + 0j])
         summary = snr_summary(ch, PowerBudget(p0=1.0, pr=4.0, sigma2=1.0))
         assert summary.snr_device_ap == pytest.approx([1.0, 4.0])
-        assert summary.snr_device_relay == pytest.approx([2.0, 8.0])
         assert summary.snr_relay_ap == pytest.approx(4.0)
         assert summary.delta == pytest.approx(0.5)
 
@@ -52,37 +51,52 @@ class TestSnrSummary:
 
 class TestTheoremConditions:
     def _summary(self, delta, worst_snr, relay_ap, k=20):
-        snr = np.full(k, worst_snr)
-        relay_snr = snr / max(delta, 1e-300)
-        return SnrSummary(snr_device_ap=snr, snr_device_relay=relay_snr,
-                          snr_relay_ap=relay_ap, delta=delta)
+        return SnrSummary(snr_device_ap=np.full(k, worst_snr), snr_relay_ap=relay_ap,
+                          delta=delta)
 
     def test_unit_delta_threshold(self):
         # at delta = 1 the requirement reduces to K * worst SNR + 1
-        cond40, cond41 = check_theorem_conditions(self._summary(1.0, 10.0, 201.0), 20)
+        cond40, cond41 = check_theorem_conditions(self._summary(1.0, 10.0, 201.0))
         assert cond40 and cond41
-        cond40, cond41 = check_theorem_conditions(self._summary(1.0, 10.0, 200.99), 20)
+        cond40, cond41 = check_theorem_conditions(self._summary(1.0, 10.0, 200.99))
         assert cond40 and not cond41
 
     def test_zero_delta_threshold(self):
         threshold = 20 * 10.0 / (1.0 + np.sqrt(2.0)) ** 2
-        _, cond41 = check_theorem_conditions(self._summary(0.0, 10.0, threshold * 1.001), 20)
+        _, cond41 = check_theorem_conditions(self._summary(0.0, 10.0, threshold * 1.001))
         assert cond41
-        _, cond41 = check_theorem_conditions(self._summary(0.0, 10.0, threshold * 0.999), 20)
+        _, cond41 = check_theorem_conditions(self._summary(0.0, 10.0, threshold * 0.999))
         assert not cond41
 
     def test_delta_above_one_flags_condition(self):
-        cond40, cond41 = check_theorem_conditions(self._summary(1.5, 10.0, 1e9), 20)
+        cond40, cond41 = check_theorem_conditions(self._summary(1.5, 10.0, 1e9))
         assert not cond40
         assert not cond41
+
+
+def _split(config, ch, weights):
+    """(alpha, beta, gamma, eta) read off a phase-2-only config.
+
+    alpha and beta are the relayed share c2 f b g_k a1_k / rho_k and the direct
+    share c2 h_k a2_k / rho_k of each weight, checked to be one real value
+    across devices within the rounding they carry; gamma = |c2 b|^2 and
+    eta = |c2|^2.
+    """
+    c2, b = config.c2, config.b[0]
+    relayed = c2 * ch.f[0] * b * ch.g[:, 0] * config.a1 / weights.rho
+    direct = c2 * ch.h * config.a2 / weights.rho
+    shares = []
+    for share in (relayed, direct):
+        assert share == pytest.approx(np.full(share.size, share[0].real), abs=1e-12)
+        shares.append(float(share[0].real))
+    return shares[0], shares[1], abs(c2 * b) ** 2, abs(c2) ** 2
 
 
 class TestAnalyticConstruction:
     def test_alignment_is_exact(self):
         for seed in range(20):
             ch, weights, budget = single_relay_instance(seed)
-            built = analytic_construction(ch, weights, budget)
-            cfg = built.config
+            cfg, _ = analytic_construction(ch, weights, budget)
             assert cfg.c1 == 0
             combined = (cfg.c2 * ch.f[0] * cfg.b[0] * ch.g[:, 0] * cfg.a1
                         + cfg.c2 * ch.h * cfg.a2)
@@ -91,55 +105,58 @@ class TestAnalyticConstruction:
     def test_symmetric_unit_instance(self):
         ch = ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j]], f=[1.0 + 0j])
         budget = PowerBudget(p0=1.0, pr=1.0, sigma2=1.0)
-        built = analytic_construction(ch, DeviceWeights([1.0]), budget)
-        assert built.alpha_bar == pytest.approx(1.0 / (1.0 + np.sqrt(2.0)))
-        assert built.alpha == pytest.approx(built.alpha_bar)
-        assert built.mse == pytest.approx(3.0 / (3.0 + 2.0 * np.sqrt(2.0)))
-        assert built.mse == pytest.approx(
-            relay_mse(built.config, ch, DeviceWeights([1.0]), budget.sigma2), rel=1e-9)
+        cfg, mse = analytic_construction(ch, DeviceWeights([1.0]), budget)
+        alpha, _, _, _ = _split(cfg, ch, DeviceWeights([1.0]))
+        # the relay-power limit binds, so alpha is the boundary split alpha_bar
+        assert alpha == pytest.approx(1.0 / (1.0 + np.sqrt(2.0)), abs=1e-12)
+        assert mse == pytest.approx(3.0 / (3.0 + 2.0 * np.sqrt(2.0)))
+        assert mse == pytest.approx(
+            relay_mse(cfg, ch, DeviceWeights([1.0]), budget.sigma2), rel=1e-9)
 
     def test_split_sums_to_one_and_feasible(self):
         for seed in range(40, 60):
             ch, weights, budget = single_relay_instance(seed)
-            built = analytic_construction(ch, weights, budget)
-            assert built.alpha + built.beta == pytest.approx(1.0, abs=1e-12)
-            assert 0.0 <= built.alpha <= 0.5
-            assert max_constraint_violation(built.config, ch, budget) <= 1e-9
+            cfg, _ = analytic_construction(ch, weights, budget)
+            alpha, beta, _, _ = _split(cfg, ch, weights)
+            assert alpha + beta == pytest.approx(1.0, abs=1e-12)
+            assert -1e-12 <= alpha <= 0.5 + 1e-12
+            assert max_constraint_violation(cfg, ch, budget) <= 1e-9
 
     def test_branches_coincide_at_boundary_split(self):
         found = 0
         for seed in range(200):
             ch, weights, budget = single_relay_instance(seed)
-            built = analytic_construction(ch, weights, budget)
-            if built.alpha < 0.5:  # boundary split: both limits on eta coincide
+            cfg, _ = analytic_construction(ch, weights, budget)
+            alpha, beta, gamma, eta = _split(cfg, ch, weights)
+            if alpha < 0.5 - 1e-12:  # boundary split: both limits on eta coincide
                 k = weights.rho.size
                 rho = float(weights.rho[0])
-                eta_direct = built.beta**2 * rho**2 / (
+                eta_direct = beta**2 * rho**2 / (
                     budget.p0 * float(np.min(np.abs(ch.h) ** 2)))
-                eta_relay = (k * built.alpha**2 * rho**2
-                             + built.gamma * budget.sigma2 * abs(ch.f[0]) ** 2) / (
+                eta_relay = (k * alpha**2 * rho**2
+                             + gamma * budget.sigma2 * abs(ch.f[0]) ** 2) / (
                     budget.pr * abs(ch.f[0]) ** 2)
                 assert eta_direct == pytest.approx(eta_relay, rel=1e-9)
-                assert built.eta == pytest.approx(eta_direct, rel=1e-9)
+                assert eta == pytest.approx(eta_direct, rel=1e-9)
                 found += 1
         assert found > 10
 
     def test_certified_dominance_on_condition_satisfying_instances(self):
         for seed in range(300):
             ch, weights, budget = single_relay_instance(seed, enforce_conditions=True)
-            cond40, cond41 = check_theorem_conditions(snr_summary(ch, budget), weights.rho.size)
+            cond40, cond41 = check_theorem_conditions(snr_summary(ch, budget))
             assert cond40 and cond41
-            built = analytic_construction(ch, weights, budget)
+            _, mse = analytic_construction(ch, weights, budget)
             _, _, bound = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)
-            assert built.mse <= bound * (1.0 + 1e-9)
+            assert mse <= bound * (1.0 + 1e-9)
 
     def test_solver_warm_started_never_worse(self):
         for seed in range(5):
             ch, weights, budget = single_relay_instance(seed, enforce_conditions=True)
-            built = analytic_construction(ch, weights, budget)
+            start, start_mse = analytic_construction(ch, weights, budget)
             solved, trace = solve(ch, weights, budget, SolverConfig(),
-                                  SchemeVariant.FULL, warm_start=built.config)
-            assert trace.objectives[-1] <= built.mse + 1e-9
+                                  SchemeVariant.FULL, warm_start=start)
+            assert trace.objectives[-1] <= start_mse + 1e-9
 
     def test_signal_chain_disagreement_raises_typed_error(self, monkeypatch):
         ch, weights, budget = single_relay_instance(11)

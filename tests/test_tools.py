@@ -6,7 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import csv_drift  # noqa: E402
 
 
 def test_csv_drift_finds_no_change_between_a_tree_and_itself():
@@ -20,6 +25,46 @@ def test_csv_drift_finds_no_change_between_a_tree_and_itself():
     assert proc.stdout.splitlines() == [
         "zero-relay-cell-no_relay: rows 16 / 16 same",
         "  unchanged: trial, round, blocks_used, nmse_db, test_accuracy, mse_predicted",
+    ]
+
+
+def _drift_of(old_text, new_text, tmp_path, monkeypatch):
+    """compare() of two hand-made CSVs, and main()'s exit code when each tree
+    writes one of them as config "pair"."""
+    texts = {"old": old_text, "new": new_text}
+    monkeypatch.setattr(csv_drift, "write_tree",
+                        lambda src, out_dir, names: (out_dir / "pair.csv").write_text(texts[src]))
+    (tmp_path / "old.csv").write_text(old_text)
+    (tmp_path / "new.csv").write_text(new_text)
+    return csv_drift.compare(tmp_path / "old.csv", tmp_path / "new.csv"), \
+        csv_drift.main(["old", "new", "pair"])
+
+
+@pytest.mark.parametrize("old, new, problem", [
+    ("a,b\n1,2\n", "a,c\n1,2\n", "headers differ: ['a', 'b'] != ['a', 'c']"),
+    ("a,b\n1,2\n3,4\n", "a,b\n1,2\n", "row counts differ"),
+    ("a,s\n1,x\n2,y\n", "a,s\n1,x\n2,z\n", "s: 1 non-numeric cells differ"),
+    ("a,b\n1,2\n3,\n", "a,b\n1,2\n3,4\n", "b: a cell is empty on one side only"),
+], ids=["header", "row-count", "non-numeric-cell", "one-sided-empty-cell"])
+def test_csv_drift_fails_on_a_structural_difference(old, new, problem, tmp_path, monkeypatch,
+                                                    capsys):
+    (problems, _, _, _), code = _drift_of(old, new, tmp_path, monkeypatch)
+    assert problems == [problem]
+    assert code == 1
+    assert f"  FAIL {problem}" in capsys.readouterr().out.splitlines()
+
+
+def test_csv_drift_reports_a_numeric_change_and_passes(tmp_path, monkeypatch, capsys):
+    (problems, drift, old_rows, new_rows), code = _drift_of(
+        "a,b,s\n1,2,x\n3,,y\n", "a,b,s\n1,2.5,x\n3,,y\n", tmp_path, monkeypatch)
+    assert problems == []
+    assert drift == {"a": 0.0, "b": 0.2}
+    assert (old_rows, new_rows) == (2, 2)
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "pair: rows 2 / 2 same",
+        "  b                  0.2",
+        "  unchanged: a",
     ]
 
 
