@@ -157,6 +157,17 @@ def _combined_gains(c1, c2, h: np.ndarray, path):
     return c1 * h + c2 * path, c2 * h
 
 
+def _misalignment_power(theta, phi, a1, a2, rho) -> np.float64:
+    """|theta a1 + phi a2 - rho|^2 by one ``np.vdot``, which ignores ``np.errstate``:
+    a sum of finite terms that overflows raises ``FloatingPointError`` here when
+    NumPy's `over` mode is "raise", and is inf otherwise."""
+    misalign = theta * a1 + phi * a2 - rho
+    power = np.vdot(misalign, misalign).real
+    if power == np.inf and np.geterr()["over"] == "raise" and np.isfinite(misalign).all():
+        raise FloatingPointError("overflow encountered in the misalignment power")
+    return power
+
+
 def transceiver_mse(theta: np.ndarray, phi: np.ndarray, a1: np.ndarray, a2: np.ndarray,
                     c1: complex, c2: complex, forwarded: float, rho: np.ndarray,
                     sigma2: float) -> float:
@@ -164,13 +175,13 @@ def transceiver_mse(theta: np.ndarray, phi: np.ndarray, a1: np.ndarray, a2: np.n
 
     (theta, phi) are the gains of a1 and a2 at the AP (``_combined_gains``)
     and `forwarded` the noise gain of ``relay_gains``: misalignment power
-    |theta a1 + phi a2 - rho|^2 plus the receive noise amplified by
+    (``_misalignment_power``) plus the receive noise amplified by
     |c1|^2 + |c2|^2 (1 + forwarded).  ``relay_mse`` and the solver's
     objective both evaluate this one formula.
     """
-    misalign = theta * a1 + phi * a2 - rho
+    misalignment = _misalignment_power(theta, phi, a1, a2, rho)
     noise_gain = abs(c1) ** 2 + abs(c2) ** 2 * (1.0 + forwarded)
-    return float(np.vdot(misalign, misalign).real + noise_gain * sigma2)
+    return float(misalignment + noise_gain * sigma2)
 
 
 def relay_mse(config: TransceiverConfig, channels: ChannelRealization,

@@ -6,7 +6,7 @@ multipliers, each device has a closed form with the direct copy first, and the
 box-only optimum at zero multipliers is the first iterate), the relay scalars
 (a convex quadratic with one disc per relay, minimized exactly), and the two
 receive scalars (exact closed forms).  Every block is minimized exactly, so no
-sweep raises the objective.
+sweep raises the objective beyond the rounding of the closed forms.
 
 A solve holds its state (a1, a2, b, c1, c2) in plain arrays and builds one
 ``TransceiverConfig`` on exit.  What depends only on the instance is computed
@@ -55,6 +55,7 @@ from .aggregation import (
     PowerBudget,
     TransceiverConfig,
     _combined_gains,
+    _misalignment_power,
     norelay_optimum,
     relay_gains,
     relay_input_power,
@@ -155,10 +156,6 @@ def init_config(channels: ChannelRealization, weights: DeviceWeights,
     return TransceiverConfig(a1=a1, a2=a2, b=b, c1=c1, c2=c2)
 
 
-def _misalignment(theta, phi, a1, a2, rho) -> float:
-    return float(np.add.reduce(np.abs(theta * a1 + phi * a2 - rho) ** 2))
-
-
 def _clamp_disc(a: np.ndarray, radius: float) -> np.ndarray:
     """Project each entry onto the disc of the given radius."""
     if radius <= 0:
@@ -227,8 +224,9 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
     value rises.  A scalar whose coefficient (theta_k or phi_k) is zero keeps
     its incoming value, clamped to its box, on every exit, and its phase-1
     load is charged against the relay caps first.  The result is feasible and
-    never has a larger objective than the input; `converged` is False only if
-    the duality gap could not be pushed below ``qcqp_tol`` (relative to the
+    never has a larger objective than the input, in the objective's bits
+    (``aggregation._misalignment_power``); `converged` is False only if the
+    duality gap could not be pushed below ``qcqp_tol`` (relative to the
     squared weight norm) within ``qcqp_max_iter`` Newton iterations.
     """
     rho, r1, r2 = problem.rho, problem.r1, problem.r2
@@ -350,8 +348,8 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
     # Never return anything worse than the incoming point, even when the
     # multiplier search exits early or its point is not finite.
     incoming1, incoming2 = _clamp_disc(a1, r1), _clamp_disc(a2, r2)
-    if not (_misalignment(theta, phi, new1, new2, rho)
-            <= _misalignment(theta, phi, incoming1, incoming2, rho)):
+    if not (_misalignment_power(theta, phi, new1, new2, rho)
+            <= _misalignment_power(theta, phi, incoming1, incoming2, rho)):
         return incoming1, incoming2, converged
     return new1, new2, converged
 
@@ -430,8 +428,10 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
     epsilon or the sweep limit is reached.
 
     Returns (config, trace).  The trace objective sequence starts at the
-    initial configuration and is non-increasing, because each block update
-    minimizes the MSE over its block and keeps every power constraint.  For
+    initial configuration and is non-increasing up to the rounding of the
+    closed-form relay and receive blocks, because each block update minimizes
+    the MSE over its block and keeps every power constraint; the device
+    block's never-worse check reads the objective's own bits.  For
     the relay-only variant a2 and c1 are pinned at zero and phase 1 carries
     the full device budget.
 

@@ -7,8 +7,6 @@ builds the analytic phase-2-only configuration whose MSE certifies that bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .aggregation import (
@@ -22,53 +20,47 @@ from .aggregation import (
 from .geometry import ChannelRealization
 
 
-@dataclass(frozen=True)
-class SnrSummary:
-    """Peak received SNRs at the AP and the worst-case SNR ratio delta.
-
-    delta divides the worst device-to-AP SNR by the worst device-to-relay SNR;
-    values at or below one mean the relay hears every device at least as well
-    as the AP does.
-    """
-
-    snr_device_ap: np.ndarray
-    snr_relay_ap: float
-    delta: float
-
-
-def snr_summary(channels: ChannelRealization, budget: PowerBudget) -> SnrSummary:
-    """Per-link peak SNRs for a single-relay system."""
+def _link_powers(channels: ChannelRealization) -> tuple[np.ndarray, np.ndarray, float]:
+    """(|h|^2, |g|^2, |f|^2) of a single-relay system: the device-to-AP and
+    device-to-relay powers per device, and the relay-to-AP power."""
     if channels.num_relays != 1:
-        raise ValueError("SNR summary is defined for exactly one relay")
-    h2 = np.abs(channels.h) ** 2
-    g2 = np.abs(channels.g[:, 0]) ** 2
-    f2 = float(np.abs(channels.f[0]) ** 2)
+        raise ValueError("single-relay analysis is defined for exactly one relay")
+    f2 = abs(complex(channels.f[0])) ** 2
+    return np.abs(channels.h) ** 2, np.abs(channels.g[:, 0]) ** 2, f2
+
+
+def snr_summary(channels: ChannelRealization,
+                budget: PowerBudget) -> tuple[np.ndarray, float, float]:
+    """(snr_device_ap, snr_relay_ap, delta) of a single-relay system.
+
+    The peak received SNRs at the AP, one per device and one of the relay,
+    and the worst-case SNR ratio delta: the worst device-to-AP SNR over the
+    worst device-to-relay SNR.  delta at or below one means the relay hears
+    every device at least as well as the AP does.
+    """
+    h2, g2, f2 = _link_powers(channels)
     snr_ap = budget.p0 * h2 / budget.sigma2
     worst_relay = float(np.min(budget.p0 * g2 / budget.sigma2))
     if worst_relay == 0:
         raise ValueError("worst device-to-relay SNR is zero; delta undefined")
     delta = float(np.min(snr_ap)) / worst_relay
-    return SnrSummary(
-        snr_device_ap=snr_ap,
-        snr_relay_ap=budget.pr * f2 / budget.sigma2,
-        delta=delta,
-    )
+    return snr_ap, budget.pr * f2 / budget.sigma2, delta
 
 
-def check_theorem_conditions(summary: SnrSummary) -> tuple[bool, bool]:
+def check_theorem_conditions(snr_device_ap: np.ndarray, snr_relay_ap: float,
+                             delta: float) -> tuple[bool, bool]:
     """(cond40, cond41): whether each sufficient condition for the relay-assisted
-    MSE bound holds.  The device count K is the length of the summary's SNRs.
+    MSE bound holds, from the values of ``snr_summary``.  The device count K is
+    the length of `snr_device_ap`.
 
     The second condition is undefined when delta exceeds one (cond40 False)
     and is then reported False.
     """
-    if not summary.delta <= 1.0:
+    if not delta <= 1.0:
         return False, False
-    worst = float(np.min(summary.snr_device_ap))
-    threshold = (summary.snr_device_ap.size * worst + summary.delta) / (
-        1.0 + np.sqrt(2.0 - 2.0 * summary.delta)
-    ) ** 2
-    return True, bool(summary.snr_relay_ap >= threshold)
+    worst = float(np.min(snr_device_ap))
+    threshold = (snr_device_ap.size * worst + delta) / (1.0 + np.sqrt(2.0 - 2.0 * delta)) ** 2
+    return True, bool(snr_relay_ap >= threshold)
 
 
 def theorem_certificate(channels: ChannelRealization, weights: DeviceWeights,
@@ -77,8 +69,8 @@ def theorem_certificate(channels: ChannelRealization, weights: DeviceWeights,
     optimum at the 2 * p0 budget, and whether each sufficient condition for
     relaying to beat that bound holds."""
     _, _, bound = norelay_optimum(channels.h, weights, 2.0 * budget.p0, budget.sigma2)
-    summary = snr_summary(channels, budget)
-    return (summary.delta, bound, *check_theorem_conditions(summary))
+    snr_ap, snr_relay, delta = snr_summary(channels, budget)
+    return (delta, bound, *check_theorem_conditions(snr_ap, snr_relay, delta))
 
 
 def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,
@@ -93,20 +85,13 @@ def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,
     which the direct-link and relay-power limits on eta = |c2|^2 coincide;
     gamma = |c2 b|^2.  The split and both levels can be read off the config.
     """
-    if channels.num_relays != 1:
-        raise ValueError("analytic construction is defined for exactly one relay")
+    h2, g2, f2 = _link_powers(channels)
     rho_vec = weights.rho
     if np.max(np.abs(rho_vec - rho_vec[0])) > 1e-12:
         raise ValueError("analytic construction requires uniform weights")
     rho = float(rho_vec[0])
     num_devices = rho_vec.size
-
-    h = channels.h
-    g = channels.g[:, 0]
-    f = complex(channels.f[0])
-    h2_min = float(np.min(np.abs(h) ** 2))
-    g2_min = float(np.min(np.abs(g) ** 2))
-    f2 = abs(f) ** 2
+    h2_min, g2_min = float(np.min(h2)), float(np.min(g2))
 
     alpha_bar = 1.0 / (1.0 + np.sqrt(
         (num_devices * budget.p0 * g2_min + budget.sigma2) * h2_min
@@ -125,9 +110,10 @@ def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,
     # real positive, and the per-device inversions absorb everything else.
     c2 = complex(np.sqrt(eta))
     b_mag = np.sqrt(gamma / eta)
+    f = complex(channels.f[0])
     b = b_mag * np.conj(f) / abs(f)
-    a1 = alpha * rho / (c2 * f * b * g)
-    a2 = beta * rho / (c2 * h)
+    a1 = alpha * rho / (c2 * f * b * channels.g[:, 0])
+    a2 = beta * rho / (c2 * channels.h)
     config = TransceiverConfig(a1=a1, a2=a2, b=np.array([b]), c1=0.0 + 0.0j, c2=c2)
 
     mse = (eta + gamma * f2) * budget.sigma2

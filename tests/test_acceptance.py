@@ -218,7 +218,7 @@ def test_criterion_06_single_relay_bound_certification():
         solver_cfg = SolverConfig()
         for i in range(1000):
             ch, weights, budget = single_relay_instance(6000 + i, enforce_conditions=True)
-            cond40, cond41 = check_theorem_conditions(snr_summary(ch, budget))
+            cond40, cond41 = check_theorem_conditions(*snr_summary(ch, budget))
             assert cond40 and cond41
             start, start_mse = analytic_construction(ch, weights, budget)
             _, _, bound = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)

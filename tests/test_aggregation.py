@@ -8,6 +8,8 @@ from relayfl.aggregation import (
     PowerBudget,
     SingularChannelError,
     TransceiverConfig,
+    _combined_gains,
+    _misalignment_power,
     compute_global_stats,
     compute_local_stats,
     denormalize,
@@ -225,6 +227,20 @@ class TestRelayMse:
                         mse_reference(config, ch, weights, sigma2), rel=1e-13, abs=0)
                 assert trace.objectives[-1] == pytest.approx(
                     mse_reference(cfg, ch, weights, sigma2), rel=1e-13, abs=0)
+
+    def test_misalignment_overflow_follows_the_overflow_rule(self):
+        # Every entry of theta a1 - rho is finite (about 1e155), but the sum of
+        # their squares overflows; np.vdot alone would give inf under any errstate.
+        ch = ChannelRealization(h=[1.0, 1.0], g=[[1.0], [1.0]], f=[1.0])
+        weights = DeviceWeights.uniform(2)
+        config = TransceiverConfig(a1=[1e155, 1e155], a2=[0.0, 0.0], b=[0.0], c1=1.0, c2=0.0)
+        theta, phi = _combined_gains(config.c1, config.c2, ch.h, np.zeros(2))
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="misalignment power"):
+                _misalignment_power(theta, phi, config.a1, config.a2, weights.rho)
+            with pytest.raises(FloatingPointError, match="misalignment power"):
+                relay_mse(config, ch, weights, 1.0)
+        assert relay_mse(config, ch, weights, 1.0) == np.inf
 
     def test_matches_monte_carlo(self):
         config, ch, weights, budget = random_feasible_setup(52, 2, 1)

@@ -11,6 +11,8 @@ from relayfl.aggregation import (
     PowerBudget,
     SingularChannelError,
     TransceiverConfig,
+    _combined_gains,
+    _misalignment_power,
     max_constraint_violation,
     norelay_optimum,
     relay_mse,
@@ -32,6 +34,7 @@ from relayfl.optimizer import (
     SchemeVariant,
     SolverConfig,
     _bounded_newton_step,
+    _clamp_disc,
     _transmit_scalars,
     init_config,
     solve,
@@ -312,6 +315,41 @@ class TestDeviceUpdate:
             after = misalignment_of(replace(cfg, a1=a1, a2=a2), ch, weights)
             assert after <= before * (1 + 1e-12) + 1e-15
             assert max_constraint_violation(replace(cfg, a1=a1, a2=a2), ch, budget) <= 1e-9
+
+    @pytest.mark.parametrize("num_relays", [1, 4])
+    def test_dual_search_never_exceeds_the_incoming_misalignment_power(self, num_relays,
+                                                                       monkeypatch):
+        # Bit for bit, in the objective's own formula.  A weak direct copy
+        # (c2 scaled down) makes the box-only optimum overload a relay, so the
+        # multiplier search runs; its exit is the one checked against the
+        # incoming point.  The second update starts at the first one's output,
+        # so the two points tie up to rounding.
+        searches = []
+
+        def counted_step(*args):
+            searches.append(args)
+            return _bounded_newton_step(*args)
+
+        monkeypatch.setattr(optimizer, "_bounded_newton_step", counted_step)
+        checked = 0
+        for seed in range(140, 160):
+            ch, weights, budget, _ = random_instance(seed, 6, num_relays, pr=0.1)
+            cfg = init_config(ch, weights, budget)
+            cfg = replace(cfg, c2=0.3 * cfg.c2)
+            problem = optimizer.Problem(ch, weights, budget, SOLVER)
+            theta, phi = _combined_gains(cfg.c1, cfg.c2, ch.h, ch.g @ (ch.f * cfg.b))
+            a1, a2 = cfg.a1, cfg.a2
+            for _ in range(2):
+                searches.clear()
+                new1, new2, _ = optimizer.update_device_scalars(problem, a1, a2, cfg.b,
+                                                                theta, phi)
+                if searches:
+                    checked += 1
+                    before = _misalignment_power(theta, phi, _clamp_disc(a1, problem.r1),
+                                                 _clamp_disc(a2, problem.r2), weights.rho)
+                    assert _misalignment_power(theta, phi, new1, new2, weights.rho) <= before
+                a1, a2 = new1, new2
+        assert checked >= 30
 
 
 def off_start(ch, weights, budget):

@@ -14,7 +14,6 @@ from relayfl.geometry import ChannelRealization, stream
 from relayfl.optimizer import SchemeVariant, SolverConfig, solve
 from oracles import single_relay_instance
 from relayfl.single_relay import (
-    SnrSummary,
     analytic_construction,
     check_theorem_conditions,
     snr_summary,
@@ -26,21 +25,21 @@ class TestSnrSummary:
         ch = ChannelRealization(h=[1.0 + 0j, 2.0 + 0j],
                                 g=[[np.sqrt(2.0) + 0j], [np.sqrt(8.0) + 0j]],
                                 f=[1.0 + 0j])
-        summary = snr_summary(ch, PowerBudget(p0=1.0, pr=4.0, sigma2=1.0))
-        assert summary.snr_device_ap == pytest.approx([1.0, 4.0])
-        assert summary.snr_relay_ap == pytest.approx(4.0)
-        assert summary.delta == pytest.approx(0.5)
+        snr_ap, snr_relay, delta = snr_summary(ch, PowerBudget(p0=1.0, pr=4.0, sigma2=1.0))
+        assert snr_ap == pytest.approx([1.0, 4.0])
+        assert snr_relay == pytest.approx(4.0)
+        assert delta == pytest.approx(0.5)
 
     def test_equal_gains_give_unit_delta(self):
         ch = ChannelRealization(h=[1j, 2.0 + 0j], g=[[1.0 + 0j], [0.0 + 2j]], f=[1.0 + 0j])
-        summary = snr_summary(ch, PowerBudget(p0=0.3, pr=1.0, sigma2=0.1))
-        assert summary.delta == pytest.approx(1.0)
+        _, _, delta = snr_summary(ch, PowerBudget(p0=0.3, pr=1.0, sigma2=0.1))
+        assert delta == pytest.approx(1.0)
 
     def test_delta_invariant_to_common_scaling(self):
         ch, weights, budget = single_relay_instance(7)
-        base = snr_summary(ch, budget).delta
+        _, _, base = snr_summary(ch, budget)
         scaled = ChannelRealization(h=3.0 * ch.h, g=3.0 * ch.g, f=ch.f)
-        assert snr_summary(scaled, budget).delta == pytest.approx(base)
+        assert snr_summary(scaled, budget)[2] == pytest.approx(base)
 
     def test_requires_single_relay(self):
         ch = ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j, 1.0 + 0j]],
@@ -48,28 +47,40 @@ class TestSnrSummary:
         with pytest.raises(ValueError):
             snr_summary(ch, PowerBudget(p0=1.0, pr=1.0, sigma2=1.0))
 
+    def test_relay_snr_takes_the_constructions_link_power(self):
+        # The construction takes |f|^2 as Python's abs of the complex gain, which
+        # differs from NumPy's abs in the last bit for some gains.
+        differs = 0
+        for seed in range(40):
+            ch, _, budget = single_relay_instance(seed)
+            f2 = abs(complex(ch.f[0])) ** 2
+            assert single_relay._link_powers(ch)[2] == f2
+            assert snr_summary(ch, budget)[1] == budget.pr * f2 / budget.sigma2
+            differs += float(np.abs(ch.f[0]) ** 2) != f2
+        assert differs > 0
+
 
 class TestTheoremConditions:
     def _summary(self, delta, worst_snr, relay_ap, k=20):
-        return SnrSummary(snr_device_ap=np.full(k, worst_snr), snr_relay_ap=relay_ap,
-                          delta=delta)
+        """The three values of ``snr_summary``: K equal device SNRs, the relay SNR, delta."""
+        return np.full(k, worst_snr), relay_ap, delta
 
     def test_unit_delta_threshold(self):
         # at delta = 1 the requirement reduces to K * worst SNR + 1
-        cond40, cond41 = check_theorem_conditions(self._summary(1.0, 10.0, 201.0))
+        cond40, cond41 = check_theorem_conditions(*self._summary(1.0, 10.0, 201.0))
         assert cond40 and cond41
-        cond40, cond41 = check_theorem_conditions(self._summary(1.0, 10.0, 200.99))
+        cond40, cond41 = check_theorem_conditions(*self._summary(1.0, 10.0, 200.99))
         assert cond40 and not cond41
 
     def test_zero_delta_threshold(self):
         threshold = 20 * 10.0 / (1.0 + np.sqrt(2.0)) ** 2
-        _, cond41 = check_theorem_conditions(self._summary(0.0, 10.0, threshold * 1.001))
+        _, cond41 = check_theorem_conditions(*self._summary(0.0, 10.0, threshold * 1.001))
         assert cond41
-        _, cond41 = check_theorem_conditions(self._summary(0.0, 10.0, threshold * 0.999))
+        _, cond41 = check_theorem_conditions(*self._summary(0.0, 10.0, threshold * 0.999))
         assert not cond41
 
     def test_delta_above_one_flags_condition(self):
-        cond40, cond41 = check_theorem_conditions(self._summary(1.5, 10.0, 1e9))
+        cond40, cond41 = check_theorem_conditions(*self._summary(1.5, 10.0, 1e9))
         assert not cond40
         assert not cond41
 
@@ -144,7 +155,7 @@ class TestAnalyticConstruction:
     def test_certified_dominance_on_condition_satisfying_instances(self):
         for seed in range(300):
             ch, weights, budget = single_relay_instance(seed, enforce_conditions=True)
-            cond40, cond41 = check_theorem_conditions(snr_summary(ch, budget))
+            cond40, cond41 = check_theorem_conditions(*snr_summary(ch, budget))
             assert cond40 and cond41
             _, mse = analytic_construction(ch, weights, budget)
             _, _, bound = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)

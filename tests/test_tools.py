@@ -23,7 +23,7 @@ def test_csv_drift_finds_no_change_between_a_tree_and_itself():
     # Two trials of 8 one-block rounds.  A zero-relay run without a sweep
     # leaves the sweep and single-relay columns empty; every other is numeric.
     assert proc.stdout.splitlines() == [
-        "zero-relay-cell-no_relay: rows 16 / 16 same",
+        "zero-relay-cell-no_relay: rows 16 / 16 same, byte-identical",
         "  unchanged: trial, round, blocks_used, nmse_db, test_accuracy, mse_predicted",
     ]
 
@@ -48,23 +48,40 @@ def _drift_of(old_text, new_text, tmp_path, monkeypatch):
 ], ids=["header", "row-count", "non-numeric-cell", "one-sided-empty-cell"])
 def test_csv_drift_fails_on_a_structural_difference(old, new, problem, tmp_path, monkeypatch,
                                                     capsys):
-    (problems, _, _, _), code = _drift_of(old, new, tmp_path, monkeypatch)
+    (problems, *_), code = _drift_of(old, new, tmp_path, monkeypatch)
     assert problems == [problem]
     assert code == 1
     assert f"  FAIL {problem}" in capsys.readouterr().out.splitlines()
 
 
 def test_csv_drift_reports_a_numeric_change_and_passes(tmp_path, monkeypatch, capsys):
-    (problems, drift, old_rows, new_rows), code = _drift_of(
+    (problems, drift, text_only, old_rows, new_rows), code = _drift_of(
         "a,b,s\n1,2,x\n3,,y\n", "a,b,s\n1,2.5,x\n3,,y\n", tmp_path, monkeypatch)
     assert problems == []
     assert drift == {"a": 0.0, "b": 0.2}
+    assert text_only == []
     assert (old_rows, new_rows) == (2, 2)
     assert code == 0
     assert capsys.readouterr().out.splitlines() == [
-        "pair: rows 2 / 2 same",
+        "pair: rows 2 / 2 same, bytes differ",
         "  b                  0.2",
         "  unchanged: a",
+    ]
+
+
+def test_csv_drift_names_columns_changed_in_text_only(tmp_path, monkeypatch, capsys):
+    # Equal values in other text: the CSVs are not byte-identical, and no
+    # value drifts.
+    (problems, drift, text_only, _, _), code = _drift_of(
+        "a,b,c\n1,-0.0,5\n2,3,6\n", "a,b,c\n1.0,0.0,5\n2,3,6\n", tmp_path, monkeypatch)
+    assert problems == []
+    assert drift == {"a": 0.0, "b": 0.0, "c": 0.0}
+    assert text_only == ["a", "b"]
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "pair: rows 2 / 2 same, bytes differ",
+        "  text only: a, b",
+        "  unchanged: c",
     ]
 
 

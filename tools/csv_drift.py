@@ -7,13 +7,16 @@ Usage, from the root of a checkout:
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Each tree
 writes the CSVs of the reference configs of ``tools/csv_digests.py`` (all of
 them, or the named ones) in its own subprocess with one BLAS thread.  For each
-config one line gives the row counts, one line per changed numeric column
-gives the largest relative difference |old - new| / max(|old|, |new|) over
-its cells, and one line lists the numeric columns that did not change.  A
-column is numeric when one of its cells parses as a float and every other is
-empty or parses too.  The exit code is 1 when a header, a row count or
-a non-numeric cell differs (or a numeric cell is empty on one side only),
-and 0 otherwise; a numeric bound is for the reader to check.
+config one line gives the row counts and whether the two CSVs are
+byte-identical, one line per changed numeric column gives the largest
+relative difference |old - new| / max(|old|, |new|) over its cells, one
+line (if any) names the numeric columns whose text changes where no value
+does (``1`` against ``1.0``, ``-0.0`` against ``0.0``), and one line lists
+the numeric columns that did not change.  A column is numeric when one of its cells
+parses as a float and every other is empty or parses too.  The exit code is
+1 when a header, a row count or a non-numeric cell differs (or a numeric cell
+is empty on one side only), and 0 otherwise; a numeric bound is for the
+reader to check.
 """
 
 from __future__ import annotations
@@ -55,21 +58,22 @@ def relative_difference(old: float, new: float) -> float:
     return 0.0 if old == new else abs(old - new) / max(abs(old), abs(new))
 
 
-def compare(old_path: Path, new_path: Path) -> tuple[list[str], dict[str, float], int, int]:
-    """(problems, largest relative difference per numeric column, old and new
-    row counts) of two CSVs."""
+def compare(old_path: Path,
+            new_path: Path) -> tuple[list[str], dict[str, float], list[str], int, int]:
+    """(problems, largest relative difference per numeric column, numeric
+    columns changed in text only, old and new row counts) of two CSVs."""
     with open(old_path, newline="", encoding="utf-8") as fh:
         old = list(csv.reader(fh))
     with open(new_path, newline="", encoding="utf-8") as fh:
         new = list(csv.reader(fh))
     counts = len(old) - 1, len(new) - 1
     if old[0] != new[0]:
-        return [f"headers differ: {old[0]} != {new[0]}"], {}, *counts
+        return [f"headers differ: {old[0]} != {new[0]}"], {}, [], *counts
     problems = []
     if counts[0] != counts[1]:
         problems.append("row counts differ")
     rows = list(zip(old[1:], new[1:]))
-    drift = {}
+    drift, text_only = {}, []
     for col, name in enumerate(old[0]):
         cells = [(a[col], b[col]) for a, b in rows]
         numbers = [(_number(a), _number(b)) for a, b in cells]
@@ -88,7 +92,9 @@ def compare(old_path: Path, new_path: Path) -> tuple[list[str], dict[str, float]
             elif a != b:
                 worst = max(worst, relative_difference(x, y))
         drift[name] = worst
-    return problems, drift, *counts
+        if not worst and any(a != b for a, b in cells):
+            text_only.append(name)
+    return problems, drift, text_only, *counts
 
 
 def main(argv: list[str]) -> int:
@@ -108,13 +114,18 @@ def main(argv: list[str]) -> int:
             write_tree(src, out_dir, names)
         for name in order:
             old_path, new_path = old_dir / f"{name}.csv", new_dir / f"{name}.csv"
-            problems, drift, old_rows, new_rows = compare(old_path, new_path)
+            problems, drift, text_only, old_rows, new_rows = compare(old_path, new_path)
             status = "same" if old_rows == new_rows else "DIFFER"
-            print(f"{name}: rows {old_rows} / {new_rows} {status}")
+            identical = old_path.read_bytes() == new_path.read_bytes()
+            print(f"{name}: rows {old_rows} / {new_rows} {status}, "
+                  f"{'byte-identical' if identical else 'bytes differ'}")
             for column, worst in drift.items():
                 if worst:
                     print(f"  {column:<18} {worst:.3g}")
-            print("  unchanged:", ", ".join(c for c, worst in drift.items() if not worst))
+            if text_only:
+                print("  text only:", ", ".join(text_only))
+            print("  unchanged:", ", ".join(c for c, worst in drift.items()
+                                            if not worst and c not in text_only))
             for problem in problems:
                 print(f"  FAIL {problem}")
             failed |= bool(problems)
