@@ -232,15 +232,23 @@ def simulate_round(config: TransceiverConfig, channels: ChannelRealization,
     if s.ndim != 2 or s.shape[0] != channels.num_devices:
         raise ValueError("symbols must be K x d")
     d = s.shape[1]
+    n = channels.num_relays
     noise_scale = np.sqrt(sigma2)
 
+    # Every product of the symbols at once, in real arithmetic: the rows are
+    # the gains h a1 (AP, phase 1), g a1 (one row per relay) and h a2 (AP,
+    # phase 2), their real parts stacked over their imaginary parts.
+    gains = np.vstack([channels.h * config.a1, (channels.g * config.a1[:, None]).T,
+                       channels.h * config.a2])
+    parts = np.concatenate([gains.real, gains.imag]) @ s
+    received = np.empty((n + 2, d), dtype=complex)
+    received.real, received.imag = parts[:n + 2], parts[n + 2:]
+
     # Phase 1: devices transmit to the relays and the AP.
-    y1 = (channels.h * config.a1) @ s + noise_scale * _complex_normal(rng, d)
-    r = (channels.g * config.a1[:, None]).T @ s \
-        + noise_scale * _complex_normal(rng, (channels.num_relays, d))
+    y1 = received[0] + noise_scale * _complex_normal(rng, d)
+    r = received[1:n + 1] + noise_scale * _complex_normal(rng, (n, d))
     forwarded = (channels.f * config.b) @ r
     # Phase 2: relays forward, devices retransmit.
-    y2 = forwarded + (channels.h * config.a2) @ s \
-        + noise_scale * _complex_normal(rng, d)
+    y2 = forwarded + received[n + 1] + noise_scale * _complex_normal(rng, d)
     return config.c1 * y1 + config.c2 * y2
 

@@ -8,12 +8,14 @@ blocks one round costs (relay schemes use two, the rest one).
 
 `train` gathers each trial's samples once: one `DeviceData` stack per group
 of devices with equal sample counts, and one for the test set.  The local
-steps run class-major, on (C, ..., n) logits.
+steps run class-major, on (C, ..., n) logits, which each step moves through
+the devices' Gram matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +64,11 @@ class DeviceData:
     def build(cls, features: np.ndarray, labels: np.ndarray) -> DeviceData:
         label_index = labels.reshape(-1) * labels.size + np.arange(labels.size)
         return cls(_augment(features), labels, label_index)
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        """Per-device Gram matrices x xᵀ (..., n, n), formed on first use and kept."""
+        return _gram_matrices(self.x)
 
 
 @dataclass(frozen=True)
@@ -190,24 +197,30 @@ def _augment(features: np.ndarray) -> np.ndarray:
     return np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
 
 
-def _gradient(mat: np.ndarray, data: DeviceData) -> np.ndarray:
-    """Mean cross-entropy gradient (..., C, d + 1) of weights `mat` on `data`.
+def _gram_matrices(x: np.ndarray) -> np.ndarray:
+    """Per-device Gram matrices x xᵀ (..., n, n) of features x (..., n, d + 1)."""
+    return x @ x.swapaxes(-1, -2)
 
-    Class-major: the logits are kept as (C, ..., n), so the softmax max and
-    sum run over axis 0, row by row, on rows that hold every sample.  Each
-    stacked matmul writes or reads its (C, n) slices through a strided view,
-    and x.swapaxes is read by BLAS as a transposed operand; nothing is copied.
+
+def _stacked(class_major: np.ndarray) -> np.ndarray:
+    """The (..., C, n) view of a class-major (C, ..., n) array, for stacked matmuls.
+
+    BLAS reads and writes the (C, n) slices through the strided view, as it
+    reads x.swapaxes as a transposed operand, so nothing is copied."""
+    return class_major.transpose(*range(1, class_major.ndim - 1), 0, -1)
+
+
+def _residual(logits: np.ndarray, data: DeviceData, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax probabilities minus the one-hot labels, of class-major (C, ..., n) logits.
+
+    The max and sum run over axis 0, row by row, on rows that hold every
+    sample; `out`, when given, is C-contiguous and shaped like the logits.
     """
-    probs = np.empty(mat.shape[-2:-1] + data.labels.shape)
-    stacked = probs.transpose(*range(1, probs.ndim - 1), 0, -1)  # the (..., C, n) view
-    np.matmul(mat, data.x.swapaxes(-1, -2), out=stacked)
-    probs -= probs.max(axis=0)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=0)
-    probs.reshape(-1)[data.label_index] -= 1.0
-    grad = stacked @ data.x
-    grad /= data.labels.shape[-1]
-    return grad
+    res = np.subtract(logits, logits.max(axis=0), out=out)
+    np.exp(res, out=res)
+    res /= res.sum(axis=0)
+    res.reshape(-1)[data.label_index] -= 1.0
+    return res
 
 
 def local_update(w: np.ndarray, data: DeviceData, tau: int, lr: float) -> np.ndarray:
@@ -215,22 +228,44 @@ def local_update(w: np.ndarray, data: DeviceData, tau: int, lr: float) -> np.nda
 
     `data` holds one device's samples (n,) or a (G, n) stack of devices with
     equal sample counts (`LearningTask.train_data`), gathered once by the
-    caller and reused every round.  All G models take each step together:
-    class-major (C, G, n) logits, then (G, C, d + 1) gradients, each one
-    stacked matmul.  The result has one model-change row per device, (G,
-    model_dim), or a single (model_dim,) vector for one device.  Every device
-    sees exactly the arithmetic of a step on its own.
+    caller and reused every round.  The result has one model-change row per
+    device, (G, model_dim), or a single (model_dim,) vector for one device.
+
+    The steps run on the logits, not the weights.  A step takes the softmax
+    residual R of the class-major (C, G, n) logits L = W xᵀ and moves W by
+    -(lr/n) R x, so L moves by -(lr/n) R x xᵀ, and the model change is
+    -(lr/n) E x with E the sum of the tau residuals.  Through the Gram
+    matrices x xᵀ (`DeviceData._gram`) a step costs C n² multiply-adds
+    against the 2 C n (d + 1) of a logit and gradient pair.  They are used
+    when tau >= 2 and n < 2 (d + 1); otherwise a step multiplies by x and
+    then by xᵀ, and x xᵀ is never formed.  Every product is one stacked
+    matmul over the devices, so every device sees exactly the arithmetic of
+    its own update.
     """
     if tau < 1:
         raise ValueError("tau must be at least 1")
     lead = data.labels.shape[:-1]
-    start = w.reshape(-1, data.x.shape[-1])
-    mat = np.broadcast_to(start, lead + start.shape)
-    for _ in range(tau):
-        grad = _gradient(mat, data)
-        grad *= lr
-        mat = np.subtract(mat, grad, out=grad)  # w - lr * grad, in the gradient's buffer
-    return (mat - start).reshape(lead + (-1,))
+    n, cols = data.x.shape[-2:]
+    xt = data.x.swapaxes(-1, -2)
+    start = w.reshape(-1, cols)
+    logits = np.empty(start.shape[:1] + data.labels.shape)
+    np.matmul(np.broadcast_to(start, lead + start.shape), xt, out=_stacked(logits))
+    step = lr / n
+    gram = data._gram if tau > 1 and n < 2 * cols else None
+    residual = total = _residual(logits, data)
+    product, spare = np.empty_like(logits), np.empty_like(logits)
+    for _ in range(tau - 1):
+        if gram is None:
+            np.matmul(_stacked(residual) @ data.x, xt, out=_stacked(product))
+        else:
+            np.matmul(_stacked(residual), gram, out=_stacked(product))
+        product *= step
+        logits -= product
+        residual = _residual(logits, data, out=spare)
+        total += residual
+    delta = _stacked(total) @ data.x
+    delta *= -step
+    return delta.reshape(lead + (-1,))
 
 
 def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:

@@ -3,10 +3,9 @@
 The oracles are deliberately decoupled from the package's closed forms:
 brute-force searches, bisection on feasibility predicates, and off-the-shelf
 constrained optimization.  Two kinds of helper are not: the test-side
-helpers `cross_entropy_gradient` (the package's batched gradient kernel on
-flat weights) and `summarize`, and the block adapters at the end, which call
-the package's block updates at a TransceiverConfig; `solve_reference`
-strings them into the per-block loop that `optimizer.solve` is compared with.
+helper `summarize`, and the block adapters at the end, which call the
+package's block updates at a TransceiverConfig; `solve_reference` strings
+them into the per-block loop that `optimizer.solve` is compared with.
 """
 
 import math
@@ -23,7 +22,6 @@ from relayfl.aggregation import (
     relay_gains,
     relay_mse,
 )
-from relayfl.federated import DeviceData, _gradient
 from relayfl.geometry import ChannelRealization, stream
 from relayfl.optimizer import (
     Problem,
@@ -212,19 +210,29 @@ def local_update_reference(w, task, device_indices, tau, lr):
     """One device's model change after tau full-batch softmax-regression steps.
 
     Written per device with 2-D arrays only, in the operation order of the
-    package's batched kernel: class-major logits (C, n), max and sum over the
-    class axis, label entries minus one, then (probs x) / n and w - lr * grad.
+    package's batched kernel, which steps the logits rather than the weights:
+    class-major logits L = W xᵀ (C, n); per step the residual R (max and sum
+    over the class axis, label entries minus one) joins the running sum E,
+    and all steps but the last take L - (lr/n) R x xᵀ, through the Gram
+    matrix x xᵀ when tau >= 2 and n < 2 (d + 1) and as (R x) xᵀ otherwise.
+    The change is -(lr/n) E x.
     """
     x = np.column_stack([task.train_features[device_indices], np.ones(len(device_indices))])
     labels = task.train_labels[device_indices]
-    w_local = w.copy()
-    for _ in range(tau):
-        logits = w_local.reshape(task.num_classes, x.shape[1]) @ x.T
+    n, cols = x.shape
+    step = lr / n
+    gram = x @ x.T if tau > 1 and n < 2 * cols else None
+    logits = w.reshape(task.num_classes, cols) @ x.T
+    total = np.zeros_like(logits)
+    for t in range(tau):
         e = np.exp(logits - logits.max(axis=0))
-        probs = e / e.sum(axis=0)
-        probs[labels, np.arange(labels.size)] -= 1.0
-        w_local = w_local - lr * ((probs @ x).reshape(-1) / labels.size)
-    return w_local - w
+        residual = e / e.sum(axis=0)
+        residual[labels, np.arange(n)] -= 1.0
+        total = total + residual
+        if t < tau - 1:
+            product = residual @ x @ x.T if gram is None else residual @ gram
+            logits = logits - step * product
+    return (total @ x).reshape(-1) * -step
 
 
 def local_update_row_major(w, task, device_indices, tau, lr):
@@ -243,16 +251,13 @@ def local_update_row_major(w, task, device_indices, tau, lr):
 
 
 def cross_entropy_gradient(w, features, labels, num_classes):
-    """Mean cross-entropy gradient for flattened softmax-regression weights.
-
-    The package's batched kernel (``federated._gradient``, which
-    ``local_update`` steps with) on flat weights: leading axes batch
-    independent problems, so w (..., C (d + 1)), features (..., n, d) and
-    labels (..., n) give one gradient row per problem.
-    """
-    data = DeviceData.build(features, labels)
-    mat = w.reshape(w.shape[:-1] + (num_classes, data.x.shape[-1]))
-    return _gradient(mat, data).reshape(w.shape)
+    """Mean cross-entropy gradient for flattened softmax-regression weights, written directly."""
+    x = np.column_stack([features, np.ones(labels.size)])
+    logits = x @ w.reshape(num_classes, x.shape[1]).T
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    probs[np.arange(labels.size), labels] -= 1.0
+    return (probs.T @ x).reshape(-1) / labels.size
 
 
 def cross_entropy_loss(w, features, labels, num_classes):

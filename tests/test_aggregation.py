@@ -295,8 +295,12 @@ class TestSimulateRound:
         est = simulate_round(config, ch, symbols, sigma2, drawn)
         noise1, noise2 = _complex_normal(twin, d), _complex_normal(twin, d)
         assert drawn.bit_generator.state == twin.bit_generator.state
-        y1 = (ch.h * config.a1) @ symbols + np.sqrt(sigma2) * noise1
-        y2 = (ch.h * config.a2) @ symbols + np.sqrt(sigma2) * noise2
+        # Both AP products in one real matmul: real parts of h a1 and h a2,
+        # then their imaginary parts.
+        gains = np.stack([ch.h * config.a1, ch.h * config.a2])
+        parts = np.concatenate([gains.real, gains.imag]) @ symbols
+        y1 = parts[0] + 1j * parts[2] + np.sqrt(sigma2) * noise1
+        y2 = parts[1] + 1j * parts[3] + np.sqrt(sigma2) * noise2
         assert np.array_equal(est, config.c1 * y1 + config.c2 * y2)
 
     def test_empirical_mse_tracks_formula(self):

@@ -209,24 +209,43 @@ class TestBatchedLocalUpdate:
 
     @pytest.mark.parametrize("num_classes", [3, 10])
     def test_agrees_with_row_major_reference(self, num_classes):
+        # 3 classes give n = 12 samples per device, which step through the
+        # Gram matrices; 10 give n = 40 >= 2 (d + 1) = 26, which step through
+        # x and then xᵀ without forming them.
         task = small_task(seed=36, num_classes=num_classes, feature_dim=12,
                           samples_per_class=40)
         stack = np.stack(partition_iid(task, 8, stream(37)).assignments)
         w = 0.2 * stream(38).standard_normal(task.model_dim)
-        batched = local_update(w, task.train_data(stack), tau=5, lr=0.07)
+        data = task.train_data(stack)
+        batched = local_update(w, data, tau=5, lr=0.07)
+        assert ("_gram" in vars(data)) == (num_classes == 3)
         for row, idx in zip(batched, stack):
             row_major = local_update_row_major(w, task, idx, 5, 0.07)
             assert np.linalg.norm(row - row_major) <= 1e-13 * np.linalg.norm(row_major)
 
-    def test_gradient_batches_over_leading_axes(self):
+    def test_benchmark_shape_rows_equal_per_device_reference(self):
+        # The fl-k100-norelay shape: 100 devices of 32 samples, 50 features,
+        # 10 classes, 5 local steps.  Smaller stacks can match the per-device
+        # arithmetic where a single product over all devices' samples would not.
+        task = small_task(seed=39, num_classes=10, feature_dim=50, samples_per_class=400)
+        stack = np.stack(partition_iid(task, 100, stream(40)).assignments)
+        assert stack.shape == (100, 32)
+        w = 0.2 * stream(41).standard_normal(task.model_dim)
+        batched = local_update(w, task.train_data(stack), tau=5, lr=0.05)
+        reference = np.stack([local_update_reference(w, task, idx, 5, 0.05) for idx in stack])
+        assert np.array_equal(batched, reference)
+
+    def test_residual_batches_over_leading_axes(self):
         task = small_task(seed=28, num_classes=3, feature_dim=5, samples_per_class=40)
         stack = np.stack(partition_iid(task, 4, stream(29)).assignments)
-        w = 0.3 * stream(30).standard_normal((4, task.model_dim))
-        feats, labels = task.train_features[stack], task.train_labels[stack]
-        batched = cross_entropy_gradient(w, feats, labels, task.num_classes)
-        rows = [cross_entropy_gradient(w[g], feats[g], labels[g], task.num_classes)
-                for g in range(4)]
-        assert np.array_equal(batched, np.stack(rows))
+        logits = 3.0 * stream(30).standard_normal((task.num_classes,) + stack.shape)
+        batched = federated._residual(logits, task.train_data(stack))
+        rows = [federated._residual(logits[:, g], task.train_data(idx))
+                for g, idx in enumerate(stack)]
+        assert np.array_equal(batched, np.stack(rows, axis=1))
+        probs = np.exp(logits) / np.exp(logits).sum(axis=0)
+        one_hot = task.train_labels[stack] == np.arange(task.num_classes)[:, None, None]
+        assert batched == pytest.approx(probs - one_hot, abs=1e-15)
 
     def test_uneven_shards_train_matches_per_device_trajectory(self):
         # 404 training samples in 21 shards of 19; the last device also takes
@@ -251,22 +270,38 @@ class TestBatchedLocalUpdate:
 
     @pytest.mark.parametrize("blocks", [2, 6])
     def test_train_prepares_device_data_once(self, monkeypatch, blocks):
-        task = small_task(seed=31, num_classes=5, feature_dim=6, samples_per_class=101)
-        partition = partition_shards(task, 7, 3)
-        calls = []
-        augment = federated._augment
+        calls, grams = [], []
+        augment, gram = federated._augment, federated._gram_matrices
 
         def counting_augment(features):
             calls.append(features.shape)
             return augment(features)
 
+        def counting_gram(x):
+            grams.append(x.shape)
+            return gram(x)
+
         monkeypatch.setattr(federated, "_augment", counting_augment)
-        rng = stream(32)
-        metrics, _ = train("error_free", task, partition, line_layout(7, rng), PL, BUDGET,
-                           SolverConfig(), LrSchedule(base=0.3), blocks, rng, tau=3)
-        assert len(metrics) == blocks
-        # One gather per size group (57 and 62 samples) and one for the test set.
-        assert sorted(calls) == sorted([(6, 57, 6), (1, 62, 6), task.test_features.shape])
+        monkeypatch.setattr(federated, "_gram_matrices", counting_gram)
+        # With d = 40 both groups have n < 2 (d + 1); with d = 6 neither has.
+        for feature_dim, tau in ((6, 3), (40, 1), (40, 3)):
+            calls.clear()
+            grams.clear()
+            task = small_task(seed=31, num_classes=5, feature_dim=feature_dim,
+                              samples_per_class=101)
+            partition = partition_shards(task, 7, 3)
+            rng = stream(32)
+            metrics, _ = train("error_free", task, partition, line_layout(7, rng), PL,
+                               BUDGET, SolverConfig(), LrSchedule(base=0.3), blocks, rng,
+                               tau=tau)
+            assert len(metrics) == blocks
+            # One gather per size group (57 and 62 samples) and one for the test set.
+            groups = [(6, 57), (1, 62)]
+            assert sorted(calls) == sorted([g + (feature_dim,) for g in groups]
+                                           + [task.test_features.shape])
+            # One Gram matrix per group and trial, only when a step uses it.
+            used = tau > 1 and feature_dim == 40
+            assert sorted(grams) == sorted(g + (feature_dim + 1,) for g in groups if used)
 
 
 class TestGlobalUpdateAndNmse:
