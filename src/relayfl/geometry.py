@@ -102,6 +102,11 @@ class ChannelRealization:
     h: device-to-AP, length K.  g: device-to-relay, K x N.  f: relay-to-AP, length N.
     A gain is a path loss times a Rayleigh draw, so zero has probability zero;
     a realization that has one raises ``SingularChannelError``.
+
+    g is kept in Fortran order, each relay's column contiguous, whatever the
+    layout passed in: a BLAS product can round differently in another layout,
+    and with one layout every product with g rounds the same way in every
+    reader.
     """
 
     h: np.ndarray
@@ -111,7 +116,7 @@ class ChannelRealization:
     def __post_init__(self):
         h = np.asarray(self.h, dtype=complex).reshape(-1)
         f = np.asarray(self.f, dtype=complex).reshape(-1)
-        g = np.asarray(self.g, dtype=complex).reshape(h.size, f.size)
+        g = np.asfortranarray(np.asarray(self.g, dtype=complex).reshape(h.size, f.size))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "f", f)

@@ -37,10 +37,7 @@ zero) and clamps the incoming scalars they keep only when some device is
 unlinked, and drops silent relays from the caps only when some relay is
 silent.  Skipping a mask leaves every result bit for bit the same.  Every
 relay reaches the AP, because a ``ChannelRealization`` has no zero gain.  The
-relay update reads g in Fortran order, whatever the layout of
-``channels.g``: its BLAS products round differently in another layout, and
-the reference CSVs were written in this one.  The receive scalars are NumPy
-complex inside the loop.
+receive scalars are NumPy complex inside the loop.
 """
 
 from __future__ import annotations
@@ -94,9 +91,13 @@ class SolverTrace:
     """Objective value after initialization and after each sweep."""
 
     objectives: np.ndarray
-    iterations_run: int
     terminated_by: str  # "converged" or "max_iterations"
     warnings: tuple[str, ...] = ()
+
+    @property
+    def iterations_run(self) -> int:
+        """Sweeps run: one objective each after the initial one."""
+        return len(self.objectives) - 1
 
 
 def _radii(budget: PowerBudget, variant: SchemeVariant) -> tuple[float, float]:
@@ -113,15 +114,13 @@ class Problem:
 
     The block updates take the instance in this form, so what depends only on
     the channels, weights, budget and variant is computed once per solve:
-    |g^T|^2, g and its conjugate transpose, |f|, sigma2 I over the relays,
+    |g^T|^2, the conjugate transpose of g, |f|, sigma2 I over the relays,
     the device radii of both phases and the QCQP tolerance scaled by the
-    squared weight norm.  |g^T|^2 is kept with each relay's row contiguous
-    and g in Fortran order, whatever the layout of ``channels.g``, because a
-    BLAS product can round differently in another layout.
+    squared weight norm.
     """
 
     __slots__ = ("channels", "weights", "budget", "solver_cfg", "h", "rho", "sigma2",
-                 "r1", "r2", "tol", "g2", "g", "g_h", "abs_f", "noise_eye")
+                 "r1", "r2", "tol", "g2", "g_h", "abs_f", "noise_eye")
 
     def __init__(self, channels: ChannelRealization, weights: DeviceWeights,
                  budget: PowerBudget, solver_cfg: SolverConfig,
@@ -131,10 +130,7 @@ class Problem:
         self.h, self.rho, self.sigma2 = channels.h, weights.rho, budget.sigma2
         self.r1, self.r2 = _radii(budget, variant)
         self.tol = solver_cfg.qcqp_tol * float(self.rho @ self.rho)
-        self.g2 = np.ascontiguousarray(np.abs(channels.g.T) ** 2)  # (N, K)
-        # Fortran order, the layout the relay update's products are pinned to round in.
-        self.g = np.asfortranarray(channels.g)
-        self.g_h = self.g.conj().T
+        self.g2, self.g_h = np.abs(channels.g.T) ** 2, channels.g.conj().T  # (N, K) each
         self.abs_f = np.abs(channels.f)
         self.noise_eye = budget.sigma2 * np.eye(channels.num_relays)
 
@@ -370,7 +366,7 @@ def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np
     """
     if c2 == 0:
         raise ValueError("relay update requires a nonzero phase-2 receive scalar")
-    g, g_h, f = problem.g, problem.g_h, problem.channels.f
+    g, g_h, f = problem.channels.g, problem.g_h, problem.channels.f
     pow1 = np.abs(a1) ** 2
     m = (g_h * pow1) @ g + problem.noise_eye
     residual = problem.rho - problem.h * (c1 * a1 + c2 * a2)
@@ -483,6 +479,6 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
             terminated = "converged"
             break
 
-    trace = SolverTrace(objectives=np.asarray(objectives), iterations_run=iterations,
-                        terminated_by=terminated, warnings=tuple(warnings))
+    trace = SolverTrace(objectives=np.asarray(objectives), terminated_by=terminated,
+                        warnings=tuple(warnings))
     return TransceiverConfig(a1=a1, a2=a2, b=b, c1=c1, c2=c2), trace

@@ -25,8 +25,7 @@ def _link_powers(channels: ChannelRealization) -> tuple[np.ndarray, np.ndarray, 
     device-to-relay powers per device, and the relay-to-AP power."""
     if channels.num_relays != 1:
         raise ValueError("single-relay analysis is defined for exactly one relay")
-    f2 = abs(complex(channels.f[0])) ** 2
-    return np.abs(channels.h) ** 2, np.abs(channels.g[:, 0]) ** 2, f2
+    return np.abs(channels.h) ** 2, np.abs(channels.g[:, 0]) ** 2, float(np.abs(channels.f[0])) ** 2
 
 
 def snr_summary(channels: ChannelRealization,

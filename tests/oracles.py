@@ -409,5 +409,5 @@ def solve_reference(channels, weights, budget, solver_cfg, variant=SchemeVariant
                 <= solver_cfg.epsilon):
             terminated = "converged"
             break
-    return config, SolverTrace(objectives=np.asarray(objectives), iterations_run=sweep,
-                               terminated_by=terminated, warnings=tuple(warnings))
+    return config, SolverTrace(objectives=np.asarray(objectives), terminated_by=terminated,
+                               warnings=tuple(warnings))

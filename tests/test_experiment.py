@@ -308,6 +308,8 @@ MALFORMED = [
     pytest.param({"trials": 1, "master_seed": 1.5, "fl": {"total_blocks": 2}}, [],
                  id="seed-fraction"),
     pytest.param({"trials": 1}, ["--seed", "-3"], id="seed-flag-negative"),
+    pytest.param({"trials": 1, "sweep": {"values": [0.1]}}, [], id="sweep-without-key"),
+    pytest.param({"trials": 1, "sweep": {"key": "pr_watts"}}, [], id="sweep-without-values"),
     pytest.param(_sweep("pr_watts", 0.1, "abc"), [], id="sweep-string"),
     pytest.param(_sweep("num_devices", 5, {}), [], id="sweep-object"),
     pytest.param(_sweep("pr_watts", 0.1, json.loads("[" * 600 + "]" * 600)), [],

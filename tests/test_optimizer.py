@@ -15,6 +15,7 @@ from relayfl.aggregation import (
     _misalignment_power,
     max_constraint_violation,
     norelay_optimum,
+    relay_input_power,
     relay_mse,
     relay_power_used,
 )
@@ -33,6 +34,7 @@ from relayfl.single_relay import analytic_construction
 from relayfl.optimizer import (
     SchemeVariant,
     SolverConfig,
+    SolverTrace,
     _bounded_newton_step,
     _clamp_disc,
     _transmit_scalars,
@@ -464,7 +466,7 @@ class TestRelayUpdate:
             cfg, ch, weights, budget = random_feasible_setup(int(rng.integers(1 << 30)), k, 1)
             budget = replace(budget, pr=1e6)  # the stationary point fits the cap
             problem = optimizer.Problem(ch, weights, budget, SOLVER)
-            g, g_h = problem.g, problem.g_h
+            g, g_h = ch.g, problem.g_h
             m = (g_h * np.abs(cfg.a1) ** 2) @ g + problem.noise_eye
             residual = weights.rho - ch.h * (cfg.c1 * cfg.a1 + cfg.c2 * cfg.a2)
             q = g_h @ (residual * np.conj(cfg.a1)) / cfg.c2
@@ -547,18 +549,34 @@ class TestRelayUpdate:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_layout_of_g_does_not_change_b(self, seed):
-        # The relay update reads g in one layout, so a C- and an F-ordered g
-        # give the same b bit for bit, on the stationary point and the capped
-        # path alike.
+        # A realization keeps g in Fortran order whatever the layout passed
+        # in, so a C- and an F-ordered g give the same b bit for bit, on the
+        # stationary point and the capped path alike.
         cfg, ch, weights, budget = random_feasible_setup(6320 + seed, 100, 4)
-        f_ordered = ChannelRealization(h=ch.h, g=np.asfortranarray(ch.g), f=ch.f)
-        assert ch.g.flags.c_contiguous and f_ordered.g.flags.f_contiguous
-        assert not f_ordered.g.flags.c_contiguous
+        c_input, f_input = np.ascontiguousarray(ch.g), np.asfortranarray(ch.g)
+        assert not c_input.flags.f_contiguous and not f_input.flags.c_contiguous
+        c_ordered = ChannelRealization(h=ch.h, g=c_input, f=ch.f)
+        f_ordered = ChannelRealization(h=ch.h, g=f_input, f=ch.f)
+        assert c_ordered.g.flags.f_contiguous and f_ordered.g.flags.f_contiguous
+        assert np.array_equal(c_ordered.g, f_ordered.g)
         for pr in (1e6, 0.1 * budget.pr):
             tight = replace(budget, pr=pr)
-            b_c = relay_block(cfg, ch, weights, tight, SOLVER)
+            b_c = relay_block(cfg, c_ordered, weights, tight, SOLVER)
             b_f = relay_block(cfg, f_ordered, weights, tight, SOLVER)
             assert np.array_equal(b_c, b_f)
+
+    def test_relay_input_power_is_the_relay_updates_cap(self):
+        # The solver's start and the constraint checker read the relay input
+        # power with the same bits as the relay update's cap.
+        rng = stream(6330)
+        gains = path_gain_profile(cell_layout(100, 4, rng), PathLossParams())
+        budget = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
+        for _ in range(200):
+            ch = realize_channels(gains, rng)
+            a1 = 0.2 * (rng.standard_normal(100) + 1j * rng.standard_normal(100))
+            problem = optimizer.Problem(ch, DeviceWeights.uniform(100), budget, SOLVER)
+            cap = problem.g2 @ np.abs(a1) ** 2 + budget.sigma2
+            assert bits(relay_input_power(ch, a1, budget.sigma2)) == bits(cap)
 
     @pytest.mark.parametrize("pr", [0.01, 0.1])
     @pytest.mark.parametrize("noise_dbm", [-70.0, -80.0])
@@ -697,6 +715,17 @@ class TestSolve:
         cfg, trace = solve(ch, weights, budget, SolverConfig(epsilon=float("inf")))
         assert trace.iterations_run == 1
         assert trace.terminated_by == "converged"
+
+    def test_iterations_run_follows_the_objectives(self):
+        # One objective for the start and one per sweep; the count is read off them.
+        trace = SolverTrace(objectives=np.arange(4.0), terminated_by="converged")
+        assert trace.iterations_run == 3
+        with pytest.raises(AttributeError):
+            trace.iterations_run = 2
+        ch, weights, budget, _ = random_instance(177, 4, 2)
+        _, trace = solve(ch, weights, budget, SolverConfig(j_max=3, epsilon=1e-300))
+        assert trace.terminated_by == "max_iterations"
+        assert trace.iterations_run == 3 == trace.objectives.size - 1
 
     def test_relay_only_pins_and_budget(self):
         ch, weights, budget, _ = random_instance(176, 4, 2)

@@ -46,6 +46,10 @@ def reference_configs() -> dict[str, tuple[str, dict]]:
     configs["num-relays-0-2"] = ("run", {"trials": 2, "layout": {"kind": "cell"},
                                          "sweep": {"key": "num_relays", "values": [0, 2]},
                                          "fl": {"total_blocks": 8}})
+    # The only config whose device updates reach the Levenberg-Marquardt damping.
+    configs["cell-n4-70dbm"] = ("run", {"num_relays": 4, "trials": 2, "layout": {"kind": "cell"},
+                                        "budget": {"noise_dbm": -70.0, "pr_watts": 0.01},
+                                        "fl": {"total_blocks": 8}})
     return configs
 
 
