@@ -1,10 +1,10 @@
 """Experiment configuration, Monte Carlo orchestration, and CSV emission.
 
 Configs are JSON documents whose keys match the ExperimentConfig fields; one
-loader checks every value against its field's annotation and rejects unknown
-keys at any level so typos fail loudly.  Every trial derives its own random
-stream from (master_seed, sweep index, trial index), which makes runs
-reproducible and trial order irrelevant.
+loader checks every value against its field's annotation, type and declared
+range, and rejects unknown keys at any level so typos fail loudly.  Every
+trial derives its own random stream from (master_seed, sweep index, trial
+index), which makes runs reproducible and trial order irrelevant.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import types
 import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
@@ -31,6 +32,10 @@ SWEEP_PATHS = {"pr_watts": "budget.pr_watts", "p0_watts": "budget.p0_watts",
                "shards_c": "fl.shards_c", "csi_kappa": "csi_kappa",
                "total_blocks": "fl.total_blocks"}
 
+# The most numbers one array of a trial may hold (1 GiB of float64); a document
+# whose sizes ask for more is a configuration error, not a failed allocation.
+MAX_ARRAY_SIZE = 2**27
+
 CSV_COLUMNS = ("sweep_key", "sweep_value", "trial",
                *(f.name for f in dataclasses.fields(federated.RoundMetrics)))
 
@@ -43,66 +48,95 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+class _Range(typing.NamedTuple):
+    """The values a config field accepts, declared in its annotation as
+    ``Annotated[type, range]``: the words that finish "<key> must be" and the
+    test of a value that already has the field's type."""
+
+    text: str
+    holds: typing.Callable[[typing.Any], bool]
+
+
+POSITIVE = _Range("positive", lambda x: x > 0)
+NONNEGATIVE = _Range("nonnegative", lambda x: x >= 0)
+AT_LEAST_ONE = _Range("at least 1", lambda x: x >= 1)
+
+
+def _one_of(*options: str) -> _Range:
+    return _Range(f"one of {options}", options.__contains__)
+
+
 @dataclass(frozen=True)
 class BudgetConfig:
-    p0_watts: float = 0.05
-    pr_watts: float = 0.1
+    p0_watts: Annotated[float, POSITIVE] = 0.05
+    pr_watts: Annotated[float, POSITIVE] = 0.1
     noise_dbm: float = -70.0
 
 
 @dataclass(frozen=True)
 class LayoutConfig:
-    kind: str = "line"  # "line" or "cell"
-    x_relay: float = 50.0
-    device_x_min: float = 80.0
+    kind: Annotated[str, _one_of("line", "cell")] = "line"
+    x_relay: Annotated[float, POSITIVE] = 50.0
+    device_x_min: Annotated[float, POSITIVE] = 80.0
     device_x_max: float = 120.0
-    device_y_half: float = 60.0
-    cell_radius: float = 120.0
-    relay_ring_radius: float = 50.0
-    antenna_gain: float = 4.11
-    pathloss_exponent: float = 3.0
-    carrier_freq_hz: float = 915e6
+    device_y_half: Annotated[float, NONNEGATIVE] = 60.0
+    cell_radius: Annotated[float, POSITIVE] = 120.0
+    relay_ring_radius: Annotated[float, POSITIVE] = 50.0
+    antenna_gain: Annotated[float, POSITIVE] = 4.11
+    pathloss_exponent: Annotated[float, POSITIVE] = 3.0
+    carrier_freq_hz: Annotated[float, POSITIVE] = 915e6
 
 
 @dataclass(frozen=True)
 class FlConfig:
     total_blocks: int = 40
-    tau: int = 1
-    lr_base: float = 0.05
-    lr_decay: float = 0.9
-    lr_step: int = 50
-    lr_floor: float = 1e-5
-    num_classes: int = 5
-    feature_dim: int = 20
-    samples_per_class: int = 120
-    separation: float = 4.0
-    partition: str = "iid"  # "iid" or "shards"
-    shards_c: int = 2
+    tau: Annotated[int, AT_LEAST_ONE] = 1
+    lr_base: Annotated[float, POSITIVE] = 0.05
+    lr_decay: Annotated[float, _Range("in (0, 1]", lambda x: 0 < x <= 1)] = 0.9
+    lr_step: Annotated[int, AT_LEAST_ONE] = 50
+    lr_floor: Annotated[float, POSITIVE] = 1e-5
+    num_classes: Annotated[int, AT_LEAST_ONE] = 5
+    feature_dim: Annotated[int, AT_LEAST_ONE] = 20
+    samples_per_class: Annotated[int, AT_LEAST_ONE] = 120
+    separation: Annotated[float, POSITIVE] = 4.0
+    partition: Annotated[str, _one_of("iid", "shards")] = "iid"
+    shards_c: Annotated[int, AT_LEAST_ONE] = 2
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    key: str
-    values: tuple
+    key: Annotated[str, _one_of(*SWEEP_PATHS)]
+    # Every sweep target is a scalar; a nested value would also be deep-copied
+    # by every override, past the recursion limit when it nests deep enough.
+    values: Annotated[tuple, _Range(
+        "a nonempty list without lists or objects",
+        lambda v: bool(v) and not any(isinstance(x, (list, tuple, dict)) for x in v))]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scheme: str = "proposed"
-    num_devices: int = 20
-    num_relays: int = 1
+    scheme: Annotated[str, _one_of(*federated.SCHEMES)] = "proposed"
+    num_devices: Annotated[int, AT_LEAST_ONE] = 20
+    num_relays: Annotated[int, NONNEGATIVE] = 1
     budget: BudgetConfig = field(default_factory=BudgetConfig)
     layout: LayoutConfig = field(default_factory=LayoutConfig)
     solver: optimizer.SolverConfig = field(default_factory=optimizer.SolverConfig)
     fl: FlConfig = field(default_factory=FlConfig)
-    csi_kappa: float | None = None
-    trials: int = 50
-    master_seed: int = 1
+    csi_kappa: Annotated[float | None, _Range("in [0, 1]", lambda x: 0 <= x <= 1)] = None
+    trials: Annotated[int, AT_LEAST_ONE] = 50
+    master_seed: Annotated[int, NONNEGATIVE] = 1
     sweep: SweepConfig | None = None
 
 
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string", tuple: "a list"}
+
+
 def _check_value(kind, value, path: str):
-    """`value` checked against the annotation `kind`; sections are loaded recursively."""
+    """`value` checked against the annotation `kind`, then against the range an
+    ``Annotated`` kind declares; sections are loaded recursively."""
+    rule = None
+    if typing.get_origin(kind) is Annotated:
+        kind, rule = typing.get_args(kind)
     if isinstance(kind, types.UnionType):  # X | None
         if value is None:
             return None
@@ -110,24 +144,25 @@ def _check_value(kind, value, path: str):
     if dataclasses.is_dataclass(kind):
         return _load(kind, value, path + ".")
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is int and is_number and isinstance(value, int):
-        return value
-    # NaN and infinities fail; abs() compares ints exactly, so ints past the float range fail.
-    if kind is float and is_number and abs(value) <= sys.float_info.max:
-        return float(value)
-    if kind is str and isinstance(value, str):
-        return value
-    if kind is tuple and isinstance(value, (list, tuple)):  # override() passes tuples
-        return tuple(value)
-    expected = {int: "an integer", float: "a finite number", str: "a string", tuple: "a list"}
-    raise ConfigError(f"{path} must be {expected[kind]}")
+    typed = {int: is_number and isinstance(value, int),
+             # NaN and infinities fail; abs() compares ints exactly, so ints past the
+             # float range fail.
+             float: is_number and abs(value) <= sys.float_info.max,
+             str: isinstance(value, str),
+             tuple: isinstance(value, (list, tuple))}  # override() passes tuples
+    if not typed[kind]:
+        raise ConfigError(f"{path} must be {_EXPECTED[kind]}")
+    value = kind(value)  # a float from an int, a tuple from a list
+    if rule is not None and not rule.holds(value):
+        raise ConfigError(f"{path} must be {rule.text}")
+    return value
 
 
 @functools.cache
 def _type_hints(cls) -> types.MappingProxyType:
-    """The resolved field annotations of config dataclass `cls`, read-only
-    because every parse shares them."""
-    return types.MappingProxyType(typing.get_type_hints(cls))
+    """The resolved field annotations of config dataclass `cls`, ranges included,
+    read-only because every parse shares them."""
+    return types.MappingProxyType(typing.get_type_hints(cls, include_extras=True))
 
 
 def _load(cls, data, prefix: str = ""):
@@ -151,37 +186,19 @@ def _load(cls, data, prefix: str = ""):
 
 
 def _validate(config: ExperimentConfig) -> ExperimentConfig:
-    if config.scheme not in federated.SCHEMES:
-        raise ConfigError(f"scheme must be one of {federated.SCHEMES}")
-    if config.num_devices < 1:
-        raise ConfigError("num_devices must be at least 1")
-    if config.num_relays < 0:
-        raise ConfigError("num_relays must be nonnegative")
-    if config.trials < 1:
-        raise ConfigError("trials must be at least 1")
-    if config.master_seed < 0:
-        raise ConfigError("master_seed must be nonnegative")
-    b = config.budget
-    if b.p0_watts <= 0 or b.pr_watts <= 0:
-        raise ConfigError("budget.p0_watts and budget.pr_watts must be positive")
+    """The rules that derive a value or relate fields; each field's own range was
+    checked as it loaded."""
+    b, lay, fl = config.budget, config.layout, config.fl
     try:
         sigma2 = dbm_to_watts(b.noise_dbm)
     except OverflowError:
         sigma2 = math.inf
     if not 0.0 < sigma2 < math.inf:
         raise ConfigError("budget.noise_dbm must give a positive, finite noise power")
-    lay = config.layout
-    if lay.kind not in ("line", "cell"):
-        raise ConfigError("layout.kind must be 'line' or 'cell'")
     if lay.kind == "line" and config.num_relays != 1:
         raise ConfigError("line layout places exactly one relay; set num_relays to 1")
-    if min(lay.x_relay, lay.cell_radius, lay.relay_ring_radius,
-           lay.antenna_gain, lay.pathloss_exponent, lay.carrier_freq_hz) <= 0:
-        raise ConfigError("layout geometry and propagation values must be positive")
-    if lay.device_x_min <= 0 or lay.device_x_max <= lay.device_x_min:
-        raise ConfigError("layout device x range must be positive and increasing")
-    if lay.device_y_half < 0:
-        raise ConfigError("layout.device_y_half must be nonnegative")
+    if lay.device_x_max <= lay.device_x_min:
+        raise ConfigError("layout.device_x_max must exceed layout.device_x_min")
     for key, watts in (("p0_watts", b.p0_watts), ("pr_watts", b.pr_watts)):
         if not 0.0 < watts / sigma2 < math.inf:
             raise ConfigError(f"budget.{key} over the noise power must be finite and nonzero")
@@ -194,34 +211,26 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     if not all(0.0 < x < math.inf for x in (*gains, *ratios)):
         raise ConfigError("layout distances and propagation values must give finite, nonzero "
                           "path gains and power-to-noise ratios on every link")
-    fl = config.fl
-    if fl.total_blocks < federated.blocks_per_round(config.scheme) or fl.tau < 1:
-        raise ConfigError("fl.total_blocks must buy one round (a relay scheme needs two "
-                          "blocks) and fl.tau must be at least 1")
-    if fl.partition not in ("iid", "shards"):
-        raise ConfigError("fl.partition must be 'iid' or 'shards'")
-    if (min(fl.num_classes, fl.feature_dim, fl.samples_per_class, fl.shards_c) < 1
-            or fl.separation <= 0):
-        raise ConfigError("fl task parameters must be positive")
-    if fl.lr_base <= 0 or fl.lr_floor <= 0 or not 0 < fl.lr_decay <= 1 or fl.lr_step < 1:
-        raise ConfigError("fl learning-rate schedule values are out of range")
+    if fl.total_blocks < federated.blocks_per_round(config.scheme):
+        raise ConfigError("fl.total_blocks must buy one round (a relay scheme needs two)")
     shards = fl.partition == "shards"
     needed = config.num_devices * (fl.shards_c if shards else 1)
-    available = federated.train_size(fl.num_classes * fl.samples_per_class)
+    # The largest arrays a trial builds: the task's samples by their features and by
+    # the classes (features, logits, test scores), the devices' model changes, the
+    # relays by the devices and by themselves (channels, the relay update's system),
+    # and the shard list.  The cap also keeps `needed` printable below: str() refuses
+    # ints past 4,300 digits.
+    samples, cols = fl.num_classes * fl.samples_per_class, fl.feature_dim + 1
+    if max(samples * max(cols, fl.num_classes), config.num_devices * fl.num_classes * cols,
+           config.num_relays * max(config.num_devices, config.num_relays),
+           needed) > MAX_ARRAY_SIZE:
+        raise ConfigError(f"num_devices, num_relays and fl.num_classes, feature_dim, "
+                          f"samples_per_class and shards_c ask for an array of more than "
+                          f"{MAX_ARRAY_SIZE} numbers")
+    available = federated.train_size(samples)
     if available < needed:
         raise ConfigError(f"the fl task has {available} training samples but num_devices"
                           f"{' x fl.shards_c' if shards else ''} needs {needed}")
-    if config.csi_kappa is not None and not 0.0 <= config.csi_kappa <= 1.0:
-        raise ConfigError("csi_kappa must lie in [0, 1]")
-    if config.sweep is not None:
-        if config.sweep.key not in SWEEP_PATHS:
-            raise ConfigError(f"sweep.key must be one of {tuple(SWEEP_PATHS)}")
-        if not config.sweep.values:
-            raise ConfigError("sweep.values must be nonempty")
-        # Every sweep target is a scalar; a nested value would also be deep-copied
-        # by every override, past the recursion limit when it nests deep enough.
-        if any(isinstance(value, (list, tuple, dict)) for value in config.sweep.values):
-            raise ConfigError("sweep.values must not hold lists or objects")
     return config
 
 

@@ -80,10 +80,12 @@ class SolverConfig:
     qcqp_max_iter: int = 300
 
     def __post_init__(self):
-        if self.j_max < 1 or self.qcqp_max_iter < 1:
-            raise ValueError("iteration limits must be positive")
-        if self.epsilon <= 0 or self.qcqp_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("j_max", "qcqp_max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("epsilon", "qcqp_tol"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)

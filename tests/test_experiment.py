@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relayfl import experiment
 from relayfl.cli import main
 from relayfl.experiment import (
+    MAX_ARRAY_SIZE,
     SWEEP_PATHS,
     BudgetConfig,
     ConfigError,
     ExperimentConfig,
     FlConfig,
     LayoutConfig,
+    SweepConfig,
     dbm_to_watts,
     load_config,
     parse_config,
@@ -76,6 +79,20 @@ class TestConfig:
     def test_bad_solver_values_rejected(self, solver):
         with pytest.raises(ConfigError, match="solver"):
             parse_config({"solver": solver})
+
+    @pytest.mark.parametrize("key, value", [("j_max", 0), ("qcqp_max_iter", -1),
+                                            ("epsilon", 0.0), ("qcqp_tol", -1e-8)])
+    def test_solver_range_error_names_the_field(self, key, value):
+        with pytest.raises(ConfigError, match=f"^solver: {key} must be"):
+            parse_config({"solver": {key: value}})
+
+    def test_array_size_cap_is_inclusive(self):
+        # 128 samples of 2**20 - 1 features, plus the bias column, fill the cap exactly.
+        fl = {"num_classes": 1, "samples_per_class": 128, "feature_dim": 2**20 - 1}
+        assert 128 * 2**20 == MAX_ARRAY_SIZE
+        parse_config({"fl": fl})
+        with pytest.raises(ConfigError, match=f"more than {MAX_ARRAY_SIZE} numbers"):
+            parse_config({"fl": {**fl, "feature_dim": 2**20}})
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="colour"):
@@ -362,6 +379,41 @@ MALFORMED = [
 ]
 
 
+# One value outside each declared field range; every other value of the document is valid.
+RANGE_BREAKS = {
+    "scheme": "wishful", "num_devices": 0, "num_relays": -1, "csi_kappa": 1.5, "trials": 0,
+    "master_seed": -1, "budget.p0_watts": 0.0, "budget.pr_watts": -0.1, "layout.kind": "hex",
+    "layout.x_relay": 0.0, "layout.device_x_min": 0.0, "layout.device_y_half": -1.0,
+    "layout.cell_radius": 0.0, "layout.relay_ring_radius": -50.0, "layout.antenna_gain": 0.0,
+    "layout.pathloss_exponent": 0.0, "layout.carrier_freq_hz": -915e6, "fl.tau": 0,
+    "fl.lr_base": 0.0, "fl.lr_decay": 1.5, "fl.lr_step": 0, "fl.lr_floor": 0.0,
+    "fl.num_classes": 0, "fl.feature_dim": 0, "fl.samples_per_class": 0, "fl.separation": 0.0,
+    "fl.partition": "dirichlet", "fl.shards_c": 0, "sweep.key": "colour", "sweep.values": [],
+}
+SECTIONS = {"": ExperimentConfig, "budget.": BudgetConfig, "layout.": LayoutConfig,
+            "fl.": FlConfig, "sweep.": SweepConfig}
+
+
+def _with_range_broken(key, value):
+    """(valid one-trial document, the same document with `key` set to `value`)."""
+    valid = _one_trial(layout={"kind": "cell" if key == "num_relays" else "line"},
+                       sweep={"key": "pr_watts", "values": [0.1]})
+    broken = json.loads(json.dumps(valid))
+    *sections, leaf = key.split(".")
+    target = broken
+    for name in sections:
+        target = target.setdefault(name, {})
+    target[leaf] = value
+    return valid, broken
+
+
+def test_range_breaks_cover_every_declared_range():
+    declared = {prefix + name for prefix, cls in SECTIONS.items()
+                for name, kind in typing.get_type_hints(cls, include_extras=True).items()
+                if typing.get_origin(kind) is typing.Annotated}
+    assert declared == set(RANGE_BREAKS)
+
+
 def _extreme_values():
     """Every float field of budget, layout and fl at 1e-300, 1e-100, 1e100 and 1e300,
     as a one-trial run on the line and on a 2-relay cell, and as a theorem sweep."""
@@ -394,6 +446,48 @@ class TestCli:
         assert err.startswith("configuration error:")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", RANGE_BREAKS.items(), ids=list(RANGE_BREAKS))
+    def test_declared_range_violation_names_the_key(self, tmp_path, capsys, key, value):
+        valid, broken = _with_range_broken(key, value)
+        parse_config(valid)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(broken))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key} must be ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    # NumPy refused these with _ArrayMemoryError, "array is too big" and "Maximum
+    # allowed dimension exceeded"; the cap now rejects them before any trial.
+    @pytest.mark.parametrize("num_classes", [10**13, 10**17, 10**21])
+    def test_sizes_past_the_cap_are_config_errors(self, tmp_path, capsys, monkeypatch,
+                                                  num_classes):
+        def fail(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiment, "run_trial", fail)
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps({"scheme": "no_relay", "trials": 1,
+                                        "fl": {"num_classes": num_classes}}))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "fl.num_classes" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_shard_count_past_the_cap_is_config_error(self, tmp_path, capsys):
+        # The sample-count message used to print num_devices x fl.shards_c, and
+        # str() refuses ints past 4,300 digits.
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps({"trials": 1, "num_devices": 10**4000,
+                                        "fl": {"partition": "shards", "shards_c": 10**4000}}))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("raw", [
         pytest.param(b'{"trials": 1, "x": "\xff"}', id="not-utf8"),

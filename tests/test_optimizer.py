@@ -776,6 +776,52 @@ class TestSolve:
         assert np.all(diffs <= 1e-9 * np.abs(trace.objectives[:-1]))
 
 
+SYMMETRY_GRID = [(kind, noise_dbm, pr, seed) for kind in ("line", "cell")
+                 for noise_dbm in (-70.0, -80.0, -100.0) for pr in (0.01, 1.0) for seed in range(3)]
+
+
+@functools.lru_cache(maxsize=None)
+def symmetry_instance(kind, noise_dbm, pr, seed):
+    """(channels, unequal weights, budget, trace of the cold FULL solve) of one
+    instance: K = 20 devices on a line with one relay or in a cell with four."""
+    rng = stream(9600, seed)
+    layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
+    ch = realize_channels(path_gain_profile(layout, PathLossParams()), rng)
+    weights = DeviceWeights.from_counts(rng.integers(1, 9, 20))
+    budget = PowerBudget(p0=0.05, pr=pr, sigma2=dbm_to_watts(noise_dbm))
+    return ch, weights, budget, solve(ch, weights, budget, SOLVER)[1]
+
+
+class TestSolveSymmetries:
+    """Three maps of an instance keep every configuration's MSE once the
+    configuration is mapped as well: p0, pr and sigma^2 scaled by t (a by sqrt t,
+    c by 1/sqrt t), the devices permuted with their weights, and device k's h_k
+    and g_k. turned by one phase (absorbed by a1_k and a2_k).  So each image must
+    end at the instance's final MSE, up to rounding, in as many sweeps."""
+
+    @pytest.mark.parametrize("symmetry", ["scale-1e-6", "scale-1e6", "permute", "rotate"])
+    def test_images_end_at_the_same_mse_in_as_many_sweeps(self, symmetry):
+        for kind, noise_dbm, pr, seed in SYMMETRY_GRID:
+            ch, weights, budget, trace = symmetry_instance(kind, noise_dbm, pr, seed)
+            rng = stream(9700, seed)
+            if symmetry.startswith("scale"):
+                t = float(symmetry.removeprefix("scale-"))
+                budget = PowerBudget(p0=budget.p0 * t, pr=budget.pr * t,
+                                     sigma2=budget.sigma2 * t)
+            elif symmetry == "permute":
+                order = rng.permutation(20)
+                ch = ChannelRealization(h=ch.h[order], g=ch.g[order], f=ch.f)
+                weights = DeviceWeights(weights.rho[order])
+            else:
+                turn = np.exp(2j * np.pi * rng.random(20))
+                ch = ChannelRealization(h=ch.h * turn, g=ch.g * turn[:, None], f=ch.f)
+            _, image = solve(ch, weights, budget, SOLVER)
+            where = (kind, noise_dbm, pr, seed)
+            assert image.iterations_run == trace.iterations_run, where
+            final = trace.objectives[-1]
+            assert abs(image.objectives[-1] - final) <= 1e-12 * final, where
+
+
 @functools.lru_cache(maxsize=None)
 def reference_grid_cell(kind, noise_dbm, pr, variant):
     """Seeded solves of one grid cell: (channels, budget, warm start, config, trace).

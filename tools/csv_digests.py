@@ -50,6 +50,12 @@ def reference_configs() -> dict[str, tuple[str, dict]]:
     configs["cell-n4-70dbm"] = ("run", {"num_relays": 4, "trials": 2, "layout": {"kind": "cell"},
                                         "budget": {"noise_dbm": -70.0, "pr_watts": 0.01},
                                         "fl": {"total_blocks": 8}})
+    # The only config whose solves end a sweep with the device QCQP gap above
+    # qcqp_tol (one BLAS thread: sweep 7 of the second round's solve).
+    configs["qcqp-gap-cell-n4"] = ("run", {"num_relays": 4, "trials": 1, "master_seed": 11,
+                                           "layout": {"kind": "cell"},
+                                           "budget": {"noise_dbm": -70.0, "pr_watts": 0.01},
+                                           "fl": {"total_blocks": 4}})
     return configs
 
 
