@@ -95,7 +95,8 @@ class FlConfig:
     lr_decay: Annotated[float, _Range("in (0, 1]", lambda x: 0 < x <= 1)] = 0.9
     lr_step: Annotated[int, AT_LEAST_ONE] = 50
     lr_floor: Annotated[float, POSITIVE] = 1e-5
-    num_classes: Annotated[int, AT_LEAST_ONE] = 5
+    # A one-class softmax never moves, so every round's truth is zero.
+    num_classes: Annotated[int, _Range("at least 2", lambda x: x >= 2)] = 5
     feature_dim: Annotated[int, AT_LEAST_ONE] = 20
     samples_per_class: Annotated[int, AT_LEAST_ONE] = 120
     separation: Annotated[float, POSITIVE] = 4.0
@@ -428,24 +429,13 @@ def write_csv(rows: list[dict], path: str) -> None:
 
 
 def read_csv(path: str) -> list[dict]:
-    """Parse a file produced by write_csv back into typed row dicts."""
+    """Parse a file produced by write_csv back into typed row dicts; an empty cell
+    reads as None, and a column with no parser in the table as floats."""
+    parsers = {"sweep_key": str, "trial": int, "round": int, "blocks_used": int,
+               "cond40": "true".__eq__, "cond41": "true".__eq__}
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    header = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        row = {}
-        for col, cell in zip(header, cells):
-            if cell == "":
-                row[col] = None
-            elif col in ("trial", "round", "blocks_used"):
-                row[col] = int(cell)
-            elif col in ("cond40", "cond41"):
-                row[col] = cell == "true"
-            elif col == "sweep_key":
-                row[col] = cell
-            else:
-                row[col] = float(cell)
-        out.append(row)
-    return out
+    columns = [(col, parsers.get(col, float)) for col in lines[0].split(",")]
+    return [{col: None if cell == "" else parse(cell)
+             for (col, parse), cell in zip(columns, line.split(","))}
+            for line in lines[1:]]

@@ -79,10 +79,6 @@ class NodeLayout:
     def num_devices(self) -> int:
         return self.device_positions.shape[0]
 
-    @property
-    def num_relays(self) -> int:
-        return self.relay_positions.shape[0]
-
     def device_ap_distances(self) -> np.ndarray:
         return np.linalg.norm(self.device_positions - self.ap_position, axis=1)
 

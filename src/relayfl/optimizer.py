@@ -121,14 +121,13 @@ class Problem:
     squared weight norm.
     """
 
-    __slots__ = ("channels", "weights", "budget", "solver_cfg", "h", "rho", "sigma2",
-                 "r1", "r2", "tol", "g2", "g_h", "abs_f", "noise_eye")
+    __slots__ = ("channels", "budget", "solver_cfg", "h", "rho", "sigma2", "r1", "r2", "tol",
+                 "g2", "g_h", "abs_f", "noise_eye")
 
     def __init__(self, channels: ChannelRealization, weights: DeviceWeights,
                  budget: PowerBudget, solver_cfg: SolverConfig,
                  variant: SchemeVariant = SchemeVariant.FULL):
-        self.channels, self.weights = channels, weights
-        self.budget, self.solver_cfg = budget, solver_cfg
+        self.channels, self.budget, self.solver_cfg = channels, budget, solver_cfg
         self.h, self.rho, self.sigma2 = channels.h, weights.rho, budget.sigma2
         self.r1, self.r2 = _radii(budget, variant)
         self.tol = solver_cfg.qcqp_tol * float(self.rho @ self.rho)

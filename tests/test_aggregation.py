@@ -171,26 +171,6 @@ class TestNoRelayOptimum:
             norelay_optimum(np.array([0j, 1 + 0j]), DeviceWeights([0.5, 0.5]), 1.0, 0.1)
 
 
-def random_feasible_setup(seed, num_devices, num_relays):
-    rng = stream(seed)
-    k, n = num_devices, num_relays
-    ch = ChannelRealization(
-        h=(rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(0.5),
-        g=(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) * np.sqrt(0.5),
-        f=(rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5),
-    )
-    budget = PowerBudget(p0=1.0, pr=2.0, sigma2=float(rng.uniform(0.05, 0.5)))
-    a1 = np.sqrt(budget.p0) * rng.uniform(0.2, 1.0, k) * np.exp(2j * np.pi * rng.uniform(0, 1, k))
-    a2 = np.sqrt(budget.p0) * rng.uniform(0.2, 1.0, k) * np.exp(2j * np.pi * rng.uniform(0, 1, k))
-    caps = budget.pr / ((np.abs(ch.g) ** 2).T @ (np.abs(a1) ** 2) + budget.sigma2)
-    b = np.sqrt(caps) * rng.uniform(0.2, 1.0, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
-    c1 = rng.standard_normal() + 1j * rng.standard_normal()
-    c2 = rng.standard_normal() + 1j * rng.standard_normal()
-    config = TransceiverConfig(a1=a1, a2=a2, b=b, c1=c1, c2=c2)
-    weights = DeviceWeights.uniform(k)
-    return config, ch, weights, budget
-
-
 class TestRelayMse:
     def test_all_zero_config(self):
         config, ch, weights, budget = random_feasible_setup(50, 3, 2)

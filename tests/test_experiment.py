@@ -87,8 +87,9 @@ class TestConfig:
             parse_config({"solver": {key: value}})
 
     def test_array_size_cap_is_inclusive(self):
-        # 128 samples of 2**20 - 1 features, plus the bias column, fill the cap exactly.
-        fl = {"num_classes": 1, "samples_per_class": 128, "feature_dim": 2**20 - 1}
+        # Two classes of 64 samples of 2**20 - 1 features, plus the bias column,
+        # fill the cap exactly.
+        fl = {"num_classes": 2, "samples_per_class": 64, "feature_dim": 2**20 - 1}
         assert 128 * 2**20 == MAX_ARRAY_SIZE
         parse_config({"fl": fl})
         with pytest.raises(ConfigError, match=f"more than {MAX_ARRAY_SIZE} numbers"):
@@ -387,7 +388,7 @@ RANGE_BREAKS = {
     "layout.cell_radius": 0.0, "layout.relay_ring_radius": -50.0, "layout.antenna_gain": 0.0,
     "layout.pathloss_exponent": 0.0, "layout.carrier_freq_hz": -915e6, "fl.tau": 0,
     "fl.lr_base": 0.0, "fl.lr_decay": 1.5, "fl.lr_step": 0, "fl.lr_floor": 0.0,
-    "fl.num_classes": 0, "fl.feature_dim": 0, "fl.samples_per_class": 0, "fl.separation": 0.0,
+    "fl.num_classes": 1, "fl.feature_dim": 0, "fl.samples_per_class": 0, "fl.separation": 0.0,
     "fl.partition": "dirichlet", "fl.shards_c": 0, "sweep.key": "colour", "sweep.values": [],
 }
 SECTIONS = {"": ExperimentConfig, "budget.": BudgetConfig, "layout.": LayoutConfig,

@@ -430,6 +430,29 @@ class TestTrain:
         mean_rough = np.mean([m.mse_predicted for m in rough])
         assert mean_rough > mean_exact
 
+    def test_zero_variance_round_sends_the_weighted_mean(self, monkeypatch):
+        # Every device's change is one constant, so the global variance is zero:
+        # nothing is transmitted, and the broadcast mean stands for every change.
+        levels = np.array([0.5, -0.25, 1.0, 2.0])
+
+        def constant_rows(w, data, tau, lr):
+            return np.repeat(levels[:, None], w.size, axis=1)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a zero-variance round ran the solver")
+
+        monkeypatch.setattr(federated, "local_update", constant_rows)
+        monkeypatch.setattr(federated.optimizer, "solve", no_solve)
+        task = small_task(seed=30, num_classes=3, feature_dim=5, samples_per_class=40)
+        rng = stream(30, 1)
+        partition = partition_iid(task, 4, rng)
+        metrics, w = train("proposed", task, partition, line_layout(4, rng), PL, BUDGET,
+                           SolverConfig(), LrSchedule(), 6, rng)
+        mean = DeviceWeights.from_counts(partition.sizes()).rho @ levels
+        assert len(metrics) == 3
+        assert [m.mse_predicted for m in metrics] == [0.0, 0.0, 0.0]
+        assert w == pytest.approx(np.full(task.model_dim, 3 * mean), rel=1e-15)
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             self._run("shout_louder")

@@ -182,7 +182,7 @@ class TestCsiError:
 class TestLayouts:
     def test_line_layout_geometry(self):
         layout = line_layout(50, stream(31), x_relay=50.0)
-        assert layout.num_relays == 1
+        assert layout.relay_positions.shape == (1, 2)
         assert np.allclose(layout.relay_positions[0], [50.0, 0.0])
         x = layout.device_positions[:, 0]
         y = layout.device_positions[:, 1]

@@ -586,7 +586,7 @@ class TestRelayUpdate:
         checked = []
 
         def checked_update(problem, a1, a2, b, c1, c2):
-            channels, weights, budget = problem.channels, problem.weights, problem.budget
+            channels, budget = problem.channels, problem.budget
             config = TransceiverConfig(a1=a1, a2=a2, b=b, c1=c1, c2=c2)
             b = update_relay_scalars(problem, a1, a2, b, c1, c2)
             new = replace(config, b=b)

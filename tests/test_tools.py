@@ -105,3 +105,37 @@ def test_csv_digests_rejects_an_unknown_config():
     assert proc.stdout == ""
     assert proc.stderr.startswith("unknown config no-such-config; known: line-k20-n1, ")
     assert "num-relays-0-2" in proc.stderr
+
+
+# What the reference configs leave unreached in src/relayfl (tools/cli_reach.py),
+# each entry with the caller outside the CLI that needs it.  Code that no
+# reference config reaches gets a config that does, leaves the package, or an
+# entry here.
+CLI_UNREACHED = {
+    "aggregation.max_constraint_violation":
+        "perfbench/workload.py solve_quality; tests/test_optimizer.py",
+    "aggregation.relay_power_used": "max_constraint_violation; tests/test_aggregation.py",
+    "experiment.read_csv": "perfbench/workload.py check_csv; tests/test_experiment.py",
+    "optimizer.SolverTrace.iterations_run": "perfbench/workload.py solve_quality",
+    'cli.main: config = override(config, "master_seed", args.seed)':
+        "relayfl run --seed; tests/test_experiment.py",
+    "federated.train: estimate = np.full(dim, g_mean)":
+        "no_relay documents with lr_base = lr_floor in [3e-163, 3e-160]; "
+        "test_zero_variance_round_sends_the_weighted_mean",
+    "federated.train: elif g_var <= 0.0: mse_pred = 0.0":
+        "as above; test_zero_variance_round_sends_the_weighted_mean",
+    "optimizer.update_device_scalars: if base_dual == -np.inf: break":
+        "library calls with overflowing relay powers; "
+        "test_non_finite_first_dual_keeps_the_fallbacks",
+}
+
+
+def test_cli_reach_leaves_only_code_with_an_outside_caller():
+    # One BLAS thread, as for the digests: qcqp-gap-cell-n4 reaches the device
+    # QCQP gap warning only under one thread.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cli_reach.py")], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                          "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == sorted(CLI_UNREACHED)

@@ -56,6 +56,15 @@ def reference_configs() -> dict[str, tuple[str, dict]]:
                                            "layout": {"kind": "cell"},
                                            "budget": {"noise_dbm": -70.0, "pr_watts": 0.01},
                                            "fl": {"total_blocks": 4}})
+    # The only config whose local steps multiply by x and then by x^T (tau >= 2
+    # with 240 samples per device, at least 2 (d + 1) = 42).
+    configs["plain-local-steps"] = ("run", {"num_devices": 2, "trials": 1,
+                                            "fl": {"tau": 3, "total_blocks": 4}})
+    # The only config whose device updates silence phase 1 (at +100 dBm the
+    # relay's whole budget is forwarded noise) and then drop the relay, silent
+    # from then on (|b|^2 = 0), from the caps.
+    configs["silent-relay-100dbm"] = ("run", {"trials": 1, "budget": {"noise_dbm": 100.0},
+                                              "fl": {"total_blocks": 4}})
     return configs
 
 
