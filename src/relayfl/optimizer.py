@@ -30,18 +30,24 @@ the first objective is ``transceiver_mse`` at it, with the same bits as
 
 A sweep is a few dozen NumPy calls on arrays of K or N entries, so the call
 count sets its cost.  The receive updates, the objective and the
-forwarded-noise gain reduce with single BLAS dots (``np.vdot``), and a
-one-relay system is solved by one division.  Masks that mask nothing are
+forwarded-noise gain reduce with single BLAS dots (``np.vdot``).  A
+one-relay system keeps its relay-sized quantities as NumPy scalars, which
+cost a fraction of a call on a (1,) array: the relay update is the closed
+form q / M, projected radially onto the relay's disc when outside it, and
+the device update tests its one cap in scalars, down to the multiplier
+search, which takes (1, K) arrays as for any N.  Masks that mask nothing are
 skipped: the device update builds its unlinked-device masks (theta_k or phi_k
 zero) and clamps the incoming scalars they keep only when some device is
 unlinked, and drops silent relays from the caps only when some relay is
-silent.  Skipping a mask leaves every result bit for bit the same.  Every
-relay reaches the AP, because a ``ChannelRealization`` has no zero gain.  The
-receive scalars are NumPy complex inside the loop.
+silent.  Skipping a mask leaves every result bit for bit the same, and so
+does holding one relay in scalars in the device update.  Every relay reaches
+the AP, because a ``ChannelRealization`` has no zero gain.  The receive
+scalars are NumPy complex inside the loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -116,13 +122,13 @@ class Problem:
 
     The block updates take the instance in this form, so what depends only on
     the channels, weights, budget and variant is computed once per solve:
-    |g^T|^2, the conjugate transpose of g, |f|, sigma2 I over the relays,
-    the device radii of both phases and the QCQP tolerance scaled by the
-    squared weight norm.
+    |g^T|^2, the conjugate transpose of g, f with |f| and |f|^2, sigma2 I
+    over the relays, the device radii of both phases and the QCQP tolerance
+    scaled by the squared weight norm.
     """
 
     __slots__ = ("channels", "budget", "solver_cfg", "h", "rho", "sigma2", "r1", "r2", "tol",
-                 "g2", "g_h", "abs_f", "noise_eye")
+                 "g2", "g_h", "f", "abs_f", "f2", "noise_eye")
 
     def __init__(self, channels: ChannelRealization, weights: DeviceWeights,
                  budget: PowerBudget, solver_cfg: SolverConfig,
@@ -132,7 +138,8 @@ class Problem:
         self.r1, self.r2 = _radii(budget, variant)
         self.tol = solver_cfg.qcqp_tol * float(self.rho @ self.rho)
         self.g2, self.g_h = np.abs(channels.g.T) ** 2, channels.g.conj().T  # (N, K) each
-        self.abs_f = np.abs(channels.f)
+        self.f, self.abs_f = channels.f, np.abs(channels.f)
+        self.f2 = self.abs_f**2
         self.noise_eye = budget.sigma2 * np.eye(channels.num_relays)
 
 
@@ -224,7 +231,10 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
     never has a larger objective than the input, in the objective's bits
     (``aggregation._misalignment_power``); `converged` is False only if the
     duality gap could not be pushed below ``qcqp_tol`` (relative to the
-    squared weight norm) within ``qcqp_max_iter`` Newton iterations.
+    squared weight norm) within ``qcqp_max_iter`` Newton iterations.  With
+    one relay, its cap and the box-only and silent-phase-1 tests are NumPy
+    scalars, and the result has the bits of the array path (that of two
+    relays, the second silent).
     """
     rho, r1, r2 = problem.rho, problem.r1, problem.r2
     pr, sigma2 = problem.budget.pr, problem.sigma2
@@ -234,11 +244,21 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
     # Relay n bounds sum_k g2[n, k] |a1_k|^2 by radii_sq[n]; silent relays,
     # and relays whose |b_n|^2 is too small for pr / |b_n|^2 to be finite,
     # bound nothing.  Masks are built only when some entry is masked out.
-    g2, b2 = problem.g2, np.abs(b) ** 2
-    if not np.minimum.reduce(b2, initial=np.inf) > pr / _MAX:
-        live = b2 > pr / _MAX
-        g2, b2 = g2[live], b2[live]  # (Na, K), (Na,)
-    radii_sq = np.maximum(pr / b2 - sigma2, 0.0)
+    # One relay is held in scalars up to the multiplier search: g2 is its
+    # (K,) row and radii_sq a float, infinite when the relay is silent.  |b|
+    # comes from the array abs, which rounds unlike the scalar one.
+    one = b.size == 1
+    if one:
+        size = np.abs(b)[0]
+        b2 = size * size
+        g2 = problem.g2[0]
+        radii_sq = max(pr / b2 - sigma2, 0.0) if b2 > pr / _MAX else math.inf
+    else:
+        g2, b2 = problem.g2, np.abs(b) ** 2
+        if not np.minimum.reduce(b2, initial=np.inf) > pr / _MAX:
+            live = b2 > pr / _MAX
+            g2, b2 = g2[live], b2[live]  # (Na, K), (Na,)
+        radii_sq = np.maximum(pr / b2 - sigma2, 0.0)
     # A scalar whose coefficient is zero keeps its incoming value, feasible by
     # the solve-loop invariant and clamped to its box, on every exit; a
     # subnormal |theta_k|^2 counts as unlinked, since 1 / |theta_k|^2
@@ -261,12 +281,16 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
     new2 = _transmit_scalars(direct, phi, linked2, dead2)
     # lam = 0: the box-only optimum; if every relay fits it, it solves the dual.
     u = np.minimum(short, w1)
-    if np.logical_and.reduce(g2 @ (u * u * inv_th2) <= radii_sq):
+    fits = g2 @ (u * u * inv_th2) <= radii_sq
+    if fits if one else np.logical_and.reduce(fits):
         return _transmit_scalars(u, theta, linked1, dead1), new2, True
-    if np.logical_or.reduce(radii_sq <= 0):
+    spent = radii_sq <= 0
+    if spent if one else np.logical_or.reduce(spent):
         # A relay already spends its whole budget on forwarded noise and the
         # unlinked devices; phase-1 transmission must stop entirely.
         return _transmit_scalars(np.zeros(rho.size), theta, linked1, dead1), new2, True
+    if one:  # the multiplier search takes (1, K) and (1,) arrays
+        g2, radii_sq = problem.g2, np.full(1, radii_sq)
 
     # With penalty mu the relayed copy is u = min(gain / (th2 + mu), w1); a
     # device leaves its cap once mu reaches mu_free.
@@ -357,8 +381,12 @@ def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np
 
     In x = f * b the objective is
     |c2|^2 (x^H M x - 2 Re q^H x) + const with M = G^H diag|a1|^2 G + sigma2 I
-    positive definite, and relay n's power cap reads |x_n| <= |f_n| sqrt(cap_n).
-    The stationary point M^-1 q is returned when it fits every cap.  Otherwise
+    positive definite, and relay n's power cap reads |x_n|^2 <= |f_n|^2 pr / load_n,
+    load_n = sum_k |g_kn|^2 |a1_k|^2 + sigma2 its input power.  One relay is
+    solved in closed form, in scalars: M is its input power, q one dot
+    product, and the stationary point q / M, scaled radially onto the disc
+    when it lies outside, is the exact minimizer.  With more relays the
+    stationary point M^-1 q is returned when it fits every cap.  Otherwise
     the relays, starting from the feasible incoming b, take turns at their own
     exact minimizer with the others fixed: the stationary point along x_n,
     scaled radially onto the cap.  Every pass descends and stays feasible; the
@@ -367,16 +395,23 @@ def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np
     """
     if c2 == 0:
         raise ValueError("relay update requires a nonzero phase-2 receive scalar")
-    g, g_h, f = problem.channels.g, problem.g_h, problem.channels.f
+    g, f, pr = problem.channels.g, problem.f, problem.budget.pr
     pow1 = np.abs(a1) ** 2
-    m = (g_h * pow1) @ g + problem.noise_eye
     residual = problem.rho - problem.h * (c1 * a1 + c2 * a2)
+    if f.size == 1:
+        load = problem.g2[0] @ pow1 + problem.sigma2
+        x = np.vdot(g[:, 0], residual * np.conj(a1)) / (c2 * load)
+        bound, size = problem.f2[0] * pr / load, abs(x)
+        if size * size > bound:
+            x = x * (math.sqrt(bound) / size)
+        return x / f
+    g_h = problem.g_h
+    m = (g_h * pow1) @ g + problem.noise_eye
     q = g_h @ (residual * np.conj(a1)) / c2
-    # pr over the relay input power sum_k |g_kn|^2 |a1_k|^2 + sigma2
-    cap = problem.budget.pr / (problem.g2 @ pow1 + problem.sigma2)
+    cap = pr / (problem.g2 @ pow1 + problem.sigma2)  # pr / load
     radius = problem.abs_f * np.sqrt(cap)
 
-    x = q / m[0, 0] if q.size == 1 else np.linalg.solve(m, q)
+    x = np.linalg.solve(m, q)
     if not np.logical_and.reduce(np.abs(x) <= radius):
         x = f * b
         diag = m.diagonal().real

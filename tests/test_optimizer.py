@@ -273,6 +273,46 @@ class TestDeviceUpdate:
         oracle = device_update_oracle(live, ch, weights, budget, seed=140)
         assert misalignment_of(final, ch, weights) == pytest.approx(oracle, rel=1e-6)
 
+    @pytest.mark.parametrize("exit, noise_dbm, pr", [
+        ("box-only", -100.0, 1.0),
+        ("silent-phase-1", 100.0, 0.1),
+        ("search", -70.0, 0.01),
+    ])
+    def test_one_relay_scalars_match_the_array_path(self, monkeypatch, exit, noise_dbm, pr):
+        # One relay keeps |b|^2 and its cap in scalars.  Give it a second,
+        # silent relay (b_2 = 0): the live mask drops that one, and the array
+        # path runs on the first relay alone.  On every device update of three
+        # line solves both must return the same bits, and each case reaches
+        # its exit.
+        update, searches, exits = optimizer.update_device_scalars, [], []
+
+        def counted_step(*args):
+            searches.append(args)
+            return _bounded_newton_step(*args)
+
+        def compared_update(problem, a1, a2, b, theta, phi):
+            searches.clear()
+            scalar = update(problem, a1, a2, b, theta, phi)
+            exits.append("search" if searches else
+                         "silent-phase-1" if b.any() and not scalar[0].any() else "box-only")
+            array = update(two_relays, a1, a2, np.append(b, 0.0), theta, phi)
+            assert [bits(v) for v in scalar] == [bits(v) for v in array]
+            return scalar
+
+        monkeypatch.setattr(optimizer, "_bounded_newton_step", counted_step)
+        monkeypatch.setattr(optimizer, "update_device_scalars", compared_update)
+        budget = PowerBudget(p0=0.05, pr=pr, sigma2=dbm_to_watts(noise_dbm))
+        weights = DeviceWeights.uniform(20)
+        for seed in range(3):
+            rng = stream(9800, seed)
+            ch = realize_channels(path_gain_profile(line_layout(20, rng), PathLossParams()), rng)
+            extra = (rng.standard_normal(20) + 1j * rng.standard_normal(20)) * np.abs(ch.g[:, 0])
+            two = ChannelRealization(h=ch.h, g=np.column_stack([ch.g[:, 0], extra]),
+                                     f=np.append(ch.f, 1j * ch.f))
+            two_relays = optimizer.Problem(two, weights, budget, SOLVER)
+            solve(ch, weights, budget, SOLVER)
+        assert exits.count(exit) >= 3, exits
+
     def test_zero_direct_channel_keeps_its_phase2_input(self):
         # phi_0 = 0: a2_0 keeps its input, and device 0's whole weight goes
         # over the relay.  A realization has no zero gain, so the combined
@@ -455,14 +495,19 @@ class TestDualSolveAtScale:
 
 
 class TestRelayUpdate:
+    @pytest.mark.parametrize("binding", [False, True], ids=["slack-cap", "binding-cap"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_one_relay_stationary_point_matches_lapack(self, seed):
-        # With one relay M x = q is a 1x1 Hermitian positive-definite system;
-        # the relay update's stationary point must agree with LAPACK's solve of
-        # the same M and q, built here as the relay update builds them, to 4 ulp.
+    def test_one_relay_stationary_point_matches_lapack(self, seed, binding):
+        # With one relay M x = q is a 1x1 Hermitian positive-definite system.
+        # The relay update's closed form must agree, to 4 ulp, with LAPACK's
+        # solve of M and q built as the N-relay update builds them, and where
+        # the cap binds with that solution scaled radially onto the disc.  The
+        # closed form forms M as the relay input power and q as one dot
+        # product, so the two differ in summation order only; over these 300
+        # instances with up to 100 devices they differ by at most 3.4 ulp.
         rng = stream(6400, seed)
         for _ in range(50):
-            k = int(rng.integers(1, 6))
+            k = int(rng.integers(1, 101))
             cfg, ch, weights, budget = random_feasible_setup(int(rng.integers(1 << 30)), k, 1)
             budget = replace(budget, pr=1e6)  # the stationary point fits the cap
             problem = optimizer.Problem(ch, weights, budget, SOLVER)
@@ -470,7 +515,13 @@ class TestRelayUpdate:
             m = (g_h * np.abs(cfg.a1) ** 2) @ g + problem.noise_eye
             residual = weights.rho - ch.h * (cfg.c1 * cfg.a1 + cfg.c2 * cfg.a2)
             q = g_h @ (residual * np.conj(cfg.a1)) / cfg.c2
-            expected = np.linalg.solve(m, q)[0] / ch.f[0]
+            x = np.linalg.solve(m, q)[0]
+            if binding:
+                # A cap of a quarter of the stationary point's relay power.
+                load = m[0, 0].real
+                budget = replace(budget, pr=0.25 * abs(x / ch.f[0]) ** 2 * load)
+                x = x * (abs(ch.f[0]) * np.sqrt(budget.pr / load) / abs(x))
+            expected = x / ch.f[0]
             b = relay_block(cfg, ch, weights, budget, SOLVER)[0]
             assert abs(b - expected) <= 4 * np.finfo(float).eps * abs(expected)
 
@@ -579,10 +630,12 @@ class TestRelayUpdate:
             assert bits(relay_input_power(ch, a1, budget.sigma2)) == bits(cap)
 
     @pytest.mark.parametrize("pr", [0.01, 0.1])
-    @pytest.mark.parametrize("noise_dbm", [-70.0, -80.0])
-    def test_no_relay_update_raises_the_mse(self, monkeypatch, noise_dbm, pr):
-        # Four-relay cells where a radially projected joint solution used to
-        # raise the objective in up to 39% of the sweeps.
+    @pytest.mark.parametrize("kind, noise_dbm", [("cell", -70.0), ("cell", -80.0),
+                                                 ("line", -70.0)])
+    def test_no_relay_update_raises_the_mse(self, monkeypatch, kind, noise_dbm, pr):
+        # Four-relay cells, where a radially projected joint solution used to
+        # raise the objective in up to 39% of the sweeps, and one-relay lines,
+        # whose closed form is projected onto the cap.
         checked = []
 
         def checked_update(problem, a1, a2, b, c1, c2):
@@ -592,7 +645,8 @@ class TestRelayUpdate:
             new = replace(config, b=b)
             checked.append((relay_mse(config, channels, weights, budget.sigma2),
                             relay_mse(new, channels, weights, budget.sigma2),
-                            max_constraint_violation(new, channels, budget)))
+                            max_constraint_violation(new, channels, budget),
+                            relay_power_used(new, channels, budget.sigma2).max() / budget.pr))
             return b
 
         monkeypatch.setattr(optimizer, "update_relay_scalars", checked_update)
@@ -600,11 +654,13 @@ class TestRelayUpdate:
         weights = DeviceWeights.uniform(20)
         for seed in range(10):
             rng = stream(9200, seed)
-            ch = realize_channels(path_gain_profile(cell_layout(20, 4, rng), PathLossParams()), rng)
+            layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
+            ch = realize_channels(path_gain_profile(layout, PathLossParams()), rng)
             solve(ch, weights, budget, SOLVER)
-        before, after, violation = np.array(checked).T
+        before, after, violation, load = np.array(checked).T
         assert np.all(after <= before * (1 + 1e-12))
         assert violation.max() <= 1e-9
+        assert np.sum(load >= 1 - 1e-9) >= 10  # some relay caps bind
 
 
 class TestReceiveScalars:

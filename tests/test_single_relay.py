@@ -48,13 +48,13 @@ class TestSnrSummary:
             snr_summary(ch, PowerBudget(p0=1.0, pr=1.0, sigma2=1.0))
 
     def test_relay_snr_takes_the_constructions_link_power(self):
-        # The construction and the SNR summary read |f| as NumPy's abs, as the
-        # relay update's radius does; Python's abs of the complex gain differs
-        # from it in the last bit for some gains.
+        # The construction and the SNR summary read |f|^2 as NumPy's abs
+        # squared, as the relay update's disc does; Python's abs of the
+        # complex gain differs from it in the last bit for some gains.
         differs = 0
         for seed in range(40):
             ch, weights, budget = single_relay_instance(seed)
-            f2 = float(Problem(ch, weights, budget, SolverConfig()).abs_f[0]) ** 2
+            f2 = Problem(ch, weights, budget, SolverConfig()).f2[0]
             assert single_relay._link_powers(ch)[2] == f2
             assert snr_summary(ch, budget)[1] == budget.pr * f2 / budget.sigma2
             differs += abs(complex(ch.f[0])) ** 2 != f2

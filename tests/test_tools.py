@@ -139,3 +139,29 @@ def test_cli_reach_leaves_only_code_with_an_outside_caller():
                           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == sorted(CLI_UNREACHED)
+
+
+GRID_LINE = re.compile(
+    r"(line|cell) seed=(\d+) pr=(0\.01|0\.1|1) noise_dbm=(-70|-80|-100) sweeps=(\d+) "
+    r"stop=(converged|max_iterations) gap_misses=(\d+) mse=(\S+)")
+
+
+def test_solver_grid_prints_one_line_per_seeded_solve():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "solver_grid.py")], capture_output=True,
+        text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                                     "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 216
+    keys = set()
+    for line in lines:
+        match = GRID_LINE.fullmatch(line)
+        assert match, line
+        cell, seed, pr, noise, sweeps, stop, misses, mse = match.groups()
+        keys.add((cell, int(seed), pr, noise))
+        # j_max is 100: a solve stops converged, or capped after 100 sweeps.
+        assert 1 <= int(sweeps) <= 100 and (stop == "converged" or int(sweeps) == 100), line
+        assert 0 <= int(misses) <= int(sweeps)
+        assert 0 < float(mse) < float("inf") and repr(float(mse)) == mse
+    assert len(keys) == 216

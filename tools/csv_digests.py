@@ -60,11 +60,17 @@ def reference_configs() -> dict[str, tuple[str, dict]]:
     # with 240 samples per device, at least 2 (d + 1) = 42).
     configs["plain-local-steps"] = ("run", {"num_devices": 2, "trials": 1,
                                             "fl": {"tau": 3, "total_blocks": 4}})
-    # The only config whose device updates silence phase 1 (at +100 dBm the
-    # relay's whole budget is forwarded noise) and then drop the relay, silent
-    # from then on (|b|^2 = 0), from the caps.
+    # The only one-relay config whose device updates silence phase 1 (at +100
+    # dBm the relay's whole budget is forwarded noise) and then find the
+    # relay silent from then on (|b|^2 = 0), bounding nothing.
     configs["silent-relay-100dbm"] = ("run", {"trials": 1, "budget": {"noise_dbm": 100.0},
                                               "fl": {"total_blocks": 4}})
+    # The same in a cell: the only config whose device updates drop silent
+    # relays from the caps of several.
+    configs["silent-relays-cell-100dbm"] = ("run", {"num_relays": 2, "trials": 1,
+                                                    "layout": {"kind": "cell"},
+                                                    "budget": {"noise_dbm": 100.0},
+                                                    "fl": {"total_blocks": 4}})
     return configs
 
 
