@@ -167,10 +167,10 @@ def _type_hints(cls) -> types.MappingProxyType:
 
 
 def _load(cls, data, prefix: str = ""):
-    """Dataclass `cls` from a JSON object at `prefix`; its own ValueErrors name the section."""
-    section = prefix[:-1] or "configuration"
+    """Dataclass `cls` from a JSON object at `prefix`; its own ValueErrors, which
+    begin with the field's name, are reported under the dotted key."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{section} must be a JSON object")
+        raise ConfigError(f"{prefix[:-1] or 'configuration'} must be a JSON object")
     hints = _type_hints(cls)
     unknown = sorted(set(data) - set(hints))
     if unknown:
@@ -183,7 +183,7 @@ def _load(cls, data, prefix: str = ""):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _validate(config: ExperimentConfig) -> ExperimentConfig:

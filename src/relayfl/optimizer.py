@@ -4,9 +4,12 @@ One outer sweep updates, in order: the device transmit scalars (a convex QCQP
 solved in its dual: once the few relay power constraints are priced by
 multipliers, each device has a closed form with the direct copy first, and the
 box-only optimum at zero multipliers is the first iterate), the relay scalars
-(a convex quadratic with one disc per relay, minimized exactly), and the two
-receive scalars (exact closed forms).  Every block is minimized exactly, so no
-sweep raises the objective beyond the rounding of the closed forms.
+(a convex quadratic with one disc per relay), and the two receive scalars
+(exact closed forms).  Two blocks stop short of the exact minimizer: the
+device block at its duality-gap tolerance or its iteration cap, and, with more
+than one relay and a binding cap, the relay block at its pass tolerance
+(``QCQP_TOL``, ``QCQP_MAX_ITER``).  Both still descend, so no sweep raises the
+objective beyond the rounding of the closed forms.
 
 A solve holds its state (a1, a2, b, c1, c2) in plain arrays and builds one
 ``TransceiverConfig`` on exit.  What depends only on the instance is computed
@@ -78,20 +81,17 @@ class SchemeVariant(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Outer-loop limits and inner QCQP tolerances."""
+    """The outer loop's stop rule: at most j_max sweeps, and stop once a sweep
+    improves the objective by at most epsilon relative."""
 
     j_max: int = 100
     epsilon: float = 1e-4
-    qcqp_tol: float = 1e-8
-    qcqp_max_iter: int = 300
 
     def __post_init__(self):
-        for name in ("j_max", "qcqp_max_iter"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        for name in ("epsilon", "qcqp_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.j_max < 1:
+            raise ValueError("j_max must be at least 1")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -123,20 +123,19 @@ class Problem:
     The block updates take the instance in this form, so what depends only on
     the channels, weights, budget and variant is computed once per solve:
     |g^T|^2, the conjugate transpose of g, f with |f| and |f|^2, sigma2 I
-    over the relays, the device radii of both phases and the QCQP tolerance
-    scaled by the squared weight norm.
+    over the relays, the device radii of both phases and ``QCQP_TOL`` scaled
+    by the squared weight norm.
     """
 
-    __slots__ = ("channels", "budget", "solver_cfg", "h", "rho", "sigma2", "r1", "r2", "tol",
+    __slots__ = ("channels", "budget", "h", "rho", "sigma2", "r1", "r2", "tol",
                  "g2", "g_h", "f", "abs_f", "f2", "noise_eye")
 
     def __init__(self, channels: ChannelRealization, weights: DeviceWeights,
-                 budget: PowerBudget, solver_cfg: SolverConfig,
-                 variant: SchemeVariant = SchemeVariant.FULL):
-        self.channels, self.budget, self.solver_cfg = channels, budget, solver_cfg
+                 budget: PowerBudget, variant: SchemeVariant = SchemeVariant.FULL):
+        self.channels, self.budget = channels, budget
         self.h, self.rho, self.sigma2 = channels.h, weights.rho, budget.sigma2
         self.r1, self.r2 = _radii(budget, variant)
-        self.tol = solver_cfg.qcqp_tol * float(self.rho @ self.rho)
+        self.tol = QCQP_TOL * float(self.rho @ self.rho)
         self.g2, self.g_h = np.abs(channels.g.T) ** 2, channels.g.conj().T  # (N, K) each
         self.f, self.abs_f = channels.f, np.abs(channels.f)
         self.f2 = self.abs_f**2
@@ -202,6 +201,15 @@ def _bounded_newton_step(lam, rhs, system):
     return step
 
 
+# The inner blocks' stop rule.  The device update's multiplier search has
+# converged once its duality gap is at most QCQP_TOL times the squared weight
+# norm, and the relay update's coordinate passes stop once a pass lowers the MSE
+# by at most that much; each runs at most QCQP_MAX_ITER Newton iterations or
+# passes.
+QCQP_TOL = 1e-8
+QCQP_MAX_ITER = 300
+
+
 def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np.ndarray,
                           theta: np.ndarray, phi: np.ndarray):
     """Minimize the misalignment |theta a1 + phi a2 - rho|^2 over (a1, a2) with the
@@ -227,14 +235,15 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
     multipliers at lam = 0, and adds a Levenberg-Marquardt term until the dual
     value rises.  A scalar whose coefficient (theta_k or phi_k) is zero keeps
     its incoming value, clamped to its box, on every exit, and its phase-1
-    load is charged against the relay caps first.  The result is feasible and
-    never has a larger objective than the input, in the objective's bits
-    (``aggregation._misalignment_power``); `converged` is False only if the
-    duality gap could not be pushed below ``qcqp_tol`` (relative to the
-    squared weight norm) within ``qcqp_max_iter`` Newton iterations.  With
-    one relay, its cap and the box-only and silent-phase-1 tests are NumPy
-    scalars, and the result has the bits of the array path (that of two
-    relays, the second silent).
+    load is charged against the relay caps first.  The result is feasible.
+    The multiplier search's result never has a larger objective than the
+    input, in the objective's bits (``aggregation._misalignment_power``); the
+    box-only and silent-phase-1 exits return unchecked and can be an ulp
+    worse.  `converged` is False only if the duality gap could not be pushed
+    below ``QCQP_TOL`` (relative to the squared weight norm) within
+    ``QCQP_MAX_ITER`` Newton iterations.  With one relay, its cap and the
+    box-only and silent-phase-1 tests are NumPy scalars, and the result has
+    the bits of the array path (that of two relays, the second silent).
     """
     rho, r1, r2 = problem.rho, problem.r1, problem.r2
     pr, sigma2 = problem.budget.pr, problem.sigma2
@@ -312,7 +321,7 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
     best_gap = np.inf
     best = np.zeros(rho.size)  # a silent phase 1 is always feasible
     converged = False
-    for _ in range(problem.solver_cfg.qcqp_max_iter):
+    for _ in range(QCQP_MAX_ITER):
         mu = lam @ g2
         denom = th2_den + mu
         u = np.minimum(gain / denom, w1)
@@ -329,7 +338,7 @@ def update_device_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: n
             best_gap, best = gap, feasible
         if best_gap <= gap_tol:
             # One more Newton step from inside the tolerance lands on the
-            # root to rounding, so the result does not depend on qcqp_tol.
+            # root to rounding, so the result does not depend on QCQP_TOL.
             if converged:
                 break
             converged = True
@@ -390,8 +399,8 @@ def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np
     the relays, starting from the feasible incoming b, take turns at their own
     exact minimizer with the others fixed: the stationary point along x_n,
     scaled radially onto the cap.  Every pass descends and stays feasible; the
-    passes stop once one lowers the MSE by at most ``qcqp_tol`` times the
-    squared weight norm, or after ``qcqp_max_iter`` passes.
+    passes stop once one lowers the MSE by at most ``QCQP_TOL`` times the
+    squared weight norm, or after ``QCQP_MAX_ITER`` passes.
     """
     if c2 == 0:
         raise ValueError("relay update requires a nonzero phase-2 receive scalar")
@@ -416,7 +425,7 @@ def update_relay_scalars(problem: Problem, a1: np.ndarray, a2: np.ndarray, b: np
         x = f * b
         diag = m.diagonal().real
         weight = abs(c2) ** 2
-        for _ in range(problem.solver_cfg.qcqp_max_iter):
+        for _ in range(QCQP_MAX_ITER):
             drop = 0.0
             for n in range(x.size):
                 s = x[n] + (q[n] - m[n] @ x) / diag[n]
@@ -483,7 +492,7 @@ def solve(channels: ChannelRealization, weights: DeviceWeights, budget: PowerBud
     # NumPy receive scalars: a Python complex is converted on every array operation.
     a1, a2, b = config.a1, config.a2, config.b
     c1, c2 = np.complex128(config.c1), np.complex128(config.c2)
-    problem = Problem(channels, weights, budget, solver_cfg, variant)
+    problem = Problem(channels, weights, budget, variant)
     h, rho, sigma2 = problem.h, problem.rho, problem.sigma2
     path, forwarded = relay_gains(channels, b)
     theta, phi = _combined_gains(c1, c2, h, path)

@@ -110,7 +110,7 @@ def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,
     c2 = complex(np.sqrt(eta))
     b_mag = np.sqrt(gamma / eta)
     f = complex(channels.f[0])
-    b = b_mag * np.conj(f) / abs(f)
+    b = b_mag * np.conj(f) / abs(f)  # Python's abs: NumPy's moves mse_predicted ~3e-15
     a1 = alpha * rho / (c2 * f * b * channels.g[:, 0])
     a2 = beta * rho / (c2 * channels.h)
     config = TransceiverConfig(a1=a1, a2=a2, b=np.array([b]), c1=0.0 + 0.0j, c2=c2)

@@ -26,7 +26,6 @@ from relayfl.geometry import ChannelRealization, stream
 from relayfl.optimizer import (
     Problem,
     SchemeVariant,
-    SolverConfig,
     SolverTrace,
     init_config,
     update_c1,
@@ -344,17 +343,17 @@ def single_relay_instance(seed, num_devices=None, enforce_conditions=False):
     return channels, DeviceWeights.uniform(k), PowerBudget(p0=p0, pr=pr, sigma2=sigma2)
 
 
-def device_block(config, ch, weights, budget, solver_cfg, variant=SchemeVariant.FULL):
+def device_block(config, ch, weights, budget, variant=SchemeVariant.FULL):
     """``update_device_scalars`` at a config: (a1, a2, converged)."""
     path, _ = relay_gains(ch, config.b)
     theta, phi = _combined_gains(config.c1, config.c2, ch.h, path)
-    return update_device_scalars(Problem(ch, weights, budget, solver_cfg, variant),
+    return update_device_scalars(Problem(ch, weights, budget, variant),
                                  config.a1, config.a2, config.b, theta, phi)
 
 
-def relay_block(config, ch, weights, budget, solver_cfg):
+def relay_block(config, ch, weights, budget):
     """``update_relay_scalars`` at a config: the new b."""
-    return update_relay_scalars(Problem(ch, weights, budget, solver_cfg),
+    return update_relay_scalars(Problem(ch, weights, budget),
                                 config.a1, config.a2, config.b, config.c1, config.c2)
 
 
@@ -366,13 +365,13 @@ def _phase_gains(config, ch):
 def c1_block(config, ch, weights, budget):
     """``update_c1`` at a config: the new c1."""
     phase1, phase2, _ = _phase_gains(config, ch)
-    return update_c1(Problem(ch, weights, budget, SolverConfig()), phase1, config.c2, phase2)
+    return update_c1(Problem(ch, weights, budget), phase1, config.c2, phase2)
 
 
 def c2_block(config, ch, weights, budget):
     """``update_c2`` at a config: the new c2."""
     phase1, phase2, forwarded = _phase_gains(config, ch)
-    return update_c2(Problem(ch, weights, budget, SolverConfig()), phase1, config.c1,
+    return update_c2(Problem(ch, weights, budget), phase1, config.c1,
                      phase2, forwarded)
 
 
@@ -395,12 +394,12 @@ def solve_reference(channels, weights, budget, solver_cfg, variant=SchemeVariant
     objectives = [relay_mse(config, channels, weights, budget.sigma2)]
     terminated = "max_iterations"
     for sweep in range(1, solver_cfg.j_max + 1):
-        a1, a2, converged = device_block(config, channels, weights, budget, solver_cfg, variant)
+        a1, a2, converged = device_block(config, channels, weights, budget, variant)
         if not converged:
             warnings.append(f"sweep {sweep}: device QCQP gap above tolerance at exit")
         config = replace(config, a1=a1, a2=a2)
         if channels.num_relays and config.c2 != 0:
-            config = replace(config, b=relay_block(config, channels, weights, budget, solver_cfg))
+            config = replace(config, b=relay_block(config, channels, weights, budget))
         if not relay_only:
             config = replace(config, c1=c1_block(config, channels, weights, budget))
         config = replace(config, c2=c2_block(config, channels, weights, budget))

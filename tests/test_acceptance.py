@@ -162,7 +162,7 @@ def test_criterion_04_closed_form_stationarity_and_dominance():
             weights = DeviceWeights.uniform(k)
             budget = PowerBudget(p0=1.0, pr=1e6, sigma2=float(rng.uniform(0.05, 0.5)))
             cfg = init_config(ch, weights, budget)
-            b_star = relay_block(cfg, ch, weights, budget, SolverConfig())
+            b_star = relay_block(cfg, ch, weights, budget)
             caps = budget.pr / ((np.abs(ch.g) ** 2).T @ np.abs(cfg.a1) ** 2 + budget.sigma2)
             assert np.all(np.abs(b_star) < np.sqrt(caps))
             for j in range(n):
@@ -180,7 +180,7 @@ def test_criterion_04_closed_form_stationarity_and_dominance():
             budget = PowerBudget(p0=1.0, pr=float(rng.uniform(0.2, 3.0)),
                                  sigma2=float(rng.uniform(0.05, 0.5)))
             cfg = init_config(ch, weights, budget)
-            b_star = relay_block(cfg, ch, weights, budget, SolverConfig())
+            b_star = relay_block(cfg, ch, weights, budget)
             best = relay_mse(replace(cfg, b=b_star), ch, weights, budget.sigma2)
             cap = budget.pr / (np.abs(ch.g[:, 0]) ** 2 @ np.abs(cfg.a1) ** 2 + budget.sigma2)
             for _ in range(100):
@@ -191,7 +191,6 @@ def test_criterion_04_closed_form_stationarity_and_dominance():
 
 def test_criterion_05_device_qcqp_matches_slsqp_oracle():
     with criterion(5, "device QCQP vs SLSQP multistart, 50 instances, 1e-4 relative"):
-        solver_cfg = SolverConfig()
         for i in range(50):
             rng = stream(5000, i)
             k = int(rng.integers(1, 3))
@@ -203,7 +202,7 @@ def test_criterion_05_device_qcqp_matches_slsqp_oracle():
             cfg = init_config(ch, weights, budget)
             cfg = replace(cfg, c1=c1_block(cfg, ch, weights, budget))
             cfg = replace(cfg, c2=c2_block(cfg, ch, weights, budget))
-            a1, a2, _ = device_block(cfg, ch, weights, budget, solver_cfg)
+            a1, a2, _ = device_block(cfg, ch, weights, budget)
             relay_path = ch.g @ (ch.f * cfg.b) if n else np.zeros(k)
             theta = cfg.c1 * ch.h + cfg.c2 * relay_path
             phi = cfg.c2 * ch.h

@@ -72,18 +72,17 @@ class TestConfig:
             parse_config({"trials": 0})
 
     @pytest.mark.parametrize("solver", [
-        {"epsilon": float("nan")}, {"qcqp_tol": float("nan")},
-        {"epsilon": float("inf")}, {"qcqp_tol": float("-inf")}, {"epsilon": "1e-4"},
-        {"qcqp_max_iter": 1.5}, {"j_max": 2.0}, {"j_max": True}, {"qcqp_max_iter": False},
+        {"epsilon": float("nan")}, {"epsilon": float("inf")}, {"epsilon": float("-inf")},
+        {"epsilon": "1e-4"}, {"j_max": 1.5}, {"j_max": 2.0}, {"j_max": True}, {"j_max": False},
     ])
     def test_bad_solver_values_rejected(self, solver):
         with pytest.raises(ConfigError, match="solver"):
             parse_config({"solver": solver})
 
-    @pytest.mark.parametrize("key, value", [("j_max", 0), ("qcqp_max_iter", -1),
-                                            ("epsilon", 0.0), ("qcqp_tol", -1e-8)])
+    @pytest.mark.parametrize("key, value", [("j_max", 0), ("j_max", -1),
+                                            ("epsilon", 0.0), ("epsilon", -1e-8)])
     def test_solver_range_error_names_the_field(self, key, value):
-        with pytest.raises(ConfigError, match=f"^solver: {key} must be"):
+        with pytest.raises(ConfigError, match=rf"^solver\.{key} must be"):
             parse_config({"solver": {key: value}})
 
     def test_array_size_cap_is_inclusive(self):
@@ -362,9 +361,7 @@ MALFORMED = [
                                       "lr_floor": 1e-300}}, [], id="lr-and-floor-tiny"),
     # Values the solver section's own checks reject.
     pytest.param(_one_trial(solver={"j_max": 0}), [], id="j-max-zero"),
-    pytest.param(_one_trial(solver={"qcqp_max_iter": 0}), [], id="qcqp-max-iter-zero"),
     pytest.param(_one_trial(solver={"epsilon": -1}), [], id="epsilon-negative"),
-    pytest.param(_one_trial(solver={"qcqp_tol": 0}), [], id="qcqp-tol-zero"),
     # Well-typed values out of range.
     pytest.param(_one_trial(num_devices=0), [], id="num-devices-zero"),
     pytest.param(_one_trial(num_relays=-1, layout={"kind": "cell"}), [],
@@ -627,8 +624,7 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "x.csv")]) == 1
 
-    @pytest.mark.parametrize("solver", [{"epsilon": float("nan"), "qcqp_tol": float("nan")},
-                                        {"qcqp_max_iter": 1.5}])
+    @pytest.mark.parametrize("solver", [{"epsilon": float("nan")}, {"j_max": 1.5}])
     def test_bad_solver_section_is_config_error(self, tmp_path, capsys, solver):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"solver": solver}))
@@ -636,6 +632,16 @@ class TestCli:
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err.startswith("configuration error: solver.")
         assert not (tmp_path / "x.csv").exists()
+
+    # The inner QCQP's tolerance and iteration cap are optimizer constants, not keys.
+    @pytest.mark.parametrize("key, value", [("qcqp_tol", 1e-8), ("qcqp_max_iter", 300)])
+    def test_removed_solver_key_is_unknown(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_one_trial(solver={key: value})))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"configuration error: unknown key solver.{key}\n"
+        assert not out.exists()
 
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

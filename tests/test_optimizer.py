@@ -137,7 +137,7 @@ class TestDeviceUpdate:
         ch, weights, budget, _ = random_instance(83, 3, 1)
         cfg = init_config(ch, weights, budget)
         flat = replace(cfg, c1=0.0, c2=0.0)
-        a1, a2, ok = device_block(flat, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(flat, ch, weights, budget)
         assert ok
         assert a1 == pytest.approx(flat.a1)
         assert a2 == pytest.approx(flat.a2)
@@ -147,7 +147,7 @@ class TestDeviceUpdate:
         weights = DeviceWeights([1.0])
         budget = PowerBudget(p0=100.0, pr=1.0, sigma2=0.1)
         cfg = TransceiverConfig(a1=[0.1 + 0j], a2=[0.1 + 0j], b=np.zeros(0), c1=1.0, c2=1.0)
-        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(cfg, ch, weights, budget)
         final = replace(cfg, a1=a1, a2=a2)
         assert ok
         assert misalignment_of(final, ch, weights) <= 1e-8
@@ -159,7 +159,7 @@ class TestDeviceUpdate:
         # move off the initial point so the subproblem is nontrivial
         cfg = replace(cfg, c1=c1_block(cfg, ch, weights, budget))
         cfg = replace(cfg, c2=c2_block(cfg, ch, weights, budget))
-        a1, a2, _ = device_block(cfg, ch, weights, budget, SOLVER)
+        a1, a2, _ = device_block(cfg, ch, weights, budget)
         mine = misalignment_of(replace(cfg, a1=a1, a2=a2), ch, weights)
         oracle = device_update_oracle(cfg, ch, weights, budget, seed=seed)
         assert mine <= oracle * (1 + 1e-4) + 1e-12
@@ -176,7 +176,7 @@ class TestDeviceUpdate:
         cfg = TransceiverConfig(a1=[0.0, 0.1], a2=[0.1, 0.1], b=[2.0**-14], c1=0.0,
                                 c2=2.0**-500)
         with np.errstate(all="ignore"):
-            a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
+            a1, a2, ok = device_block(cfg, ch, weights, budget)
         final = replace(cfg, a1=a1, a2=a2)
         assert not ok
         assert np.isfinite(a1).all() and np.isfinite(a2).all()
@@ -190,7 +190,7 @@ class TestDeviceUpdate:
         budget = PowerBudget(p0=1.0, pr=0.15, sigma2=0.1)
         weights = DeviceWeights.uniform(2)
         cfg = TransceiverConfig(a1=[0.0, 0.1], a2=[0.1, 0.1], b=[1.0], c1=0.0, c2=1.0)
-        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(cfg, ch, weights, budget)
         final = replace(cfg, a1=a1, a2=a2)
         assert ok
         assert a1[0] == 0
@@ -213,7 +213,7 @@ class TestDeviceUpdate:
         splits = []
         for cap in 0.16 * (1.0 + np.array([-1e-9, 1e-9])):
             budget = PowerBudget(p0=1.0, pr=cap + 0.1, sigma2=0.1)
-            a1, a2, ok = device_block(cfg, ch, DeviceWeights([1.0]), budget, SOLVER)
+            a1, a2, ok = device_block(cfg, ch, DeviceWeights([1.0]), budget)
             assert ok
             splits.append(np.concatenate([a1, a2]))
         assert splits[0] == pytest.approx(splits[1], abs=1e-6)
@@ -227,7 +227,7 @@ class TestDeviceUpdate:
         cfg = TransceiverConfig(a1=[0.1 + 0j, 0.1 + 0j], a2=[0.1 + 0j, 0.1 + 0j],
                                 b=[1.0 + 0j], c1=1.0, c2=0.125)
         budget = PowerBudget(p0=1.0, pr=2.0, sigma2=0.1)
-        a1, a2, ok = device_block(cfg, ch, DeviceWeights.uniform(2), budget, SOLVER)
+        a1, a2, ok = device_block(cfg, ch, DeviceWeights.uniform(2), budget)
         final = replace(cfg, a1=a1, a2=a2)
         assert ok
         assert a1[0] == cfg.a1[0]
@@ -243,7 +243,7 @@ class TestDeviceUpdate:
                                 c1=1.0, c2=0.125)
         budget = PowerBudget(p0=1.0, pr=1.5, sigma2=0.1)
         weights = DeviceWeights.uniform(3)
-        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(cfg, ch, weights, budget)
         final = replace(cfg, a1=a1, a2=a2)
         assert ok
         assert a1[0] == cfg.a1[0]
@@ -264,7 +264,7 @@ class TestDeviceUpdate:
         cfg = off_start(ch, weights, budget)
         live = replace(cfg, b=np.array([0.0, 3.0 * cfg.b[1]]))
         silent = replace(live, b=np.array([1e-160, live.b[1]]))
-        a1, a2, ok = device_block(silent, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(silent, ch, weights, budget)
         final = replace(silent, a1=a1, a2=a2)
         assert ok
         assert relay_power_used(final, ch, budget.sigma2)[1] == pytest.approx(budget.pr,
@@ -309,7 +309,7 @@ class TestDeviceUpdate:
             extra = (rng.standard_normal(20) + 1j * rng.standard_normal(20)) * np.abs(ch.g[:, 0])
             two = ChannelRealization(h=ch.h, g=np.column_stack([ch.g[:, 0], extra]),
                                      f=np.append(ch.f, 1j * ch.f))
-            two_relays = optimizer.Problem(two, weights, budget, SOLVER)
+            two_relays = optimizer.Problem(two, weights, budget)
             solve(ch, weights, budget, SOLVER)
         assert exits.count(exit) >= 3, exits
 
@@ -320,7 +320,7 @@ class TestDeviceUpdate:
         ch = ChannelRealization(h=[1.0, 1.0], g=[[1.0], [1.0]], f=[1.0])
         budget = PowerBudget(p0=1.0, pr=2.0, sigma2=0.1)
         weights = DeviceWeights.uniform(2)
-        problem = optimizer.Problem(ch, weights, budget, SOLVER)
+        problem = optimizer.Problem(ch, weights, budget)
         theta, phi = np.array([1.0 + 0j, 2.0]), np.array([0j, 1.0])
         a2_in = np.array([0.3 + 0.4j, 0.1])
         a1, a2, ok = optimizer.update_device_scalars(
@@ -335,7 +335,7 @@ class TestDeviceUpdate:
         ch, weights, budget, _ = random_instance(131, 6, 2)
         cfg = off_start(ch, weights, budget)
         cfg = replace(cfg, b=0.1 * cfg.b)  # far below the caps
-        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(cfg, ch, weights, budget)
         theta = cfg.c1 * ch.h + cfg.c2 * (ch.g @ (ch.f * cfg.b))
         phi = cfg.c2 * ch.h
         direct = np.minimum(weights.rho, np.abs(phi) * np.sqrt(budget.p0))
@@ -353,7 +353,7 @@ class TestDeviceUpdate:
             cfg = init_config(ch, weights, budget)
             cfg = replace(cfg, c2=1.5 * cfg.c2)  # off-optimum incoming point
             before = misalignment_of(cfg, ch, weights)
-            a1, a2, _ = device_block(cfg, ch, weights, budget, SOLVER)
+            a1, a2, _ = device_block(cfg, ch, weights, budget)
             after = misalignment_of(replace(cfg, a1=a1, a2=a2), ch, weights)
             assert after <= before * (1 + 1e-12) + 1e-15
             assert max_constraint_violation(replace(cfg, a1=a1, a2=a2), ch, budget) <= 1e-9
@@ -378,7 +378,7 @@ class TestDeviceUpdate:
             ch, weights, budget, _ = random_instance(seed, 6, num_relays, pr=0.1)
             cfg = init_config(ch, weights, budget)
             cfg = replace(cfg, c2=0.3 * cfg.c2)
-            problem = optimizer.Problem(ch, weights, budget, SOLVER)
+            problem = optimizer.Problem(ch, weights, budget)
             theta, phi = _combined_gains(cfg.c1, cfg.c2, ch.h, ch.g @ (ch.f * cfg.b))
             a1, a2 = cfg.a1, cfg.a2
             for _ in range(2):
@@ -431,7 +431,7 @@ class TestDualSolveAtScale:
         rng = stream(7100, seed)
         ch = realize_channels(path_gain_profile(line_layout(20, rng), PathLossParams()), rng)
         cfg = off_start(ch, weights, budget)
-        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(cfg, ch, weights, budget)
 
         # Lagrangian of the relay constraint, minimized per device in closed
         # form: the direct copy covers what it can, the relayed copy the rest.
@@ -461,7 +461,7 @@ class TestDualSolveAtScale:
 
         final = replace(cfg, a1=a1, a2=a2)
         assert ok
-        assert misalignment_of(final, ch, weights) <= dual + SOLVER.qcqp_tol * np.sum(
+        assert misalignment_of(final, ch, weights) <= dual + optimizer.QCQP_TOL * np.sum(
             weights.rho**2)
         assert max_constraint_violation(final, ch, budget) <= 1e-9
 
@@ -471,7 +471,7 @@ class TestDualSolveAtScale:
         rng = stream(7200, 0)
         ch = realize_channels(path_gain_profile(cell_layout(20, 4, rng), PathLossParams()), rng)
         cfg = off_start(ch, weights, budget)
-        a1, a2, ok = device_block(cfg, ch, weights, budget, SOLVER)
+        a1, a2, ok = device_block(cfg, ch, weights, budget)
         final = replace(cfg, a1=a1, a2=a2)
         assert ok
         assert max_constraint_violation(final, ch, budget) <= 1e-9
@@ -483,7 +483,7 @@ class TestDualSolveAtScale:
     @pytest.mark.parametrize("seed", [7, 12])
     def test_four_relay_solves_meet_the_gap_tolerance(self, seed):
         # Instances whose nearly collinear relay constraints left earlier
-        # multiplier searches above qcqp_tol on several sweeps.
+        # multiplier searches above QCQP_TOL on several sweeps.
         budget = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
         weights = DeviceWeights.uniform(20)
         rng = stream(5000, seed)
@@ -510,7 +510,7 @@ class TestRelayUpdate:
             k = int(rng.integers(1, 101))
             cfg, ch, weights, budget = random_feasible_setup(int(rng.integers(1 << 30)), k, 1)
             budget = replace(budget, pr=1e6)  # the stationary point fits the cap
-            problem = optimizer.Problem(ch, weights, budget, SOLVER)
+            problem = optimizer.Problem(ch, weights, budget)
             g, g_h = ch.g, problem.g_h
             m = (g_h * np.abs(cfg.a1) ** 2) @ g + problem.noise_eye
             residual = weights.rho - ch.h * (cfg.c1 * cfg.a1 + cfg.c2 * cfg.a2)
@@ -522,7 +522,7 @@ class TestRelayUpdate:
                 budget = replace(budget, pr=0.25 * abs(x / ch.f[0]) ** 2 * load)
                 x = x * (abs(ch.f[0]) * np.sqrt(budget.pr / load) / abs(x))
             expected = x / ch.f[0]
-            b = relay_block(cfg, ch, weights, budget, SOLVER)[0]
+            b = relay_block(cfg, ch, weights, budget)[0]
             assert abs(b - expected) <= 4 * np.finfo(float).eps * abs(expected)
 
     def test_radial_projection_worked_example(self):
@@ -530,7 +530,7 @@ class TestRelayUpdate:
         ch = ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j]], f=[1.0 + 0j])
         cfg = TransceiverConfig(a1=[1.0 + 0j], a2=[-5.0 - 8.0j], b=[0j], c1=0.0, c2=1.0)
         budget = PowerBudget(p0=100.0, pr=8.0, sigma2=1.0)
-        b = relay_block(cfg, ch, DeviceWeights([1.0]), budget, SOLVER)
+        b = relay_block(cfg, ch, DeviceWeights([1.0]), budget)
         assert b[0] == pytest.approx(1.2 + 1.6j, rel=1e-12)
 
     def test_interior_point_unchanged(self):
@@ -538,13 +538,13 @@ class TestRelayUpdate:
         cfg = TransceiverConfig(a1=[1.0 + 0j], a2=[0j], b=[0j], c1=0.0, c2=1.0)
         budget = PowerBudget(p0=100.0, pr=8.0, sigma2=1.0)
         # unconstrained stationary point is rho / (c2 (|a1|^2 + sigma2)) = 0.5
-        b = relay_block(cfg, ch, DeviceWeights([1.0]), budget, SOLVER)
+        b = relay_block(cfg, ch, DeviceWeights([1.0]), budget)
         assert b[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_dominates_random_feasible_points(self):
         ch, weights, budget, rng = random_instance(140, 1, 1)
         cfg = init_config(ch, weights, budget)
-        b_star = relay_block(cfg, ch, weights, budget, SOLVER)
+        b_star = relay_block(cfg, ch, weights, budget)
         value = relay_mse(replace(cfg, b=b_star), ch, weights, budget.sigma2)
         cap = budget.pr / (np.abs(ch.g[:, 0]) ** 2 @ np.abs(cfg.a1) ** 2 + budget.sigma2)
         for _ in range(1000):
@@ -555,7 +555,7 @@ class TestRelayUpdate:
     def test_stationarity_when_interior(self):
         ch, weights, budget, _ = random_instance(141, 3, 2, pr=1e6)
         cfg = init_config(ch, weights, budget)
-        b_star = relay_block(cfg, ch, weights, budget, SOLVER)
+        b_star = relay_block(cfg, ch, weights, budget)
         caps = budget.pr / ((np.abs(ch.g) ** 2).T @ np.abs(cfg.a1) ** 2 + budget.sigma2)
         assert np.all(np.abs(b_star) < np.sqrt(caps))  # interior for huge relay power
         for n in range(2):
@@ -569,15 +569,15 @@ class TestRelayUpdate:
     def test_idempotent(self):
         ch, weights, budget, _ = random_instance(142, 4, 2)
         cfg = init_config(ch, weights, budget)
-        b1 = relay_block(cfg, ch, weights, budget, SOLVER)
-        b2 = relay_block(replace(cfg, b=b1), ch, weights, budget, SOLVER)
+        b1 = relay_block(cfg, ch, weights, budget)
+        b2 = relay_block(replace(cfg, b=b1), ch, weights, budget)
         assert b2 == pytest.approx(b1, rel=1e-12)
 
     def test_requires_nonzero_c2(self):
         ch, weights, budget, _ = random_instance(143, 2, 1)
         cfg = replace(init_config(ch, weights, budget), c2=0.0)
         with pytest.raises(ValueError):
-            relay_block(cfg, ch, weights, budget, SOLVER)
+            relay_block(cfg, ch, weights, budget)
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (2, 2), (2, 5), (3, 3), (3, 4), (3, 6),
                                         (4, 0), (4, 2), (4, 4)])
@@ -585,7 +585,7 @@ class TestRelayUpdate:
         cfg, ch, weights, budget = random_feasible_setup(6300 + seed, 6, n)
         budget = replace(budget, pr=0.1 * budget.pr)
         cfg = replace(cfg, b=np.sqrt(0.1) * cfg.b)
-        new = replace(cfg, b=relay_block(cfg, ch, weights, budget, SOLVER))
+        new = replace(cfg, b=relay_block(cfg, ch, weights, budget))
         used = relay_power_used(new, ch, budget.sigma2)
         assert np.sum(used >= budget.pr * (1 - 1e-9)) >= 2
         assert max_constraint_violation(new, ch, budget) <= 1e-9
@@ -612,8 +612,8 @@ class TestRelayUpdate:
         assert np.array_equal(c_ordered.g, f_ordered.g)
         for pr in (1e6, 0.1 * budget.pr):
             tight = replace(budget, pr=pr)
-            b_c = relay_block(cfg, c_ordered, weights, tight, SOLVER)
-            b_f = relay_block(cfg, f_ordered, weights, tight, SOLVER)
+            b_c = relay_block(cfg, c_ordered, weights, tight)
+            b_f = relay_block(cfg, f_ordered, weights, tight)
             assert np.array_equal(b_c, b_f)
 
     def test_relay_input_power_is_the_relay_updates_cap(self):
@@ -625,7 +625,7 @@ class TestRelayUpdate:
         for _ in range(200):
             ch = realize_channels(gains, rng)
             a1 = 0.2 * (rng.standard_normal(100) + 1j * rng.standard_normal(100))
-            problem = optimizer.Problem(ch, DeviceWeights.uniform(100), budget, SOLVER)
+            problem = optimizer.Problem(ch, DeviceWeights.uniform(100), budget)
             cap = problem.g2 @ np.abs(a1) ** 2 + budget.sigma2
             assert bits(relay_input_power(ch, a1, budget.sigma2)) == bits(cap)
 
@@ -726,10 +726,10 @@ class TestSolve:
         ch, weights, budget, _ = random_instance(173, 4, 2)
         cfg = init_config(ch, weights, budget)
         assert max_constraint_violation(cfg, ch, budget) <= 1e-9
-        a1, a2, _ = device_block(cfg, ch, weights, budget, SOLVER)
+        a1, a2, _ = device_block(cfg, ch, weights, budget)
         cfg = replace(cfg, a1=a1, a2=a2)
         assert max_constraint_violation(cfg, ch, budget) <= 1e-9
-        b = relay_block(cfg, ch, weights, budget, SOLVER)
+        b = relay_block(cfg, ch, weights, budget)
         cfg = replace(cfg, b=b)
         assert max_constraint_violation(cfg, ch, budget) <= 1e-9
         cfg = replace(cfg, c1=c1_block(cfg, ch, weights, budget))

@@ -54,7 +54,7 @@ class TestSnrSummary:
         differs = 0
         for seed in range(40):
             ch, weights, budget = single_relay_instance(seed)
-            f2 = Problem(ch, weights, budget, SolverConfig()).f2[0]
+            f2 = Problem(ch, weights, budget).f2[0]
             assert single_relay._link_powers(ch)[2] == f2
             assert snr_summary(ch, budget)[1] == budget.pr * f2 / budget.sigma2
             differs += abs(complex(ch.f[0])) ** 2 != f2

@@ -13,9 +13,10 @@ Each instance is solved cold in the FULL variant with the default
     <cell> seed=<s> pr=<pr> noise_dbm=<dBm> sweeps=<n> stop=<reason> gap_misses=<n> mse=<repr>
 
 where ``mse`` is the ``repr`` of the final objective and ``gap_misses`` counts
-the sweeps whose device QCQP ended above ``qcqp_tol``.  Point PYTHONPATH at
-each tree's ``src`` and ``diff`` the two outputs: a change that keeps every
-sweep count, stop reason and gap-miss count differs at most in ``mse``.
+the sweeps whose device QCQP ended above ``optimizer.QCQP_TOL``.  Point
+PYTHONPATH at each tree's ``src`` and ``diff`` the two outputs: a change that
+keeps every sweep count, stop reason and gap-miss count differs at most in
+``mse``.
 """
 
 from __future__ import annotations
