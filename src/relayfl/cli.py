@@ -3,7 +3,8 @@
 relayfl run --config cfg.json --out results.csv [--seed N]
 relayfl theorem-sweep --config cfg.json --out results.csv [--seed N]
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error.
+Exit codes: 0 success, 1 configuration error, 2 I/O error or (from argparse)
+a usage error.
 """
 
 from __future__ import annotations

@@ -92,9 +92,6 @@ class FlConfig:
     total_blocks: int = 40
     tau: Annotated[int, AT_LEAST_ONE] = 1
     lr_base: Annotated[float, POSITIVE] = 0.05
-    lr_decay: Annotated[float, _Range("in (0, 1]", lambda x: 0 < x <= 1)] = 0.9
-    lr_step: Annotated[int, AT_LEAST_ONE] = 50
-    lr_floor: Annotated[float, POSITIVE] = 1e-5
     # A one-class softmax never moves, so every round's truth is zero.
     num_classes: Annotated[int, _Range("at least 2", lambda x: x >= 2)] = 5
     feature_dim: Annotated[int, AT_LEAST_ONE] = 20
@@ -330,11 +327,9 @@ def run_trial(config: ExperimentConfig, sweep_index: int, trial: int) -> list:
         partition = federated.partition_iid(task, config.num_devices, rng)
     else:
         partition = federated.partition_shards(task, config.num_devices, fl.shards_c)
-    schedule = federated.LrSchedule(base=fl.lr_base, decay=fl.lr_decay,
-                                    step=fl.lr_step, floor=fl.lr_floor)
     return federated.train(
         config.scheme, task, partition, layout, _pl_params(config),
-        _power_budget(config), config.solver, schedule, fl.total_blocks,
+        _power_budget(config), config.solver, fl.lr_base, fl.total_blocks,
         rng, csi_kappa=config.csi_kappa, tau=fl.tau)[0]
 
 

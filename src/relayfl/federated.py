@@ -101,19 +101,6 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class LrSchedule:
-    """Stepwise-decayed learning rate with a floor: max(base * decay^(t // step), floor)."""
-
-    base: float = 0.05
-    decay: float = 0.9
-    step: int = 50
-    floor: float = 1e-5
-
-    def __call__(self, round_index: int) -> float:
-        return max(self.base * self.decay ** (round_index // self.step), self.floor)
-
-
-@dataclass(frozen=True)
 class RoundMetrics:
     """One round's result; its fields, in order, are the CSV columns after the trial."""
 
@@ -299,10 +286,22 @@ def blocks_per_round(scheme: str) -> int:
     return 2 if scheme in ("proposed", "relay_only") else 1
 
 
+# The step schedule of `_learning_rate`.  It counts rounds, not blocks, so a relay
+# scheme, at two blocks per round, first decays at block 2 * LR_STEP.
+LR_DECAY = 0.9
+LR_STEP = 50
+LR_FLOOR = 1e-5
+
+
+def _learning_rate(lr_base: float, t: int) -> float:
+    """Round t's rate, max(lr_base * LR_DECAY^(t // LR_STEP), LR_FLOOR)."""
+    return max(lr_base * LR_DECAY ** (t // LR_STEP), LR_FLOOR)
+
+
 def train(scheme: str, task: LearningTask, partition: Partition,
           layout: geometry.NodeLayout, pl_params: geometry.PathLossParams,
           budget: agg.PowerBudget, solver_cfg: optimizer.SolverConfig,
-          schedule: LrSchedule, total_blocks: int, rng: np.random.Generator,
+          lr_base: float, total_blocks: int, rng: np.random.Generator,
           csi_kappa: float | None = None, tau: int = 1):
     """Run federated averaging until the transmission-block budget is spent.
 
@@ -313,12 +312,13 @@ def train(scheme: str, task: LearningTask, partition: Partition,
     error level set, the optimizer sees the perturbed channels while the air
     interface uses the true ones.  On single-relay layouts every round also
     carries the ``single_relay.theorem_certificate`` of the true channels.
+    Round t's local steps take the rate ``_learning_rate(lr_base, t)``.
 
     Returns (metrics, w): one RoundMetrics per round and the final model.
     """
     if total_blocks < 1:
         raise ValueError("total_blocks must be at least 1")
-    if schedule(1) <= 0 or tau < 1:
+    if lr_base <= 0 or tau < 1:
         raise ValueError("lr must be positive and tau at least 1")
     if layout.num_devices != partition.num_devices:
         raise ValueError("layout and partition disagree on the device count")
@@ -333,7 +333,7 @@ def train(scheme: str, task: LearningTask, partition: Partition,
     metrics: list[RoundMetrics] = []
 
     for t in range(1, num_rounds + 1):
-        lr = schedule(t)
+        lr = _learning_rate(lr_base, t)
         deltas = np.empty((partition.num_devices, dim))
         for members, data in groups:
             deltas[members] = local_update(w, data, tau=tau, lr=lr)

@@ -197,8 +197,6 @@ def line_layout(num_devices: int, rng: np.random.Generator, *, x_relay: float = 
                 device_x: tuple[float, float] = (80.0, 120.0),
                 device_y_half: float = 60.0) -> NodeLayout:
     """AP at the origin, one relay on the x axis, devices uniform in a rectangle."""
-    if num_devices < 1:
-        raise ValueError("need at least one device")
     xs = rng.uniform(device_x[0], device_x[1], num_devices)
     ys = rng.uniform(-device_y_half, device_y_half, num_devices)
     return NodeLayout(
@@ -211,8 +209,6 @@ def line_layout(num_devices: int, rng: np.random.Generator, *, x_relay: float = 
 def cell_layout(num_devices: int, num_relays: int, rng: np.random.Generator, *,
                 cell_radius: float = 120.0, ring_radius: float = 50.0) -> NodeLayout:
     """AP at the cell center, devices uniform in the disc, relays equally spaced on a ring."""
-    if num_devices < 1:
-        raise ValueError("need at least one device")
     if num_relays < 0:
         raise ValueError("num_relays must be nonnegative")
     radii = cell_radius * np.sqrt(rng.uniform(0.0, 1.0, num_devices))

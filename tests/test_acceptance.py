@@ -293,13 +293,12 @@ def test_criterion_09_roundtrip_and_noiseless_limit():
             layout = line_layout(3, rng, x_relay=5.0, device_x=(8.0, 12.0),
                                  device_y_half=6.0)
             partition = federated.partition_iid(task, 3, rng)
-            schedule = federated.LrSchedule()
             _, noisy = federated.train(
                 "proposed", task, partition, layout, PL, quiet, SolverConfig(),
-                schedule, 12, stream(9300, seed))
+                0.05, 12, stream(9300, seed))
             _, ideal = federated.train(
                 "error_free", task, partition, layout, PL, quiet, SolverConfig(),
-                schedule, 6, stream(9300, seed))
+                0.05, 6, stream(9300, seed))
             deviation = np.linalg.norm(noisy - ideal) / np.linalg.norm(ideal)
             assert deviation < 1e-3, deviation
 

@@ -356,9 +356,6 @@ MALFORMED = [
                  id="lr-base-huge"),
     pytest.param({"trials": 1, "fl": {"total_blocks": 4, "separation": 1e300}}, [],
                  id="separation-huge"),
-    # Updates whose squares underflow: every variance is zero and so is the truth's norm.
-    pytest.param({"trials": 1, "fl": {"total_blocks": 4, "lr_base": 1e-300,
-                                      "lr_floor": 1e-300}}, [], id="lr-and-floor-tiny"),
     # Values the solver section's own checks reject.
     pytest.param(_one_trial(solver={"j_max": 0}), [], id="j-max-zero"),
     pytest.param(_one_trial(solver={"epsilon": -1}), [], id="epsilon-negative"),
@@ -384,8 +381,8 @@ RANGE_BREAKS = {
     "layout.x_relay": 0.0, "layout.device_x_min": 0.0, "layout.device_y_half": -1.0,
     "layout.cell_radius": 0.0, "layout.relay_ring_radius": -50.0, "layout.antenna_gain": 0.0,
     "layout.pathloss_exponent": 0.0, "layout.carrier_freq_hz": -915e6, "fl.tau": 0,
-    "fl.lr_base": 0.0, "fl.lr_decay": 1.5, "fl.lr_step": 0, "fl.lr_floor": 0.0,
-    "fl.num_classes": 1, "fl.feature_dim": 0, "fl.samples_per_class": 0, "fl.separation": 0.0,
+    "fl.lr_base": 0.0, "fl.num_classes": 1, "fl.feature_dim": 0, "fl.samples_per_class": 0,
+    "fl.separation": 0.0,
     "fl.partition": "dirichlet", "fl.shards_c": 0, "sweep.key": "colour", "sweep.values": [],
 }
 SECTIONS = {"": ExperimentConfig, "budget.": BudgetConfig, "layout.": LayoutConfig,
@@ -524,21 +521,31 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("document", [
+    @pytest.mark.parametrize("document, message", [
         # The analytic and signal-chain MSEs of the construction disagree at this scale.
-        pytest.param({"trials": 1, "budget": {"p0_watts": 1e100}}, id="p0-huge-ratio"),
-        pytest.param({"trials": 1, "layout": {"antenna_gain": 1e100}}, id="antenna-gain-huge"),
+        pytest.param({"trials": 1, "budget": {"p0_watts": 1e100}}, "trial 0: ",
+                     id="p0-huge-ratio"),
+        pytest.param({"trials": 1, "layout": {"antenna_gain": 1e100}}, "trial 0: ",
+                     id="antenna-gain-huge"),
         # The certificate is defined for one relay only.
         pytest.param({"trials": 1, "num_relays": 2, "layout": {"kind": "cell"}},
-                     id="cell-two-relays"),
+                     "theorem sweep requires num_relays = 1", id="cell-two-relays"),
+        # A theorem sweep builds no learning task, but its document passes every check
+        # a run document does, the fl ranges and cross-field rules included.
+        pytest.param({"trials": 1, "num_devices": 500},
+                     "the fl task has 480 training samples but num_devices needs 500",
+                     id="iid-too-few-samples"),
+        pytest.param({"trials": 1, "fl": {"num_classes": 1}},
+                     "fl.num_classes must be at least 2", id="one-class"),
     ])
-    def test_malformed_theorem_sweep_is_config_error(self, tmp_path, capsys, document):
+    def test_malformed_theorem_sweep_is_config_error(self, tmp_path, capsys, document,
+                                                     message):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(document))
         out = tmp_path / "thm.csv"
         assert main(["theorem-sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.splitlines()[0].startswith("configuration error:")
+        assert err.splitlines()[0].startswith(f"configuration error: {message}")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -633,14 +640,38 @@ class TestCli:
         assert capsys.readouterr().err.startswith("configuration error: solver.")
         assert not (tmp_path / "x.csv").exists()
 
-    # The inner QCQP's tolerance and iteration cap are optimizer constants, not keys.
-    @pytest.mark.parametrize("key, value", [("qcqp_tol", 1e-8), ("qcqp_max_iter", 300)])
-    def test_removed_solver_key_is_unknown(self, tmp_path, capsys, key, value):
+    # The inner QCQP's tolerance and iteration cap are optimizer constants, and the
+    # learning rate's decay, step and floor federated constants, not keys.
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "qcqp_tol", 1e-8), ("solver", "qcqp_max_iter", 300),
+        ("fl", "lr_decay", 0.9), ("fl", "lr_step", 50), ("fl", "lr_floor", 1e-5)])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, section, key, value):
+        document = _one_trial()
+        document[section] = {**document.get(section, {}), key: value}
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(_one_trial(solver={key: value})))
+        cfg_path.write_text(json.dumps(document))
         out = tmp_path / "x.csv"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"configuration error: unknown key solver.{key}\n"
+        assert capsys.readouterr().err == f"configuration error: unknown key {section}.{key}\n"
+        assert not out.exists()
+
+    # argparse rejects these before any document is read, with its usage line and exit 2.
+    @pytest.mark.parametrize("args", [
+        pytest.param([], id="no-command"),
+        pytest.param(["run"], id="run-without-flags"),
+        pytest.param(["run", "--config", "{cfg}", "--out", "{out}", "--seed", "abc"],
+                     id="seed-not-an-integer"),
+    ])
+    def test_usage_error_exits_2(self, tmp_path, capsys, args):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 1}))
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(cfg=cfg_path, out=out) for arg in args])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: relayfl")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_io_error_exit_code(self, tmp_path):

@@ -6,7 +6,6 @@ from relayfl import federated
 from relayfl.aggregation import DeviceWeights, PowerBudget
 from relayfl.federated import (
     LearningTask,
-    LrSchedule,
     Partition,
     blocks_per_round,
     evaluate_accuracy,
@@ -36,15 +35,6 @@ def small_task(seed=1, num_classes=3, feature_dim=6, samples_per_class=60,
                separation=4.0):
     return make_synthetic_task(num_classes, feature_dim, samples_per_class,
                                separation, stream(seed))
-
-
-def centralized_descent(task, rounds, schedule):
-    w = np.zeros(task.model_dim)
-    for t in range(1, rounds + 1):
-        grad = cross_entropy_gradient(w, task.train_features, task.train_labels,
-                                      task.num_classes)
-        w = w - schedule(t) * grad
-    return w
 
 
 class TestSyntheticTask:
@@ -255,13 +245,12 @@ class TestBatchedLocalUpdate:
         assert sorted(set(partition.sizes())) == [57, 62]
         rng = stream(32)
         layout = line_layout(7, rng)
-        schedule = LrSchedule(base=0.3)
         metrics, final_w = train("error_free", task, partition, layout, PL, BUDGET,
-                                 SolverConfig(), schedule, 6, rng, tau=3)
+                                 SolverConfig(), 0.3, 6, rng, tau=3)
         rho = DeviceWeights.from_counts(partition.sizes()).rho
         w = np.zeros(task.model_dim)
-        for t, m in enumerate(metrics, start=1):
-            deltas = np.stack([local_update_reference(w, task, idx, 3, schedule(t))
+        for m in metrics:
+            deltas = np.stack([local_update_reference(w, task, idx, 3, 0.3)
                                for idx in partition.assignments])
             w = w + rho @ deltas
             assert m.test_accuracy == evaluate_accuracy(w, task.test_data())
@@ -292,7 +281,7 @@ class TestBatchedLocalUpdate:
             partition = partition_shards(task, 7, 3)
             rng = stream(32)
             metrics, _ = train("error_free", task, partition, line_layout(7, rng), PL,
-                               BUDGET, SolverConfig(), LrSchedule(base=0.3), blocks, rng,
+                               BUDGET, SolverConfig(), 0.3, blocks, rng,
                                tau=tau)
             assert len(metrics) == blocks
             # One gather per size group (57 and 62 samples) and one for the test set.
@@ -315,19 +304,19 @@ class TestGlobalUpdateAndNmse:
             nmse(truth, np.zeros(2))
 
     def test_schedule_and_state_validation(self):
-        sched = LrSchedule(base=0.05, decay=0.9, step=50, floor=1e-5)
-        assert sched(1) == pytest.approx(0.05)
-        assert sched(49) == pytest.approx(0.05)
-        assert sched(50) == pytest.approx(0.045)
-        assert sched(10**9) == pytest.approx(1e-5)
+        rate = federated._learning_rate
+        assert rate(0.05, 1) == pytest.approx(0.05)
+        assert rate(0.05, 49) == pytest.approx(0.05)
+        assert rate(0.05, 50) == pytest.approx(0.045)
+        assert rate(0.05, 10**9) == pytest.approx(1e-5)
         task = small_task(seed=30, num_classes=3, feature_dim=5, samples_per_class=40)
         rng = stream(30, 1)
         layout = line_layout(4, rng)
         partition = partition_iid(task, 4, rng)
-        for schedule, tau in ((LrSchedule(base=0.0, floor=0.0), 1), (LrSchedule(), 0)):
+        for lr_base, tau in ((0.0, 1), (0.05, 0)):
             with pytest.raises(ValueError, match="lr must be positive and tau at least 1"):
                 train("error_free", task, partition, layout, PL, BUDGET, SolverConfig(),
-                      schedule, 2, rng, tau=tau)
+                      lr_base, 2, rng, tau=tau)
         with pytest.raises(ValueError):
             Partition(assignments=(np.array([1, 2]), np.array([2, 3])))
 
@@ -338,9 +327,8 @@ class TestTrain:
         rng = stream(seed, 1)
         layout = line_layout(4, rng)
         partition = partition_iid(task, 4, rng)
-        schedule = LrSchedule()
         metrics, _ = train(scheme, task, partition, layout, PL, BUDGET, SolverConfig(),
-                           schedule, blocks, rng, **kwargs)
+                           0.05, blocks, rng, **kwargs)
         return task, partition, metrics
 
     def test_error_free_matches_reference_trajectory(self):
@@ -350,10 +338,9 @@ class TestTrain:
         sizes = partition.sizes()
         rho = sizes / sizes.sum()
         w = np.zeros(task.model_dim)
-        schedule = LrSchedule()
         for t in range(1, 7):
             deltas = np.stack([
-                local_update(w, task.train_data(idx), tau=1, lr=schedule(t))
+                local_update(w, task.train_data(idx), tau=1, lr=0.05)
                 for idx in partition.assignments
             ])
             w = w + rho @ deltas
@@ -386,11 +373,10 @@ class TestTrain:
         layout = line_layout(3, rng_a, x_relay=5.0, device_x=(8.0, 12.0),
                              device_y_half=6.0)
         partition = partition_iid(task, 3, rng_a)
-        schedule = LrSchedule()
         noisy, _ = train("proposed", task, partition, layout, PL, quiet, SolverConfig(),
-                         schedule, 8, stream(31, 3))
+                         0.05, 8, stream(31, 3))
         ideal, _ = train("error_free", task, partition, layout, PL, quiet, SolverConfig(),
-                         schedule, 4, stream(31, 3))
+                         0.05, 4, stream(31, 3))
         assert len(noisy) == len(ideal)
         for m in noisy:
             assert m.nmse_db < -60.0
@@ -421,11 +407,10 @@ class TestTrain:
         rng = stream(36)
         layout = line_layout(4, rng)
         partition = partition_iid(task, 4, rng)
-        schedule = LrSchedule()
         exact, _ = train("proposed", task, partition, layout, PL, BUDGET, SolverConfig(),
-                         schedule, 8, stream(37))
+                         0.05, 8, stream(37))
         rough, _ = train("proposed", task, partition, layout, PL, BUDGET, SolverConfig(),
-                         schedule, 8, stream(37), csi_kappa=0.2)
+                         0.05, 8, stream(37), csi_kappa=0.2)
         mean_exact = np.mean([m.mse_predicted for m in exact])
         mean_rough = np.mean([m.mse_predicted for m in rough])
         assert mean_rough > mean_exact
@@ -447,7 +432,7 @@ class TestTrain:
         rng = stream(30, 1)
         partition = partition_iid(task, 4, rng)
         metrics, w = train("proposed", task, partition, line_layout(4, rng), PL, BUDGET,
-                           SolverConfig(), LrSchedule(), 6, rng)
+                           SolverConfig(), 0.05, 6, rng)
         mean = DeviceWeights.from_counts(partition.sizes()).rho @ levels
         assert len(metrics) == 3
         assert [m.mse_predicted for m in metrics] == [0.0, 0.0, 0.0]
@@ -463,7 +448,7 @@ def _train_four_devices(blocks=2, layout_devices=4):
     rng = stream(30, 1)
     partition = partition_iid(task, 4, rng)
     return train("error_free", task, partition, line_layout(layout_devices, rng), PL, BUDGET,
-                 SolverConfig(), LrSchedule(), blocks, rng)
+                 SolverConfig(), 0.05, blocks, rng)
 
 
 @pytest.mark.parametrize("call, match", [

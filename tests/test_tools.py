@@ -11,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
+import code_lines  # noqa: E402
 import csv_drift  # noqa: E402
 
 
@@ -120,7 +121,7 @@ CLI_UNREACHED = {
     'cli.main: config = override(config, "master_seed", args.seed)':
         "relayfl run --seed; tests/test_experiment.py",
     "federated.train: estimate = np.full(dim, g_mean)":
-        "no_relay documents with lr_base = lr_floor in [3e-163, 3e-160]; "
+        "library calls whose local updates are constant across devices; "
         "test_zero_variance_round_sends_the_weighted_mean",
     "federated.train: elif g_var <= 0.0: mse_pred = 0.0":
         "as above; test_zero_variance_round_sends_the_weighted_mean",
@@ -165,3 +166,42 @@ def test_solver_grid_prints_one_line_per_seeded_solve():
         assert 0 <= int(misses) <= int(sweeps)
         assert 0 < float(mse) < float("inf") and repr(float(mse)) == mse
     assert len(keys) == 216
+
+
+CODE_LINES_FIXTURE = {
+    # 8 code lines: the import, the class header, both lines of the string that is
+    # no docstring, and both lines of the def and of the return statement.
+    "a.py": '''"""Module docstring
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+
+class A:
+    """Class docstring."""
+
+    # a comment-only line
+    x = """a string that is
+    not a docstring"""
+
+    def f(self,
+          y):
+        """Function docstring,
+        two lines."""
+        return (y +
+                1)
+''',
+    "sub/b.py": "async def g():\n    '''Docstring.'''\n    pass\n",
+    "__init__.py": "",
+    "notes.txt": "not python\n",
+}
+
+
+def test_code_lines_counts_a_fixture(tmp_path, capsys):
+    for name, text in CODE_LINES_FIXTURE.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"0 {tmp_path / '__init__.py'}", f"8 {tmp_path / 'a.py'}",
+        f"2 {tmp_path / 'sub' / 'b.py'}", "10 total"]
