@@ -640,19 +640,27 @@ class TestCli:
         assert capsys.readouterr().err.startswith("configuration error: solver.")
         assert not (tmp_path / "x.csv").exists()
 
-    # The inner QCQP's tolerance and iteration cap are optimizer constants, and the
-    # learning rate's decay, step and floor federated constants, not keys.
-    @pytest.mark.parametrize("section, key, value", [
-        ("solver", "qcqp_tol", 1e-8), ("solver", "qcqp_max_iter", 300),
-        ("fl", "lr_decay", 0.9), ("fl", "lr_step", 50), ("fl", "lr_floor", 1e-5)])
-    def test_removed_key_is_unknown(self, tmp_path, capsys, section, key, value):
-        document = _one_trial()
-        document[section] = {**document.get(section, {}), key: value}
+    # The inner QCQP's tolerance and iteration cap are optimizer constants, not keys.
+    @pytest.mark.parametrize("key, value", [("qcqp_tol", 1e-8), ("qcqp_max_iter", 300)])
+    def test_removed_solver_key_is_unknown(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(document))
+        cfg_path.write_text(json.dumps(_one_trial(solver={key: value})))
         out = tmp_path / "x.csv"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"configuration error: unknown key {section}.{key}\n"
+        assert capsys.readouterr().err == f"configuration error: unknown key solver.{key}\n"
+        assert not out.exists()
+
+    # The learning rate's decay, step and floor are federated constants, not keys,
+    # in a run document and in a theorem-sweep document alike.
+    @pytest.mark.parametrize("command", ["run", "theorem-sweep"])
+    @pytest.mark.parametrize("key, value", [("lr_decay", 0.9), ("lr_step", 50),
+                                            ("lr_floor", 1e-5)])
+    def test_removed_fl_key_is_unknown(self, tmp_path, capsys, command, key, value):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"trials": 1, "fl": {"total_blocks": 2, key: value}}))
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"configuration error: unknown key fl.{key}\n"
         assert not out.exists()
 
     # argparse rejects these before any document is read, with its usage line and exit 2.

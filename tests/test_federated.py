@@ -321,6 +321,16 @@ class TestGlobalUpdateAndNmse:
             Partition(assignments=(np.array([1, 2]), np.array([2, 3])))
 
 
+# (lr_base, round, rate): the first decay at round LR_STEP = 50, the second at 100,
+# the floor 1e-5 first reached at round 4050, and a base under the floor lifted to it.
+@pytest.mark.parametrize("lr_base, t, expected", [
+    (0.05, 1, 0.05), (0.05, 49, 0.05), (0.05, 50, 0.045), (0.05, 99, 0.045),
+    (0.05, 100, 0.0405), (0.05, 4049, 0.05 * 0.9**80), (0.05, 4050, 1e-5), (1e-6, 1, 1e-5),
+])
+def test_learning_rate(lr_base, t, expected):
+    assert federated._learning_rate(lr_base, t) == pytest.approx(expected, rel=1e-12)
+
+
 class TestTrain:
     def _run(self, scheme, seed=30, blocks=8, **kwargs):
         task = small_task(seed=seed, num_classes=3, feature_dim=5, samples_per_class=40)
@@ -330,6 +340,24 @@ class TestTrain:
         metrics, _ = train(scheme, task, partition, layout, PL, BUDGET, SolverConfig(),
                            0.05, blocks, rng, **kwargs)
         return task, partition, metrics
+
+    # The schedule counts rounds, so a relay scheme, at two blocks a round, takes
+    # half as many rates as a one-block scheme from the same block budget.
+    @pytest.mark.parametrize("scheme", ["proposed", "relay_only", "no_relay", "error_free"])
+    def test_each_round_steps_at_its_scheduled_rate(self, monkeypatch, scheme):
+        monkeypatch.setattr(federated, "LR_STEP", 1)
+        rates = []
+
+        def recording_update(w, data, tau, lr):
+            rates.append(lr)
+            return local_update(w, data, tau=tau, lr=lr)
+
+        monkeypatch.setattr(federated, "local_update", recording_update)
+        _, _, metrics = self._run(scheme, blocks=4)
+        num_rounds = 4 // blocks_per_round(scheme)
+        assert len(metrics) == num_rounds
+        assert list(dict.fromkeys(rates)) == [federated._learning_rate(0.05, t)
+                                              for t in range(1, num_rounds + 1)]
 
     def test_error_free_matches_reference_trajectory(self):
         task, partition, metrics = self._run("error_free", blocks=6)

@@ -226,6 +226,11 @@ class TestLayouts:
     pytest.param(lambda: line_layout(0, stream(1)), "at least one device", id="line-no-devices"),
     pytest.param(lambda: cell_layout(0, 2, stream(1)), "at least one device",
                  id="cell-no-devices"),
+    # NodeLayout alone checks the count; NumPy refuses a negative one first.
+    pytest.param(lambda: line_layout(-1, stream(1)), "negative dimensions",
+                 id="line-negative-devices"),
+    pytest.param(lambda: cell_layout(-1, 2, stream(1)), "negative dimensions",
+                 id="cell-negative-devices"),
     pytest.param(lambda: cell_layout(3, -1, stream(1)), "nonnegative", id="cell-relays-negative"),
 ])
 def test_bad_input_raises_value_error(call, match):

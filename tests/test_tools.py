@@ -205,3 +205,26 @@ def test_code_lines_counts_a_fixture(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"0 {tmp_path / '__init__.py'}", f"8 {tmp_path / 'a.py'}",
         f"2 {tmp_path / 'sub' / 'b.py'}", "10 total"]
+
+
+@pytest.mark.parametrize("source, expected", [
+    pytest.param("\n\n   \n", 0, id="blank"),
+    pytest.param("# one\n    # two\n", 0, id="comments-only"),
+    pytest.param('"""Only a docstring."""\n', 0, id="module-docstring"),
+    pytest.param('import os\n"""A later string is code."""\n', 2, id="later-module-string"),
+    pytest.param('def f():\n    x = 1\n    """Not first, so code."""\n', 3,
+                 id="later-function-string"),
+    pytest.param('class A:\n    def f(self):\n        """Doc."""\n\n        class B:\n'
+                 '            """Doc."""\n', 3, id="nested-docstrings"),
+    pytest.param("@staticmethod\ndef f():\n    return f'{1}'\n", 3, id="decorator-and-fstring"),
+    pytest.param("x = [\n    1,\n\n    2,\n]\n", 4, id="blank-inside-brackets"),
+])
+def test_code_lines_of_source(source, expected):
+    assert code_lines.code_lines(source) == expected
+
+
+def test_code_lines_takes_one_file(tmp_path, capsys):
+    path = tmp_path / "one.py"
+    path.write_text("x = 1\n# comment\ny = 2\n")
+    assert code_lines.main([str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"2 {path}", "2 total"]
