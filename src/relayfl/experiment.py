@@ -59,11 +59,17 @@ class _Range(typing.NamedTuple):
 
 POSITIVE = _Range("positive", lambda x: x > 0)
 NONNEGATIVE = _Range("nonnegative", lambda x: x >= 0)
-AT_LEAST_ONE = _Range("at least 1", lambda x: x >= 1)
+
+
+def _at_least(bound) -> _Range:
+    return _Range(f"at least {bound}", lambda x: x >= bound)
 
 
 def _one_of(*options: str) -> _Range:
     return _Range(f"one of {options}", options.__contains__)
+
+
+AT_LEAST_ONE = _at_least(1)
 
 
 @dataclass(frozen=True)
@@ -77,23 +83,17 @@ class BudgetConfig:
 class LayoutConfig:
     kind: Annotated[str, _one_of("line", "cell")] = "line"
     x_relay: Annotated[float, POSITIVE] = 50.0
-    device_x_min: Annotated[float, POSITIVE] = 80.0
-    device_x_max: float = 120.0
-    device_y_half: Annotated[float, NONNEGATIVE] = 60.0
-    cell_radius: Annotated[float, POSITIVE] = 120.0
     relay_ring_radius: Annotated[float, POSITIVE] = 50.0
-    antenna_gain: Annotated[float, POSITIVE] = 4.11
-    pathloss_exponent: Annotated[float, POSITIVE] = 3.0
-    carrier_freq_hz: Annotated[float, POSITIVE] = 915e6
 
 
 @dataclass(frozen=True)
 class FlConfig:
     total_blocks: int = 40
     tau: Annotated[int, AT_LEAST_ONE] = 1
-    lr_base: Annotated[float, POSITIVE] = 0.05
+    # A smaller base would train at the floor, not at the rate the document sets.
+    lr_base: Annotated[float, _at_least(federated.LR_FLOOR)] = 0.05
     # A one-class softmax never moves, so every round's truth is zero.
-    num_classes: Annotated[int, _Range("at least 2", lambda x: x >= 2)] = 5
+    num_classes: Annotated[int, _at_least(2)] = 5
     feature_dim: Annotated[int, AT_LEAST_ONE] = 20
     samples_per_class: Annotated[int, AT_LEAST_ONE] = 120
     separation: Annotated[float, POSITIVE] = 4.0
@@ -195,8 +195,6 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("budget.noise_dbm must give a positive, finite noise power")
     if lay.kind == "line" and config.num_relays != 1:
         raise ConfigError("line layout places exactly one relay; set num_relays to 1")
-    if lay.device_x_max <= lay.device_x_min:
-        raise ConfigError("layout.device_x_max must exceed layout.device_x_min")
     for key, watts in (("p0_watts", b.p0_watts), ("pr_watts", b.pr_watts)):
         if not 0.0 < watts / sigma2 < math.inf:
             raise ConfigError(f"budget.{key} over the noise power must be finite and nonzero")
@@ -204,11 +202,12 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     # received power-to-noise ratio, or the first trial overflows or divides by zero.
     distances, watts = _farthest_links(config)
     with np.errstate(over="ignore", under="ignore"):
-        gains = geometry.path_loss(distances, _pl_params(config))
+        gains = geometry.path_loss(distances)
         ratios = gains * watts / sigma2
     if not all(0.0 < x < math.inf for x in (*gains, *ratios)):
-        raise ConfigError("layout distances and propagation values must give finite, nonzero "
-                          "path gains and power-to-noise ratios on every link")
+        raise ConfigError(f"layout.{'x_relay' if lay.kind == 'line' else 'relay_ring_radius'} "
+                          "and the budget must give finite, nonzero path gains and "
+                          "power-to-noise ratios on every link")
     if fl.total_blocks < federated.blocks_per_round(config.scheme):
         raise ConfigError("fl.total_blocks must buy one round (a relay scheme needs two)")
     shards = fl.partition == "shards"
@@ -233,18 +232,18 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
 
 
 def _farthest_links(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Longest device-AP, device-relay and relay-AP distance the layout can place,
-    and the transmit power (watts) on each of those links."""
+    """Longest device-AP, device-relay and relay-AP distance the layout can place in
+    geometry's device regions, and the transmit power (watts) on each of those links."""
     lay, b = config.layout, config.budget
     if lay.kind == "line":
-        reach = max(lay.x_relay - lay.device_x_min, lay.device_x_max - lay.x_relay)
-        distances = [math.hypot(lay.device_x_max, lay.device_y_half),
-                     math.hypot(reach, lay.device_y_half), lay.x_relay]
+        (x_min, x_max), y_half = geometry.LINE_DEVICE_X, geometry.LINE_DEVICE_Y_HALF
+        reach = max(lay.x_relay - x_min, x_max - lay.x_relay)
+        distances = [math.hypot(x_max, y_half), math.hypot(reach, y_half), lay.x_relay]
     elif config.num_relays:
-        distances = [lay.cell_radius, lay.cell_radius + lay.relay_ring_radius,
+        distances = [geometry.CELL_RADIUS, geometry.CELL_RADIUS + lay.relay_ring_radius,
                      lay.relay_ring_radius]
     else:
-        distances = [lay.cell_radius]
+        distances = [geometry.CELL_RADIUS]
     watts = [b.p0_watts, b.p0_watts, b.pr_watts][:len(distances)]
     return np.array(distances), np.array(watts)
 
@@ -292,22 +291,11 @@ def _power_budget(config: ExperimentConfig) -> agg.PowerBudget:
                            sigma2=dbm_to_watts(config.budget.noise_dbm))
 
 
-def _pl_params(config: ExperimentConfig) -> geometry.PathLossParams:
-    lay = config.layout
-    return geometry.PathLossParams(antenna_gain=lay.antenna_gain,
-                                   carrier_freq=lay.carrier_freq_hz,
-                                   exponent=lay.pathloss_exponent)
-
-
 def _make_layout(config: ExperimentConfig, rng: np.random.Generator) -> geometry.NodeLayout:
     lay = config.layout
     if lay.kind == "line":
-        return geometry.line_layout(
-            config.num_devices, rng, x_relay=lay.x_relay,
-            device_x=(lay.device_x_min, lay.device_x_max),
-            device_y_half=lay.device_y_half)
+        return geometry.line_layout(config.num_devices, rng, x_relay=lay.x_relay)
     return geometry.cell_layout(config.num_devices, config.num_relays, rng,
-                                cell_radius=lay.cell_radius,
                                 ring_radius=lay.relay_ring_radius)
 
 
@@ -328,9 +316,8 @@ def run_trial(config: ExperimentConfig, sweep_index: int, trial: int) -> list:
     else:
         partition = federated.partition_shards(task, config.num_devices, fl.shards_c)
     return federated.train(
-        config.scheme, task, partition, layout, _pl_params(config),
-        _power_budget(config), config.solver, fl.lr_base, fl.total_blocks,
-        rng, csi_kappa=config.csi_kappa, tau=fl.tau)[0]
+        config.scheme, task, partition, layout, _power_budget(config), config.solver,
+        fl.lr_base, fl.total_blocks, rng, csi_kappa=config.csi_kappa, tau=fl.tau)[0]
 
 
 @contextmanager
@@ -375,14 +362,13 @@ def theorem_sweep(config: ExperimentConfig) -> list[dict]:
     if config.sweep is not None:
         raise ConfigError("theorem sweep takes no sweep section")
     budget = _power_budget(config)
-    params = _pl_params(config)
     weights = agg.DeviceWeights.uniform(config.num_devices)
     rows = []
     for trial in range(config.trials):
         with _trial_numerics(f"trial {trial}"):
             rng = geometry.stream(config.master_seed, trial)
             layout = _make_layout(config, rng)
-            gains = geometry.path_gain_profile(layout, params)
+            gains = geometry.path_gain_profile(layout)
             channels = geometry.realize_channels(gains, rng)
             delta, bound, cond40, cond41 = single_relay.theorem_certificate(
                 channels, weights, budget)

@@ -299,10 +299,9 @@ def _learning_rate(lr_base: float, t: int) -> float:
 
 
 def train(scheme: str, task: LearningTask, partition: Partition,
-          layout: geometry.NodeLayout, pl_params: geometry.PathLossParams,
-          budget: agg.PowerBudget, solver_cfg: optimizer.SolverConfig,
-          lr_base: float, total_blocks: int, rng: np.random.Generator,
-          csi_kappa: float | None = None, tau: int = 1):
+          layout: geometry.NodeLayout, budget: agg.PowerBudget,
+          solver_cfg: optimizer.SolverConfig, lr_base: float, total_blocks: int,
+          rng: np.random.Generator, csi_kappa: float | None = None, tau: int = 1):
     """Run federated averaging until the transmission-block budget is spent.
 
     One round: broadcast the model (ideal), compute local changes, normalize
@@ -325,7 +324,7 @@ def train(scheme: str, task: LearningTask, partition: Partition,
     weights = agg.DeviceWeights.from_counts(partition.sizes())
     bpr = blocks_per_round(scheme)
     num_rounds = total_blocks // bpr
-    gains = geometry.path_gain_profile(layout, pl_params)
+    gains = geometry.path_gain_profile(layout)
     dim = task.model_dim
     groups = partition.device_groups(task)
     test = task.test_data()

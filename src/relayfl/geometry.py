@@ -12,6 +12,16 @@ import numpy as np
 
 # The loss model is defined with the rounded propagation constant; keep it.
 SPEED_OF_LIGHT = 3.0e8
+# The paper's free-space model: antenna gain, carrier frequency (Hz) and exponent.
+# The exponent stays a float; the reference CSVs were computed with ``** 3.0``.
+ANTENNA_GAIN = 4.11
+CARRIER_FREQ = 915e6
+PATHLOSS_EXPONENT = 3.0
+# Device regions (meters): the line layout's rectangle x in LINE_DEVICE_X,
+# |y| <= LINE_DEVICE_Y_HALF, and the cell layout's disc of radius CELL_RADIUS.
+LINE_DEVICE_X = (80.0, 120.0)
+LINE_DEVICE_Y_HALF = 60.0
+CELL_RADIUS = 120.0
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -36,19 +46,6 @@ def _complex_normal(rng: np.random.Generator, shape=()) -> np.ndarray:
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     return (re + 1j * im) * np.sqrt(0.5)
-
-
-@dataclass(frozen=True)
-class PathLossParams:
-    """Free-space loss parameters: antenna gain, carrier frequency (Hz), exponent."""
-
-    antenna_gain: float = 4.11
-    carrier_freq: float = 915e6
-    exponent: float = 3.0
-
-    def __post_init__(self):
-        if self.antenna_gain <= 0 or self.carrier_freq <= 0 or self.exponent <= 0:
-            raise ValueError("path-loss parameters must all be positive")
 
 
 @dataclass(frozen=True)
@@ -139,25 +136,23 @@ class PathGains:
     f: np.ndarray  # (N,)
 
 
-def path_loss(distance, params: PathLossParams):
-    """Free-space power gain: antenna_gain * (c / (4 pi f_c d)) ** exponent.
+def path_loss(distance):
+    """Free-space power gain: ANTENNA_GAIN * (c / (4 pi CARRIER_FREQ d)) ** PATHLOSS_EXPONENT.
 
     Accepts scalars or arrays; distances must be strictly positive.
     """
     d = np.asarray(distance, dtype=float)
     if np.any(d <= 0):
         raise ValueError("path loss requires a positive distance")
-    gain = params.antenna_gain * (
-        SPEED_OF_LIGHT / (4.0 * np.pi * params.carrier_freq * d)
-    ) ** params.exponent
+    gain = ANTENNA_GAIN * (SPEED_OF_LIGHT / (4.0 * np.pi * CARRIER_FREQ * d)) ** PATHLOSS_EXPONENT
     return gain if gain.ndim else float(gain)
 
 
-def path_gain_profile(layout: NodeLayout, params: PathLossParams) -> PathGains:
+def path_gain_profile(layout: NodeLayout) -> PathGains:
     """Path-loss power gains for all device-AP, device-relay, and relay-AP links."""
-    gh = path_loss(layout.device_ap_distances(), params)
-    gg = path_loss(layout.device_relay_distances(), params)
-    gf = path_loss(layout.relay_ap_distances(), params)
+    gh = path_loss(layout.device_ap_distances())
+    gg = path_loss(layout.device_relay_distances())
+    gf = path_loss(layout.relay_ap_distances())
     return PathGains(h=gh, g=gg, f=gf)
 
 
@@ -193,12 +188,12 @@ def perturb_channels(channels: ChannelRealization, gains: PathGains, kappa: floa
     return ChannelRealization(h=h, g=g, f=f)
 
 
-def line_layout(num_devices: int, rng: np.random.Generator, *, x_relay: float = 50.0,
-                device_x: tuple[float, float] = (80.0, 120.0),
-                device_y_half: float = 60.0) -> NodeLayout:
-    """AP at the origin, one relay on the x axis, devices uniform in a rectangle."""
-    xs = rng.uniform(device_x[0], device_x[1], num_devices)
-    ys = rng.uniform(-device_y_half, device_y_half, num_devices)
+def line_layout(num_devices: int, rng: np.random.Generator, *,
+                x_relay: float = 50.0) -> NodeLayout:
+    """AP at the origin, one relay on the x axis, devices uniform in the rectangle
+    ``LINE_DEVICE_X`` by [-LINE_DEVICE_Y_HALF, LINE_DEVICE_Y_HALF]."""
+    xs = rng.uniform(*LINE_DEVICE_X, num_devices)
+    ys = rng.uniform(-LINE_DEVICE_Y_HALF, LINE_DEVICE_Y_HALF, num_devices)
     return NodeLayout(
         ap_position=np.zeros(2),
         relay_positions=np.array([[x_relay, 0.0]]),
@@ -207,11 +202,12 @@ def line_layout(num_devices: int, rng: np.random.Generator, *, x_relay: float = 
 
 
 def cell_layout(num_devices: int, num_relays: int, rng: np.random.Generator, *,
-                cell_radius: float = 120.0, ring_radius: float = 50.0) -> NodeLayout:
-    """AP at the cell center, devices uniform in the disc, relays equally spaced on a ring."""
+                ring_radius: float = 50.0) -> NodeLayout:
+    """AP at the cell center, devices uniform in the disc of radius ``CELL_RADIUS``,
+    relays equally spaced on a ring."""
     if num_relays < 0:
         raise ValueError("num_relays must be nonnegative")
-    radii = cell_radius * np.sqrt(rng.uniform(0.0, 1.0, num_devices))
+    radii = CELL_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, num_devices))
     angles = rng.uniform(0.0, 2.0 * np.pi, num_devices)
     devices = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     ring = 2.0 * np.pi * np.arange(num_relays) / max(num_relays, 1)

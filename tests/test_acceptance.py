@@ -43,7 +43,7 @@ from relayfl.aggregation import (
 from relayfl.experiment import parse_config, run_experiment
 from relayfl.geometry import (
     ChannelRealization,
-    PathLossParams,
+    NodeLayout,
     cell_layout,
     line_layout,
     path_gain_profile,
@@ -59,7 +59,6 @@ from relayfl.optimizer import (
 from relayfl.single_relay import analytic_construction, check_theorem_conditions, snr_summary
 
 TABLE_BUDGET = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)  # noise -70 dBm
-PL = PathLossParams()
 
 
 @contextlib.contextmanager
@@ -121,7 +120,7 @@ def test_criterion_03_solver_monotone_and_converges():
                 layout = line_layout(20, rng)
             else:
                 layout = cell_layout(20, 4, rng)
-            ch = realize_channels(path_gain_profile(layout, PL), rng)
+            ch = realize_channels(path_gain_profile(layout), rng)
             _, trace = solve(ch, weights, TABLE_BUDGET, solver_cfg)
             diffs = np.diff(trace.objectives)
             assert np.all(diffs <= 1e-9 * np.abs(trace.objectives[:-1]))
@@ -290,14 +289,16 @@ def test_criterion_09_roundtrip_and_noiseless_limit():
         for seed in (1, 2, 3):
             task = federated.make_synthetic_task(3, 6, 50, 4.0, stream(9100, seed))
             rng = stream(9200, seed)
-            layout = line_layout(3, rng, x_relay=5.0, device_x=(8.0, 12.0),
-                                 device_y_half=6.0)
+            # Three devices 8-12 m out, |y| <= 6 m, and the relay at 5 m.
+            xs, ys = rng.uniform(8, 12, 3), rng.uniform(-6, 6, 3)
+            layout = NodeLayout(ap_position=np.zeros(2), relay_positions=[[5.0, 0.0]],
+                                device_positions=np.column_stack([xs, ys]))
             partition = federated.partition_iid(task, 3, rng)
             _, noisy = federated.train(
-                "proposed", task, partition, layout, PL, quiet, SolverConfig(),
+                "proposed", task, partition, layout, quiet, SolverConfig(),
                 0.05, 12, stream(9300, seed))
             _, ideal = federated.train(
-                "error_free", task, partition, layout, PL, quiet, SolverConfig(),
+                "error_free", task, partition, layout, quiet, SolverConfig(),
                 0.05, 6, stream(9300, seed))
             deviation = np.linalg.norm(noisy - ideal) / np.linalg.norm(ideal)
             assert deviation < 1e-3, deviation

@@ -22,7 +22,6 @@ from relayfl.aggregation import (
 )
 from relayfl.geometry import (
     ChannelRealization,
-    PathLossParams,
     _complex_normal,
     cell_layout,
     line_layout,
@@ -198,7 +197,7 @@ class TestRelayMse:
             rng = stream(6500, seed)
             layout = (line_layout(20, rng) if kind == "line"
                       else cell_layout(20, 0 if kind == "cell-no-relay" else 4, rng))
-            ch = realize_channels(path_gain_profile(layout, PathLossParams()), rng)
+            ch = realize_channels(path_gain_profile(layout), rng)
             for sigma2 in (1e-10, 1e-13):
                 budget = PowerBudget(p0=0.05, pr=0.1, sigma2=sigma2)
                 cfg, trace = solve(ch, weights, budget, SolverConfig(j_max=20), variant)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relayfl import experiment
+from relayfl import experiment, federated
 from relayfl.cli import main
 from relayfl.experiment import (
     MAX_ARRAY_SIZE,
@@ -27,6 +27,7 @@ from relayfl.experiment import (
     theorem_sweep,
     write_csv,
 )
+from relayfl.geometry import stream
 
 from oracles import summarize
 
@@ -57,10 +58,7 @@ class TestConfig:
         assert config.budget.p0_watts == pytest.approx(0.05)
         assert config.budget.pr_watts == pytest.approx(0.1)
         assert config.budget.noise_dbm == pytest.approx(-70.0)
-        assert config.layout.kind == "line"
-        assert config.layout.antenna_gain == pytest.approx(4.11)
-        assert config.layout.pathloss_exponent == pytest.approx(3.0)
-        assert config.layout.carrier_freq_hz == pytest.approx(915e6)
+        assert config.layout == LayoutConfig(kind="line", x_relay=50.0, relay_ring_radius=50.0)
 
     def test_dbm_conversion(self):
         assert dbm_to_watts(-100.0) == pytest.approx(1e-13)
@@ -312,8 +310,8 @@ MALFORMED = [
     pytest.param({"trials": 1, "budget": {"noise_dbm": 1e308}}, [], id="noise-huge"),
     pytest.param({"trials": 1, "budget": {"noise_dbm": -1e308}}, [], id="noise-tiny"),
     pytest.param({"trials": 1, "budget": {"pr_watts": float("nan")}}, [], id="pr-nan"),
-    pytest.param({"trials": 1, "layout": {"device_x_max": float("inf")}}, [], id="x-max-inf"),
-    pytest.param({"trials": 1, "layout": {"device_y_half": -5}}, [], id="y-half-negative"),
+    pytest.param({"trials": 1, "layout": {"x_relay": float("inf")}}, [], id="x-relay-inf"),
+    pytest.param({"trials": 1, "layout": {"x_relay": -5}}, [], id="x-relay-negative"),
     pytest.param({"trials": 1, "fl": {"separation": -1}}, [], id="separation-negative"),
     pytest.param({"trials": 1, "csi_kappa": "0.5"}, [], id="kappa-string"),
     pytest.param({"trials": 1, "num_devices": 500}, [], id="iid-too-few-samples"),
@@ -341,16 +339,11 @@ MALFORMED = [
     # Finite extremes that pass the type checks, run as one trial of two blocks.
     pytest.param(_one_trial(budget={"p0_watts": 1e308}), [], id="p0-huge"),
     pytest.param(_one_trial(budget={"pr_watts": 1e308}), [], id="pr-huge"),
-    pytest.param(_one_trial(layout={"device_y_half": 1e308}), [], id="y-half-huge"),
-    pytest.param(_one_trial(layout={"kind": "cell", "cell_radius": 1e200}), [],
-                 id="cell-radius-huge"),
-    pytest.param(_one_trial(layout={"x_relay": 1e308}), [], id="x-relay-huge"),
-    pytest.param(_one_trial(layout={"carrier_freq_hz": 1e-300}), [], id="carrier-tiny"),
-    # Finite gains and power-to-noise ratios whose squares leave the double range.
+    # Finite gains and power-to-noise ratios whose squares leave the double range
+    # (p0 1e-300 still runs on a two-relay cell).
     pytest.param(_one_trial(budget={"p0_watts": 1e-300}), [], id="p0-tiny"),
-    pytest.param(_one_trial(layout={"antenna_gain": 1e-300}), [], id="antenna-gain-tiny"),
-    pytest.param(_one_trial(num_relays=2, layout={"kind": "cell", "antenna_gain": 1e-300}), [],
-                 id="cell-antenna-gain-tiny"),
+    pytest.param(_one_trial(num_relays=2, layout={"kind": "cell"}, budget={"p0_watts": 1e-305}),
+                 [], id="cell-p0-tiny"),
     # Valid documents whose local updates overflow; they used to write NaN and exit 0.
     pytest.param({"trials": 1, "fl": {"total_blocks": 4, "lr_base": 1e300}}, [],
                  id="lr-base-huge"),
@@ -365,8 +358,8 @@ MALFORMED = [
                  id="cell-relays-negative"),
     pytest.param(_one_trial(budget={"p0_watts": -1}), [], id="p0-negative"),
     pytest.param(_one_trial(layout={"kind": "hex"}), [], id="layout-kind-unknown"),
-    pytest.param(_one_trial(layout={"kind": "cell", "cell_radius": -1}), [],
-                 id="cell-radius-negative"),
+    pytest.param(_one_trial(layout={"kind": "cell", "relay_ring_radius": -1}), [],
+                 id="ring-radius-negative"),
     pytest.param({"trials": 1, "fl": {"total_blocks": 2, "tau": 0}}, [], id="tau-zero"),
     pytest.param({"trials": 1, "fl": {"total_blocks": 2, "partition": "dirichlet"}}, [],
                  id="partition-unknown"),
@@ -378,10 +371,8 @@ MALFORMED = [
 RANGE_BREAKS = {
     "scheme": "wishful", "num_devices": 0, "num_relays": -1, "csi_kappa": 1.5, "trials": 0,
     "master_seed": -1, "budget.p0_watts": 0.0, "budget.pr_watts": -0.1, "layout.kind": "hex",
-    "layout.x_relay": 0.0, "layout.device_x_min": 0.0, "layout.device_y_half": -1.0,
-    "layout.cell_radius": 0.0, "layout.relay_ring_radius": -50.0, "layout.antenna_gain": 0.0,
-    "layout.pathloss_exponent": 0.0, "layout.carrier_freq_hz": -915e6, "fl.tau": 0,
-    "fl.lr_base": 0.0, "fl.num_classes": 1, "fl.feature_dim": 0, "fl.samples_per_class": 0,
+    "layout.x_relay": 0.0, "layout.relay_ring_radius": -50.0, "fl.tau": 0,
+    "fl.lr_base": 1e-6, "fl.num_classes": 1, "fl.feature_dim": 0, "fl.samples_per_class": 0,
     "fl.separation": 0.0,
     "fl.partition": "dirichlet", "fl.shards_c": 0, "sweep.key": "colour", "sweep.values": [],
 }
@@ -407,6 +398,25 @@ def test_range_breaks_cover_every_declared_range():
                 for name, kind in typing.get_type_hints(cls, include_extras=True).items()
                 if typing.get_origin(kind) is typing.Annotated}
     assert declared == set(RANGE_BREAKS)
+
+
+@pytest.mark.parametrize("num_relays, layout", [
+    pytest.param(1, {"kind": "line", "x_relay": 1.0}, id="line-x-relay-1"),
+    pytest.param(1, {"kind": "line", "x_relay": 50.0}, id="line-x-relay-50"),
+    pytest.param(1, {"kind": "line", "x_relay": 200.0}, id="line-x-relay-200"),
+    pytest.param(1, {"kind": "cell"}, id="cell-1-relay"),
+    pytest.param(4, {"kind": "cell"}, id="cell-4-relays"),
+])
+def test_farthest_links_bound_every_placement(num_relays, layout):
+    # The validator checks the gains of these links, so no placed link may be longer.
+    config = parse_config({"num_devices": 200, "num_relays": num_relays, "layout": layout})
+    farthest, _ = experiment._farthest_links(config)
+    for seed in range(5):
+        nodes = experiment._make_layout(config, stream(seed))
+        placed = (nodes.device_ap_distances(), nodes.device_relay_distances(),
+                  nodes.relay_ap_distances())
+        for distances, bound in zip(placed, farthest, strict=True):
+            assert distances.max() <= bound
 
 
 def _extreme_values():
@@ -525,8 +535,6 @@ class TestCli:
         # The analytic and signal-chain MSEs of the construction disagree at this scale.
         pytest.param({"trials": 1, "budget": {"p0_watts": 1e100}}, "trial 0: ",
                      id="p0-huge-ratio"),
-        pytest.param({"trials": 1, "layout": {"antenna_gain": 1e100}}, "trial 0: ",
-                     id="antenna-gain-huge"),
         # The certificate is defined for one relay only.
         pytest.param({"trials": 1, "num_relays": 2, "layout": {"kind": "cell"}},
                      "theorem sweep requires num_relays = 1", id="cell-two-relays"),
@@ -573,6 +581,24 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         rows = read_csv(str(out))
         assert rows and all(np.isfinite(row["mse_predicted"]) for row in rows)
+
+    # The relay's distance leaves a farthest link's gain out of the double range.
+    @pytest.mark.parametrize("document, key", [
+        pytest.param(_one_trial(layout={"x_relay": 1e308}), "x_relay", id="x-relay-huge"),
+        pytest.param(_one_trial(layout={"x_relay": 1e-300}), "x_relay", id="x-relay-tiny"),
+        pytest.param(_one_trial(layout={"kind": "cell", "relay_ring_radius": 1e200}),
+                     "relay_ring_radius", id="ring-radius-huge"),
+        pytest.param(_one_trial(num_relays=2,
+                                layout={"kind": "cell", "relay_ring_radius": 1e-300}),
+                     "relay_ring_radius", id="ring-radius-tiny"),
+    ])
+    def test_farthest_link_error_names_the_relay_key(self, tmp_path, capsys, document, key):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(document))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: layout.{key} and ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["proposed", "relay_only", "no_relay", "error_free"])
     def test_zero_relay_cell_runs_to_a_finite_mse(self, tmp_path, scheme):
@@ -661,6 +687,31 @@ class TestCli:
         out = tmp_path / "x.csv"
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"configuration error: unknown key fl.{key}\n"
+        assert not out.exists()
+
+    # The path-loss model and the device regions are geometry constants, not keys.
+    @pytest.mark.parametrize("command", ["run", "theorem-sweep"])
+    @pytest.mark.parametrize("key, value", [
+        ("antenna_gain", 4.11), ("pathloss_exponent", 3.0), ("carrier_freq_hz", 915e6),
+        ("device_x_min", 80.0), ("device_x_max", 120.0), ("device_y_half", 60.0),
+        ("cell_radius", 120.0)])
+    def test_removed_layout_key_is_unknown(self, tmp_path, capsys, command, key, value):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"trials": 1, "layout": {key: value}}))
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"configuration error: unknown key layout.{key}\n"
+        assert not out.exists()
+
+    # A base under the floor would train at the floor, so it is refused; the floor runs.
+    def test_lr_base_under_the_floor_is_config_error(self, tmp_path, capsys):
+        parse_config({"fl": {"lr_base": federated.LR_FLOOR}})
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"trials": 1, "fl": {"total_blocks": 2, "lr_base": 1e-6}}))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("configuration error: fl.lr_base must be at least "
+                                           "1e-05\n")
         assert not out.exists()
 
     # argparse rejects these before any document is read, with its usage line and exit 2.

@@ -17,7 +17,7 @@ from relayfl.federated import (
     partition_shards,
     train,
 )
-from relayfl.geometry import PathLossParams, line_layout, stream
+from relayfl.geometry import NodeLayout, line_layout, stream
 from relayfl.optimizer import SolverConfig
 
 from oracles import (
@@ -28,7 +28,6 @@ from oracles import (
 )
 
 BUDGET = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
-PL = PathLossParams()
 
 
 def small_task(seed=1, num_classes=3, feature_dim=6, samples_per_class=60,
@@ -245,7 +244,7 @@ class TestBatchedLocalUpdate:
         assert sorted(set(partition.sizes())) == [57, 62]
         rng = stream(32)
         layout = line_layout(7, rng)
-        metrics, final_w = train("error_free", task, partition, layout, PL, BUDGET,
+        metrics, final_w = train("error_free", task, partition, layout, BUDGET,
                                  SolverConfig(), 0.3, 6, rng, tau=3)
         rho = DeviceWeights.from_counts(partition.sizes()).rho
         w = np.zeros(task.model_dim)
@@ -280,7 +279,7 @@ class TestBatchedLocalUpdate:
                               samples_per_class=101)
             partition = partition_shards(task, 7, 3)
             rng = stream(32)
-            metrics, _ = train("error_free", task, partition, line_layout(7, rng), PL,
+            metrics, _ = train("error_free", task, partition, line_layout(7, rng),
                                BUDGET, SolverConfig(), 0.3, blocks, rng,
                                tau=tau)
             assert len(metrics) == blocks
@@ -315,7 +314,7 @@ class TestGlobalUpdateAndNmse:
         partition = partition_iid(task, 4, rng)
         for lr_base, tau in ((0.0, 1), (0.05, 0)):
             with pytest.raises(ValueError, match="lr must be positive and tau at least 1"):
-                train("error_free", task, partition, layout, PL, BUDGET, SolverConfig(),
+                train("error_free", task, partition, layout, BUDGET, SolverConfig(),
                       lr_base, 2, rng, tau=tau)
         with pytest.raises(ValueError):
             Partition(assignments=(np.array([1, 2]), np.array([2, 3])))
@@ -337,7 +336,7 @@ class TestTrain:
         rng = stream(seed, 1)
         layout = line_layout(4, rng)
         partition = partition_iid(task, 4, rng)
-        metrics, _ = train(scheme, task, partition, layout, PL, BUDGET, SolverConfig(),
+        metrics, _ = train(scheme, task, partition, layout, BUDGET, SolverConfig(),
                            0.05, blocks, rng, **kwargs)
         return task, partition, metrics
 
@@ -398,12 +397,13 @@ class TestTrain:
         quiet = PowerBudget(p0=1.0, pr=1.0, sigma2=1e-15)
         task = small_task(seed=31, num_classes=3, feature_dim=5, samples_per_class=40)
         rng_a = stream(31, 2)
-        layout = line_layout(3, rng_a, x_relay=5.0, device_x=(8.0, 12.0),
-                             device_y_half=6.0)
+        xs, ys = rng_a.uniform(8, 12, 3), rng_a.uniform(-6, 6, 3)
+        layout = NodeLayout(ap_position=np.zeros(2), relay_positions=[[5.0, 0.0]],
+                            device_positions=np.column_stack([xs, ys]))
         partition = partition_iid(task, 3, rng_a)
-        noisy, _ = train("proposed", task, partition, layout, PL, quiet, SolverConfig(),
+        noisy, _ = train("proposed", task, partition, layout, quiet, SolverConfig(),
                          0.05, 8, stream(31, 3))
-        ideal, _ = train("error_free", task, partition, layout, PL, quiet, SolverConfig(),
+        ideal, _ = train("error_free", task, partition, layout, quiet, SolverConfig(),
                          0.05, 4, stream(31, 3))
         assert len(noisy) == len(ideal)
         for m in noisy:
@@ -435,9 +435,9 @@ class TestTrain:
         rng = stream(36)
         layout = line_layout(4, rng)
         partition = partition_iid(task, 4, rng)
-        exact, _ = train("proposed", task, partition, layout, PL, BUDGET, SolverConfig(),
+        exact, _ = train("proposed", task, partition, layout, BUDGET, SolverConfig(),
                          0.05, 8, stream(37))
-        rough, _ = train("proposed", task, partition, layout, PL, BUDGET, SolverConfig(),
+        rough, _ = train("proposed", task, partition, layout, BUDGET, SolverConfig(),
                          0.05, 8, stream(37), csi_kappa=0.2)
         mean_exact = np.mean([m.mse_predicted for m in exact])
         mean_rough = np.mean([m.mse_predicted for m in rough])
@@ -459,7 +459,7 @@ class TestTrain:
         task = small_task(seed=30, num_classes=3, feature_dim=5, samples_per_class=40)
         rng = stream(30, 1)
         partition = partition_iid(task, 4, rng)
-        metrics, w = train("proposed", task, partition, line_layout(4, rng), PL, BUDGET,
+        metrics, w = train("proposed", task, partition, line_layout(4, rng), BUDGET,
                            SolverConfig(), 0.05, 6, rng)
         mean = DeviceWeights.from_counts(partition.sizes()).rho @ levels
         assert len(metrics) == 3
@@ -475,7 +475,7 @@ def _train_four_devices(blocks=2, layout_devices=4):
     task = small_task(seed=30, num_classes=3, feature_dim=5, samples_per_class=40)
     rng = stream(30, 1)
     partition = partition_iid(task, 4, rng)
-    return train("error_free", task, partition, line_layout(layout_devices, rng), PL, BUDGET,
+    return train("error_free", task, partition, line_layout(layout_devices, rng), BUDGET,
                  SolverConfig(), 0.05, blocks, rng)
 
 

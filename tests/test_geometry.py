@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relayfl import aggregation, geometry
+from relayfl import aggregation
 from relayfl.geometry import (
     ChannelRealization,
     NodeLayout,
-    PathLossParams,
     SingularChannelError,
     cell_layout,
     line_layout,
@@ -20,37 +19,28 @@ from relayfl.geometry import (
 
 class TestPathLoss:
     def test_reference_distance(self):
-        params = PathLossParams(antenna_gain=4.11, carrier_freq=915e6, exponent=3.0)
-        assert path_loss(1.0, params) == pytest.approx(7.300e-5, rel=1e-3)
+        assert path_loss(1.0) == pytest.approx(7.300e-5, rel=1e-3)
 
     def test_hundred_meters_scales_cubically(self):
-        params = PathLossParams(antenna_gain=4.11, carrier_freq=915e6, exponent=3.0)
-        assert path_loss(100.0, params) == pytest.approx(7.300e-11, rel=1e-3)
-        assert path_loss(100.0, params) == pytest.approx(path_loss(1.0, params) / 1e6)
-
-    def test_unit_gain_parameters(self):
-        params = PathLossParams(antenna_gain=1.0,
-                                carrier_freq=geometry.SPEED_OF_LIGHT / (4 * np.pi),
-                                exponent=3.0)
-        assert path_loss(1.0, params) == pytest.approx(1.0, rel=1e-12)
+        assert path_loss(100.0) == pytest.approx(7.300e-11, rel=1e-3)
+        assert path_loss(100.0) == pytest.approx(path_loss(1.0) / 1e6)
 
     @pytest.mark.parametrize("distance", [0.0, -1.0])
     def test_nonpositive_distance_rejected(self, distance):
         with pytest.raises(ValueError):
-            path_loss(distance, PathLossParams())
+            path_loss(distance)
 
     @given(st.floats(min_value=0.1, max_value=1e4),
            st.floats(min_value=1.01, max_value=10.0))
     @settings(max_examples=50, deadline=None)
     def test_strictly_decreasing_in_distance(self, d, factor):
-        params = PathLossParams()
-        assert path_loss(d * factor, params) < path_loss(d, params)
+        assert path_loss(d * factor) < path_loss(d)
 
 
 def _many_device_channels(seed, num_devices=25_000, num_relays=4):
     """Channels and path gains of a large cell, so statistics come from vector draws."""
     layout = cell_layout(num_devices, num_relays, stream(seed))
-    gains = path_gain_profile(layout, PathLossParams())
+    gains = path_gain_profile(layout)
     return realize_channels(gains, stream(seed, 1)), gains
 
 
@@ -93,16 +83,15 @@ def _toy_layout(num_relays=1):
 class TestRealizeChannels:
     def test_relay_free_layout_gives_empty_relay_gains(self):
         layout = _toy_layout(num_relays=0)
-        ch = realize_channels(path_gain_profile(layout, PathLossParams()), stream(1))
+        ch = realize_channels(path_gain_profile(layout), stream(1))
         assert ch.h.shape == (3,)
         assert ch.g.shape == (3, 0)
         assert ch.f.shape == (0,)
 
     def test_mean_power_matches_path_loss(self):
         layout = _toy_layout()
-        params = PathLossParams()
-        expected = path_loss(layout.device_ap_distances(), params)
-        gains = path_gain_profile(layout, params)
+        expected = path_loss(layout.device_ap_distances())
+        gains = path_gain_profile(layout)
         rng = stream(21)
         trials = 30_000
         sampled = np.empty((trials, 3), dtype=complex)
@@ -111,7 +100,7 @@ class TestRealizeChannels:
         assert np.mean(np.abs(sampled) ** 2, axis=0) == pytest.approx(expected, rel=0.02)
 
     def test_identical_seeds_identical_realizations(self):
-        gains = path_gain_profile(_toy_layout(), PathLossParams())
+        gains = path_gain_profile(_toy_layout())
         a = realize_channels(gains, stream(3, 1))
         b = realize_channels(gains, stream(3, 1))
         assert np.array_equal(a.h, b.h)
@@ -171,7 +160,7 @@ class TestCsiError:
 
     def test_perturb_channels_perfect_csi(self):
         layout = _toy_layout()
-        gains = path_gain_profile(layout, PathLossParams())
+        gains = path_gain_profile(layout)
         ch = realize_channels(gains, stream(4))
         same = perturb_channels(ch, gains, 1.0, stream(5))
         assert np.allclose(same.h, ch.h)
@@ -214,7 +203,6 @@ class TestLayouts:
 
 
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: PathLossParams(antenna_gain=0.0), "positive", id="path-loss-gain"),
     pytest.param(lambda: NodeLayout(ap_position=[0, 0], relay_positions=[[50, 0]],
                                     device_positions=np.zeros((0, 2))),
                  "at least one device", id="layout-no-devices"),

@@ -21,7 +21,6 @@ from relayfl.aggregation import (
 )
 from relayfl.geometry import (
     ChannelRealization,
-    PathLossParams,
     cell_layout,
     line_layout,
     path_gain_profile,
@@ -305,7 +304,7 @@ class TestDeviceUpdate:
         weights = DeviceWeights.uniform(20)
         for seed in range(3):
             rng = stream(9800, seed)
-            ch = realize_channels(path_gain_profile(line_layout(20, rng), PathLossParams()), rng)
+            ch = realize_channels(path_gain_profile(line_layout(20, rng)), rng)
             extra = (rng.standard_normal(20) + 1j * rng.standard_normal(20)) * np.abs(ch.g[:, 0])
             two = ChannelRealization(h=ch.h, g=np.column_stack([ch.g[:, 0], extra]),
                                      f=np.append(ch.f, 1j * ch.f))
@@ -429,7 +428,7 @@ class TestDualSolveAtScale:
         budget = PowerBudget(p0=0.05, pr=0.01, sigma2=1e-10)
         weights = DeviceWeights.uniform(20)
         rng = stream(7100, seed)
-        ch = realize_channels(path_gain_profile(line_layout(20, rng), PathLossParams()), rng)
+        ch = realize_channels(path_gain_profile(line_layout(20, rng)), rng)
         cfg = off_start(ch, weights, budget)
         a1, a2, ok = device_block(cfg, ch, weights, budget)
 
@@ -469,7 +468,7 @@ class TestDualSolveAtScale:
         budget = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
         weights = DeviceWeights.uniform(20)
         rng = stream(7200, 0)
-        ch = realize_channels(path_gain_profile(cell_layout(20, 4, rng), PathLossParams()), rng)
+        ch = realize_channels(path_gain_profile(cell_layout(20, 4, rng)), rng)
         cfg = off_start(ch, weights, budget)
         a1, a2, ok = device_block(cfg, ch, weights, budget)
         final = replace(cfg, a1=a1, a2=a2)
@@ -487,7 +486,7 @@ class TestDualSolveAtScale:
         budget = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
         weights = DeviceWeights.uniform(20)
         rng = stream(5000, seed)
-        ch = realize_channels(path_gain_profile(cell_layout(20, 4, rng), PathLossParams()), rng)
+        ch = realize_channels(path_gain_profile(cell_layout(20, 4, rng)), rng)
         cfg, trace = solve(ch, weights, budget, SOLVER)
         assert not [w for w in trace.warnings if "QCQP" in w]
         assert np.all(np.diff(trace.objectives) <= 1e-9 * np.abs(trace.objectives[:-1]))
@@ -620,7 +619,7 @@ class TestRelayUpdate:
         # The solver's start and the constraint checker read the relay input
         # power with the same bits as the relay update's cap.
         rng = stream(6330)
-        gains = path_gain_profile(cell_layout(100, 4, rng), PathLossParams())
+        gains = path_gain_profile(cell_layout(100, 4, rng))
         budget = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
         for _ in range(200):
             ch = realize_channels(gains, rng)
@@ -655,7 +654,7 @@ class TestRelayUpdate:
         for seed in range(10):
             rng = stream(9200, seed)
             layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
-            ch = realize_channels(path_gain_profile(layout, PathLossParams()), rng)
+            ch = realize_channels(path_gain_profile(layout), rng)
             solve(ch, weights, budget, SOLVER)
         before, after, violation, load = np.array(checked).T
         assert np.all(after <= before * (1 + 1e-12))
@@ -760,7 +759,7 @@ class TestSolve:
         for seed in range(8):
             rng = stream(7300, seed)
             layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
-            ch = realize_channels(path_gain_profile(layout, PathLossParams()), rng)
+            ch = realize_channels(path_gain_profile(layout), rng)
             _, trace = solve(ch, weights, budget, SOLVER)
             _, _, bound = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)
             assert np.all(np.diff(trace.objectives) <= 1e-9 * np.abs(trace.objectives[:-1]))
@@ -842,7 +841,7 @@ def symmetry_instance(kind, noise_dbm, pr, seed):
     instance: K = 20 devices on a line with one relay or in a cell with four."""
     rng = stream(9600, seed)
     layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
-    ch = realize_channels(path_gain_profile(layout, PathLossParams()), rng)
+    ch = realize_channels(path_gain_profile(layout), rng)
     weights = DeviceWeights.from_counts(rng.integers(1, 9, 20))
     budget = PowerBudget(p0=0.05, pr=pr, sigma2=dbm_to_watts(noise_dbm))
     return ch, weights, budget, solve(ch, weights, budget, SOLVER)[1]
@@ -891,7 +890,7 @@ def reference_grid_cell(kind, noise_dbm, pr, variant):
     for seed in range(2):
         rng = stream(9500, seed)
         layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
-        ch = realize_channels(path_gain_profile(layout, PathLossParams()), rng)
+        ch = realize_channels(path_gain_profile(layout), rng)
         starts = [None]
         if kind == "line":
             starts.append(analytic_construction(ch, weights, budget)[0])

@@ -34,8 +34,8 @@ def grid_lines():
     """Yield the grid's lines in order: cell, seed, pr, noise level."""
     from relayfl.aggregation import DeviceWeights, PowerBudget
     from relayfl.experiment import dbm_to_watts
-    from relayfl.geometry import (PathLossParams, cell_layout, line_layout, path_gain_profile,
-                                  realize_channels, stream)
+    from relayfl.geometry import (cell_layout, line_layout, path_gain_profile, realize_channels,
+                                  stream)
     from relayfl.optimizer import SolverConfig, solve
 
     weights, solver = DeviceWeights.uniform(20), SolverConfig()
@@ -43,7 +43,7 @@ def grid_lines():
         for seed in SEEDS:
             rng = stream(9100, seed)
             layout = line_layout(20, rng) if cell == "line" else cell_layout(20, num_relays, rng)
-            channels = realize_channels(path_gain_profile(layout, PathLossParams()), rng)
+            channels = realize_channels(path_gain_profile(layout), rng)
             for pr in PR_WATTS:
                 for noise_dbm in NOISE_DBM:
                     budget = PowerBudget(p0=0.05, pr=pr, sigma2=dbm_to_watts(noise_dbm))
