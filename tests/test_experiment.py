@@ -403,6 +403,8 @@ def test_range_breaks_cover_every_declared_range():
 @pytest.mark.parametrize("num_relays, layout", [
     pytest.param(1, {"kind": "line", "x_relay": 1.0}, id="line-x-relay-1"),
     pytest.param(1, {"kind": "line", "x_relay": 50.0}, id="line-x-relay-50"),
+    # A relay inside the device strip has devices on both sides of it.
+    pytest.param(1, {"kind": "line", "x_relay": 100.0}, id="line-x-relay-100"),
     pytest.param(1, {"kind": "line", "x_relay": 200.0}, id="line-x-relay-200"),
     pytest.param(1, {"kind": "cell"}, id="cell-1-relay"),
     pytest.param(4, {"kind": "cell"}, id="cell-4-relays"),
@@ -421,10 +423,14 @@ def test_farthest_links_bound_every_placement(num_relays, layout):
 
 def _extreme_values():
     """Every float field of budget, layout and fl at 1e-300, 1e-100, 1e100 and 1e300,
-    as a one-trial run on the line and on a 2-relay cell, and as a theorem sweep."""
+    as a one-trial run on the line and on a 0-, 1- and 2-relay cell, and as a theorem
+    sweep on the line and on a 1-relay cell."""
     modes = [("run", "line", _one_trial()),
+             ("run", "cell0", _one_trial(num_relays=0, layout={"kind": "cell"})),
+             ("run", "cell1", _one_trial(layout={"kind": "cell"})),
              ("run", "cell2", _one_trial(num_relays=2, layout={"kind": "cell"})),
-             ("theorem-sweep", "line", {"trials": 1})]
+             ("theorem-sweep", "line", {"trials": 1}),
+             ("theorem-sweep", "cell1", {"trials": 1, "layout": {"kind": "cell"}})]
     for section, cls in (("budget", BudgetConfig), ("layout", LayoutConfig),
                          ("fl", FlConfig)):
         for key, kind in typing.get_type_hints(cls).items():
