@@ -200,13 +200,12 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"budget.{key} over the noise power must be finite and nonzero")
     # The farthest link of each kind must keep a finite, nonzero path gain and
     # received power-to-noise ratio, or the first trial overflows or divides by zero.
-    distances, watts = _farthest_links(config)
+    distances, watts, keys = _farthest_links(config)
     with np.errstate(over="ignore", under="ignore"):
         gains = geometry.path_loss(distances)
         ratios = gains * watts / sigma2
     if not all(0.0 < x < math.inf for x in (*gains, *ratios)):
-        raise ConfigError(f"layout.{'x_relay' if lay.kind == 'line' else 'relay_ring_radius'} "
-                          "and the budget must give finite, nonzero path gains and "
+        raise ConfigError(f"{keys} must give finite, nonzero path gains and "
                           "power-to-noise ratios on every link")
     if fl.total_blocks < federated.blocks_per_round(config.scheme):
         raise ConfigError("fl.total_blocks must buy one round (a relay scheme needs two)")
@@ -231,21 +230,25 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     return config
 
 
-def _farthest_links(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+def _farthest_links(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, str]:
     """Longest device-AP, device-relay and relay-AP distance the layout can place in
-    geometry's device regions, and the transmit power (watts) on each of those links."""
+    geometry's device regions, the transmit power (watts) on each of those links, and
+    the keys that can leave a link's gain or power-to-noise ratio out of range."""
     lay, b = config.layout, config.budget
     if lay.kind == "line":
         (x_min, x_max), y_half = geometry.LINE_DEVICE_X, geometry.LINE_DEVICE_Y_HALF
         reach = max(lay.x_relay - x_min, x_max - lay.x_relay)
         distances = [math.hypot(x_max, y_half), math.hypot(reach, y_half), lay.x_relay]
+        keys = "layout.x_relay and the budget"
     elif config.num_relays:
         distances = [geometry.CELL_RADIUS, geometry.CELL_RADIUS + lay.relay_ring_radius,
                      lay.relay_ring_radius]
+        keys = "layout.relay_ring_radius and the budget"
     else:
-        distances = [geometry.CELL_RADIUS]
+        # The one link's length is a geometry constant, so only its power can trip it.
+        distances, keys = [geometry.CELL_RADIUS], "budget.p0_watts"
     watts = [b.p0_watts, b.p0_watts, b.pr_watts][:len(distances)]
-    return np.array(distances), np.array(watts)
+    return np.array(distances), np.array(watts), keys
 
 
 def parse_config(data: dict) -> ExperimentConfig:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import typing
@@ -91,6 +92,12 @@ class TestConfig:
         parse_config({"fl": fl})
         with pytest.raises(ConfigError, match=f"more than {MAX_ARRAY_SIZE} numbers"):
             parse_config({"fl": {**fl, "feature_dim": 2**20}})
+
+    def test_lr_base_floor_is_inclusive(self):
+        # A base under the floor would train at the floor, so it is refused; the floor runs.
+        parse_config({"fl": {"lr_base": federated.LR_FLOOR}})
+        with pytest.raises(ConfigError, match=r"^fl\.lr_base must be at least 1e-05$"):
+            parse_config({"fl": {"lr_base": np.nextafter(federated.LR_FLOOR, 0.0)}})
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="colour"):
@@ -301,7 +308,53 @@ def _sweep(key, *values, fl=None):
             "sweep": {"key": key, "values": list(values)}}
 
 
+def _set(document, key, value):
+    """Deep copy of `document` with the dotted `key` set to `value`."""
+    document = copy.deepcopy(document)
+    *sections, leaf = key.split(".")
+    target = document
+    for name in sections:
+        target = target.setdefault(name, {})
+    target[leaf] = value
+    return document
+
+
+def _cli(tmp_path, command, document, *args, out="x.csv"):
+    """Write `document` (a JSON value, or raw bytes) to a file, run `relayfl <command>`
+    on it with `args`, and return the exit code and the CSV path."""
+    cfg_path = tmp_path / "cfg.json"
+    if isinstance(document, bytes):
+        cfg_path.write_bytes(document)
+    else:
+        cfg_path.write_text(json.dumps(document))
+    out = tmp_path / out
+    return main([command, "--config", str(cfg_path), "--out", str(out), *args]), out
+
+
+def _config_error(capsys, result):
+    """The contract for a refused document: exit 1, stderr that begins
+    `configuration error: `, no traceback and no CSV.  Returns the rest of stderr."""
+    code, out = result
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+    return err.removeprefix("configuration error: ")
+
+
+def _finite_rows(result):
+    """The contract for a run that must pass: exit 0 and a CSV of rows whose
+    `mse_predicted` is finite.  Returns the rows."""
+    code, out = result
+    assert code == 0
+    rows = read_csv(str(out))
+    assert rows and all(np.isfinite(row["mse_predicted"]) for row in rows)
+    return rows
+
+
 # Each document used to end in a traceback or to be silently coerced into a run.
+# Each runs as a `run` and, but for NO_TASK_RUNS, as a `theorem-sweep` document.
 MALFORMED = [
     pytest.param({"trials": 1.5}, [], id="trials-fraction"),
     pytest.param({"trials": True, "fl": {"total_blocks": 2}}, [], id="trials-bool"),
@@ -366,6 +419,102 @@ MALFORMED = [
     pytest.param(_sweep("pr_watts"), [], id="sweep-values-empty"),
 ]
 
+# A theorem sweep builds no learning task, so these MALFORMED documents run there.
+NO_TASK_RUNS = {"lr-base-huge", "separation-huge"}
+
+# (command, document, message) the CLI must refuse.  The message is what follows
+# `configuration error: `: the whole stderr if it ends in a newline, else its start.
+CONFIG_ERRORS = [
+    # A block budget that buys no round.
+    pytest.param("run", {"fl": {"total_blocks": 1}}, "fl.total_blocks",
+                 id="block-budget-proposed"),
+    pytest.param("run", {"scheme": "relay_only", "fl": {"total_blocks": 1}},
+                 "fl.total_blocks", id="block-budget-relay-only"),
+    pytest.param("run", _sweep("total_blocks", 2, 1), "sweep value 1: fl.total_blocks",
+                 id="block-budget-sweep"),
+    pytest.param("theorem-sweep", {"trials": 1, "fl": {"total_blocks": 1}},
+                 "fl.total_blocks", id="block-budget-theorem-sweep"),
+    # The analytic and signal-chain MSEs of the construction disagree at this scale.
+    pytest.param("theorem-sweep", {"trials": 1, "budget": {"p0_watts": 1e100}}, "trial 0: ",
+                 id="theorem-p0-huge-ratio"),
+    # The certificate is defined for one relay only.
+    pytest.param("theorem-sweep", {"trials": 1, "num_relays": 2, "layout": {"kind": "cell"}},
+                 "theorem sweep requires num_relays = 1", id="theorem-cell-two-relays"),
+    # A theorem sweep builds no learning task, but its document passes every check
+    # a run document does, the fl ranges and cross-field rules included.
+    pytest.param("theorem-sweep", {"trials": 1, "num_devices": 500},
+                 "the fl task has 480 training samples but num_devices needs 500",
+                 id="theorem-iid-too-few-samples"),
+    pytest.param("theorem-sweep", {"trials": 1, "fl": {"num_classes": 1}},
+                 "fl.num_classes must be at least 2", id="theorem-one-class"),
+    pytest.param("theorem-sweep", _sweep("pr_watts", 0.1),
+                 "theorem sweep takes no sweep section\n", id="theorem-sweep-section"),
+    # A trial that leaves the double range names its sweep point and trial.
+    pytest.param("run", _sweep("p0_watts", 0.05, 1e-300),
+                 "sweep value 1e-300, trial 0: the configuration drives the computation out "
+                 "of the floating-point range (OverflowError", id="numerical-failure"),
+    # The relay's distance leaves a farthest link's gain out of the double range.
+    pytest.param("run", _one_trial(layout={"x_relay": 1e308}), "layout.x_relay and ",
+                 id="farthest-link-x-relay-huge"),
+    pytest.param("run", _one_trial(layout={"x_relay": 1e-300}), "layout.x_relay and ",
+                 id="farthest-link-x-relay-tiny"),
+    pytest.param("run", _one_trial(layout={"kind": "cell", "relay_ring_radius": 1e200}),
+                 "layout.relay_ring_radius and ", id="farthest-link-ring-radius-huge"),
+    pytest.param("run", _one_trial(num_relays=2,
+                                   layout={"kind": "cell", "relay_ring_radius": 1e-300}),
+                 "layout.relay_ring_radius and ", id="farthest-link-ring-radius-tiny"),
+    # A relay-free cell's one link has a fixed length, so only its power can trip it.
+    pytest.param("run", _one_trial(num_relays=0, layout={"kind": "cell"},
+                                   budget={"p0_watts": 5e-324}),
+                 "budget.p0_watts must give finite, nonzero path gains and power-to-noise "
+                 "ratios on every link\n", id="farthest-link-relay-free-p0-tiny"),
+    # Files the JSON reader refuses.
+    pytest.param("run", b'{"trials": 1, "x": "\xff"}', "configuration is not readable JSON: ",
+                 id="unparseable-not-utf8"),
+    pytest.param("run", b"[" * 200_000 + b"]" * 200_000, "configuration is not readable JSON: ",
+                 id="unparseable-nested-200000-deep"),
+    # Past the interpreter's integer-string limit of 4,300 digits.
+    pytest.param("run", b'{"trials": ' + b"1" * 5000 + b"}",
+                 "configuration is not readable JSON: ", id="unparseable-int-5000-digits"),
+    pytest.param("run", b'{"fl": {"tau": ' + b"1" * 5000 + b"}}",
+                 "configuration is not readable JSON: ",
+                 id="unparseable-int-5000-digits-in-section"),
+    # The sample-count message used to print num_devices x fl.shards_c, and
+    # str() refuses ints past 4,300 digits.
+    pytest.param("run", {"trials": 1, "num_devices": 10**4000,
+                         "fl": {"partition": "shards", "shards_c": 10**4000}},
+                 "num_devices, num_relays and fl.num_classes, feature_dim, samples_per_class "
+                 f"and shards_c ask for an array of more than {MAX_ARRAY_SIZE} numbers\n",
+                 id="shard-count-past-the-cap"),
+    pytest.param("run", {"scheme": "nope"},
+                 "scheme must be one of ('proposed', 'relay_only', 'no_relay', 'error_free')\n",
+                 id="scheme-unknown"),
+    pytest.param("run", {"solver": {"epsilon": float("nan")}},
+                 "solver.epsilon must be a finite number\n", id="solver-epsilon-nan"),
+    pytest.param("run", {"solver": {"j_max": 1.5}}, "solver.j_max must be an integer\n",
+                 id="solver-j-max-fraction"),
+    # A base under the floor would train at the floor, so it is refused.
+    pytest.param("run", {"trials": 1, "fl": {"total_blocks": 2, "lr_base": 1e-6}},
+                 "fl.lr_base must be at least 1e-05\n", id="lr-base-under-the-floor"),
+]
+
+
+def _removed(section, base, **keys):
+    return [pytest.param(_set(base, f"{section}.{key}", value), f"{section}.{key}",
+                         id=f"{section}.{key}") for key, value in keys.items()]
+
+
+# Keys that became constants: the inner QCQP's tolerance and iteration cap (optimizer),
+# the learning rate's decay, step and floor (federated), and the path-loss model and the
+# device regions (geometry).
+REMOVED_KEYS = [
+    *_removed("solver", _one_trial(), qcqp_tol=1e-8, qcqp_max_iter=300),
+    *_removed("fl", _one_trial(), lr_decay=0.9, lr_step=50, lr_floor=1e-5),
+    *_removed("layout", {"trials": 1}, antenna_gain=4.11, pathloss_exponent=3.0,
+              carrier_freq_hz=915e6, device_x_min=80.0, device_x_max=120.0,
+              device_y_half=60.0, cell_radius=120.0),
+]
+
 
 # One value outside each declared field range; every other value of the document is valid.
 RANGE_BREAKS = {
@@ -378,19 +527,6 @@ RANGE_BREAKS = {
 }
 SECTIONS = {"": ExperimentConfig, "budget.": BudgetConfig, "layout.": LayoutConfig,
             "fl.": FlConfig, "sweep.": SweepConfig}
-
-
-def _with_range_broken(key, value):
-    """(valid one-trial document, the same document with `key` set to `value`)."""
-    valid = _one_trial(layout={"kind": "cell" if key == "num_relays" else "line"},
-                       sweep={"key": "pr_watts", "values": [0.1]})
-    broken = json.loads(json.dumps(valid))
-    *sections, leaf = key.split(".")
-    target = broken
-    for name in sections:
-        target = target.setdefault(name, {})
-    target[leaf] = value
-    return valid, broken
 
 
 def test_range_breaks_cover_every_declared_range():
@@ -412,7 +548,7 @@ def test_range_breaks_cover_every_declared_range():
 def test_farthest_links_bound_every_placement(num_relays, layout):
     # The validator checks the gains of these links, so no placed link may be longer.
     config = parse_config({"num_devices": 200, "num_relays": num_relays, "layout": layout})
-    farthest, _ = experiment._farthest_links(config)
+    farthest = experiment._farthest_links(config)[0]
     for seed in range(5):
         nodes = experiment._make_layout(config, stream(seed))
         placed = (nodes.device_ap_distances(), nodes.device_relay_distances(),
@@ -438,8 +574,7 @@ def _extreme_values():
                 continue
             for value in (1e-300, 1e-100, 1e100, 1e300):
                 for command, name, base in modes:
-                    document = {**base, section: {**base.get(section, {}), key: value}}
-                    yield pytest.param(command, document,
+                    yield pytest.param(command, _set(base, f"{section}.{key}", value),
                                        id=f"{command}-{name}-{section}.{key}={value:g}")
 
 
@@ -447,29 +582,32 @@ EXTREME_VALUES = list(_extreme_values())
 
 
 class TestCli:
-    @pytest.mark.parametrize("document, extra_args", MALFORMED)
-    def test_malformed_document_is_config_error(self, tmp_path, capsys, document, extra_args):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(document))
-        out = tmp_path / "x.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out), *extra_args]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:")
-        assert "Traceback" not in err
-        assert not out.exists()
+    @pytest.mark.parametrize("command, document, extra_args", [
+        *(pytest.param("run", *case.values, id=case.id) for case in MALFORMED),
+        *(pytest.param("theorem-sweep", *case.values, id=f"theorem-sweep-{case.id}")
+          for case in MALFORMED if case.id not in NO_TASK_RUNS)])
+    def test_malformed_document_is_config_error(self, tmp_path, capsys, command, document,
+                                                extra_args):
+        _config_error(capsys, _cli(tmp_path, command, document, *extra_args))
+
+    @pytest.mark.parametrize("command, document, message", CONFIG_ERRORS)
+    def test_config_error(self, tmp_path, capsys, command, document, message):
+        got = _config_error(capsys, _cli(tmp_path, command, document))
+        assert got == message if message.endswith("\n") else got.startswith(message)
+
+    @pytest.mark.parametrize("command", ["run", "theorem-sweep"])
+    @pytest.mark.parametrize("document, key", REMOVED_KEYS)
+    def test_removed_key_is_unknown(self, tmp_path, capsys, command, document, key):
+        assert _config_error(capsys, _cli(tmp_path, command, document)) == (
+            f"unknown key {key}\n")
 
     @pytest.mark.parametrize("key, value", RANGE_BREAKS.items(), ids=list(RANGE_BREAKS))
     def test_declared_range_violation_names_the_key(self, tmp_path, capsys, key, value):
-        valid, broken = _with_range_broken(key, value)
+        valid = _one_trial(layout={"kind": "cell" if key == "num_relays" else "line"},
+                           sweep={"key": "pr_watts", "values": [0.1]})
         parse_config(valid)
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(broken))
-        out = tmp_path / "x.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: {key} must be ")
-        assert "Traceback" not in err
-        assert not out.exists()
+        message = _config_error(capsys, _cli(tmp_path, "run", _set(valid, key, value)))
+        assert message.startswith(f"{key} must be ")
 
     # NumPy refused these with _ArrayMemoryError, "array is too big" and "Maximum
     # allowed dimension exceeded"; the cap now rejects them before any trial.
@@ -480,271 +618,62 @@ class TestCli:
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(experiment, "run_trial", fail)
-        cfg_path = tmp_path / "big.json"
-        cfg_path.write_text(json.dumps({"scheme": "no_relay", "trials": 1,
-                                        "fl": {"num_classes": num_classes}}))
-        out = tmp_path / "x.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "fl.num_classes" in err
-        assert "Traceback" not in err
-        assert not out.exists()
+        document = {"scheme": "no_relay", "trials": 1, "fl": {"num_classes": num_classes}}
+        assert "fl.num_classes" in _config_error(capsys, _cli(tmp_path, "run", document))
 
-    def test_shard_count_past_the_cap_is_config_error(self, tmp_path, capsys):
-        # The sample-count message used to print num_devices x fl.shards_c, and
-        # str() refuses ints past 4,300 digits.
-        cfg_path = tmp_path / "big.json"
-        cfg_path.write_text(json.dumps({"trials": 1, "num_devices": 10**4000,
-                                        "fl": {"partition": "shards", "shards_c": 10**4000}}))
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "Traceback" not in err
-
-    @pytest.mark.parametrize("raw", [
-        pytest.param(b'{"trials": 1, "x": "\xff"}', id="not-utf8"),
-        pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-200000-deep"),
-        # Past the interpreter's integer-string limit of 4,300 digits.
-        pytest.param(b'{"trials": ' + b"1" * 5000 + b"}", id="int-5000-digits"),
-        pytest.param(b'{"fl": {"tau": ' + b"1" * 5000 + b"}}", id="int-5000-digits-in-section"),
-    ])
-    def test_unparseable_file_is_config_error(self, tmp_path, capsys, raw):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_bytes(raw)
-        out = tmp_path / "x.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:")
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command, document, message", [
-        pytest.param("run", {"fl": {"total_blocks": 1}}, "fl.total_blocks", id="proposed"),
-        pytest.param("run", {"scheme": "relay_only", "fl": {"total_blocks": 1}},
-                     "fl.total_blocks", id="relay-only"),
-        pytest.param("run", _sweep("total_blocks", 2, 1), "sweep value 1: fl.total_blocks",
-                     id="sweep"),
-        pytest.param("theorem-sweep", {"trials": 1, "fl": {"total_blocks": 1}},
-                     "fl.total_blocks", id="theorem-sweep"),
-    ])
-    def test_block_budget_without_a_round_is_config_error(self, tmp_path, capsys, command,
-                                                          document, message):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(document))
-        out = tmp_path / "x.csv"
-        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: {message}")
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("document, message", [
-        # The analytic and signal-chain MSEs of the construction disagree at this scale.
-        pytest.param({"trials": 1, "budget": {"p0_watts": 1e100}}, "trial 0: ",
-                     id="p0-huge-ratio"),
-        # The certificate is defined for one relay only.
-        pytest.param({"trials": 1, "num_relays": 2, "layout": {"kind": "cell"}},
-                     "theorem sweep requires num_relays = 1", id="cell-two-relays"),
-        # A theorem sweep builds no learning task, but its document passes every check
-        # a run document does, the fl ranges and cross-field rules included.
-        pytest.param({"trials": 1, "num_devices": 500},
-                     "the fl task has 480 training samples but num_devices needs 500",
-                     id="iid-too-few-samples"),
-        pytest.param({"trials": 1, "fl": {"num_classes": 1}},
-                     "fl.num_classes must be at least 2", id="one-class"),
-    ])
-    def test_malformed_theorem_sweep_is_config_error(self, tmp_path, capsys, document,
-                                                     message):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(document))
-        out = tmp_path / "thm.csv"
-        assert main(["theorem-sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines()[0].startswith(f"configuration error: {message}")
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    def test_numerical_failure_names_the_sweep_point_and_trial(self, tmp_path, capsys):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(_sweep("p0_watts", 0.05, 1e-300)))
-        out = tmp_path / "x.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: sweep value 1e-300, trial 0:")
-        assert "OverflowError" in err and "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("document", [
-        pytest.param(_one_trial(num_relays=2,
-                                layout={"kind": "cell", "relay_ring_radius": 1e-100}),
-                     id="ring-radius-tiny"),
-        pytest.param(_one_trial(layout={"x_relay": 1e-100}), id="x-relay-tiny"),
-    ])
-    def test_relays_next_to_the_ap_run_to_a_finite_mse(self, tmp_path, document):
+    @pytest.mark.parametrize("command, document", [
         # The relay-to-AP gain is near the double limit, so |b|^2 underflows.
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(document))
-        out = tmp_path / "x.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        rows = read_csv(str(out))
-        assert rows and all(np.isfinite(row["mse_predicted"]) for row in rows)
-
-    # The relay's distance leaves a farthest link's gain out of the double range.
-    @pytest.mark.parametrize("document, key", [
-        pytest.param(_one_trial(layout={"x_relay": 1e308}), "x_relay", id="x-relay-huge"),
-        pytest.param(_one_trial(layout={"x_relay": 1e-300}), "x_relay", id="x-relay-tiny"),
-        pytest.param(_one_trial(layout={"kind": "cell", "relay_ring_radius": 1e200}),
-                     "relay_ring_radius", id="ring-radius-huge"),
-        pytest.param(_one_trial(num_relays=2,
-                                layout={"kind": "cell", "relay_ring_radius": 1e-300}),
-                     "relay_ring_radius", id="ring-radius-tiny"),
-    ])
-    def test_farthest_link_error_names_the_relay_key(self, tmp_path, capsys, document, key):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(document))
-        out = tmp_path / "x.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"configuration error: layout.{key} and ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("scheme", ["proposed", "relay_only", "no_relay", "error_free"])
-    def test_zero_relay_cell_runs_to_a_finite_mse(self, tmp_path, scheme):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"scheme": scheme, "num_relays": 0,
-                                        "layout": {"kind": "cell"}}))
-        out = tmp_path / "x.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        rows = read_csv(str(out))
-        assert rows and all(np.isfinite(row["mse_predicted"]) for row in rows)
+        pytest.param("run", _one_trial(num_relays=2,
+                                       layout={"kind": "cell", "relay_ring_radius": 1e-100}),
+                     id="relay-next-to-the-ap-ring-radius-tiny"),
+        pytest.param("run", _one_trial(layout={"x_relay": 1e-100}),
+                     id="relay-next-to-the-ap-x-relay-tiny"),
+        *(pytest.param("run", {"scheme": scheme, "num_relays": 0, "layout": {"kind": "cell"}},
+                       id=f"zero-relay-cell-{scheme}")
+          for scheme in ["proposed", "relay_only", "no_relay", "error_free"]),
+        *(pytest.param("theorem-sweep", case.values[0], id=f"theorem-sweep-{case.id}")
+          for case in MALFORMED if case.id in NO_TASK_RUNS)])
+    def test_runs_to_a_finite_mse(self, tmp_path, command, document):
+        _finite_rows(_cli(tmp_path, command, document))
 
     @pytest.mark.parametrize("command, document", EXTREME_VALUES)
     def test_extreme_value_runs_or_is_config_error(self, tmp_path, capsys, command, document):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(document))
-        out = tmp_path / "x.csv"
-        code = main([command, "--config", str(cfg_path), "--out", str(out)])
-        err = capsys.readouterr().err
-        if code == 0:
-            rows = read_csv(str(out))
-            assert rows and all(np.isfinite(row["mse_predicted"]) for row in rows)
+        result = _cli(tmp_path, command, document)
+        if result[0] == 0:
+            _finite_rows(result)
         else:
-            assert code == 1
-            assert err.startswith("configuration error:")
-            assert "Traceback" not in err
-            assert not out.exists()
-
-    def test_theorem_sweep_rejects_sweep(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(_sweep("pr_watts", 0.1)))
-        out = tmp_path / "thm.csv"
-        assert main(["theorem-sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("configuration error:")
-        assert not out.exists()
+            _config_error(capsys, result)
 
     def test_run_and_seed_override(self, tmp_path):
         cfg = {"scheme": "no_relay", "num_devices": 3, "trials": 1,
                "fl": dict(TINY_FL), "solver": {"j_max": 30}}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out_a),
-                     "--seed", "5"]) == 0
-        assert main(["run", "--config", str(cfg_path), "--out", str(out_b),
-                     "--seed", "5"]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-        out_c = tmp_path / "c.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out_c),
-                     "--seed", "6"]) == 0
-        assert out_a.read_bytes() != out_c.read_bytes()
-
-    def test_config_error_exit_code(self, tmp_path):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"scheme": "nope"}))
-        assert main(["run", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "x.csv")]) == 1
-
-    @pytest.mark.parametrize("solver", [{"epsilon": float("nan")}, {"j_max": 1.5}])
-    def test_bad_solver_section_is_config_error(self, tmp_path, capsys, solver):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"solver": solver}))
-        assert main(["run", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "x.csv")]) == 1
-        assert capsys.readouterr().err.startswith("configuration error: solver.")
-        assert not (tmp_path / "x.csv").exists()
-
-    # The inner QCQP's tolerance and iteration cap are optimizer constants, not keys.
-    @pytest.mark.parametrize("key, value", [("qcqp_tol", 1e-8), ("qcqp_max_iter", 300)])
-    def test_removed_solver_key_is_unknown(self, tmp_path, capsys, key, value):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(_one_trial(solver={key: value})))
-        out = tmp_path / "x.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"configuration error: unknown key solver.{key}\n"
-        assert not out.exists()
-
-    # The learning rate's decay, step and floor are federated constants, not keys,
-    # in a run document and in a theorem-sweep document alike.
-    @pytest.mark.parametrize("command", ["run", "theorem-sweep"])
-    @pytest.mark.parametrize("key, value", [("lr_decay", 0.9), ("lr_step", 50),
-                                            ("lr_floor", 1e-5)])
-    def test_removed_fl_key_is_unknown(self, tmp_path, capsys, command, key, value):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"trials": 1, "fl": {"total_blocks": 2, key: value}}))
-        out = tmp_path / "x.csv"
-        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"configuration error: unknown key fl.{key}\n"
-        assert not out.exists()
-
-    # The path-loss model and the device regions are geometry constants, not keys.
-    @pytest.mark.parametrize("command", ["run", "theorem-sweep"])
-    @pytest.mark.parametrize("key, value", [
-        ("antenna_gain", 4.11), ("pathloss_exponent", 3.0), ("carrier_freq_hz", 915e6),
-        ("device_x_min", 80.0), ("device_x_max", 120.0), ("device_y_half", 60.0),
-        ("cell_radius", 120.0)])
-    def test_removed_layout_key_is_unknown(self, tmp_path, capsys, command, key, value):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"trials": 1, "layout": {key: value}}))
-        out = tmp_path / "x.csv"
-        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"configuration error: unknown key layout.{key}\n"
-        assert not out.exists()
-
-    # A base under the floor would train at the floor, so it is refused; the floor runs.
-    def test_lr_base_under_the_floor_is_config_error(self, tmp_path, capsys):
-        parse_config({"fl": {"lr_base": federated.LR_FLOOR}})
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"trials": 1, "fl": {"total_blocks": 2, "lr_base": 1e-6}}))
-        out = tmp_path / "x.csv"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == ("configuration error: fl.lr_base must be at least "
-                                           "1e-05\n")
-        assert not out.exists()
+        csvs = []
+        for seed, name in [("5", "a.csv"), ("5", "b.csv"), ("6", "c.csv")]:
+            result = _cli(tmp_path, "run", cfg, "--seed", seed, out=name)
+            _finite_rows(result)
+            csvs.append(result[1].read_bytes())
+        assert csvs[0] == csvs[1] != csvs[2]
 
     # argparse rejects these before any document is read, with its usage line and exit 2.
-    @pytest.mark.parametrize("args", [
-        pytest.param([], id="no-command"),
-        pytest.param(["run"], id="run-without-flags"),
-        pytest.param(["run", "--config", "{cfg}", "--out", "{out}", "--seed", "abc"],
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda tmp_path: main([]), id="no-command"),
+        pytest.param(lambda tmp_path: main(["run"]), id="run-without-flags"),
+        pytest.param(lambda tmp_path: _cli(tmp_path, "run", {"trials": 1}, "--seed", "abc"),
                      id="seed-not-an-integer"),
     ])
-    def test_usage_error_exits_2(self, tmp_path, capsys, args):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"trials": 1}))
-        out = tmp_path / "x.csv"
+    def test_usage_error_exits_2(self, tmp_path, capsys, call):
         with pytest.raises(SystemExit) as exit_info:
-            main([arg.format(cfg=cfg_path, out=out) for arg in args])
+            call(tmp_path)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: relayfl")
         assert "Traceback" not in err
-        assert not out.exists()
+        assert not (tmp_path / "x.csv").exists()
 
-    def test_io_error_exit_code(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"scheme": "no_relay", "num_devices": 2,
-                                        "trials": 1, "fl": dict(TINY_FL)}))
-        assert main(["run", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    def test_io_error_exit_code(self, tmp_path, capsys):
+        document = {"scheme": "no_relay", "num_devices": 2, "trials": 1, "fl": dict(TINY_FL)}
+        assert _cli(tmp_path, "run", document, out="missing/x.csv")[0] == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -753,11 +682,6 @@ class TestCli:
         assert not out.exists()
 
     def test_theorem_sweep_command(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"num_devices": 4, "trials": 3}))
-        out = tmp_path / "thm.csv"
-        assert main(["theorem-sweep", "--config", str(cfg_path),
-                     "--out", str(out)]) == 0
-        rows = read_csv(str(out))
+        rows = _finite_rows(_cli(tmp_path, "theorem-sweep", {"num_devices": 4, "trials": 3}))
         assert len(rows) == 6
         assert all(r["sweep_key"] == "delta" for r in rows)
