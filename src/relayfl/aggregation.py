@@ -1,8 +1,10 @@
-"""Symbol normalization and the over-the-air aggregation signal chain.
+"""Symbol statistics and the over-the-air aggregation signal chain.
 
-Covers the per-device/global statistics used to map model updates onto unit
-symbols, the closed-form optimum of the single-phase no-relay scheme, and the
-two-phase relay chain together with its analytic mean-square aggregation error.
+Covers the global mean and standard deviation that map a round's model updates
+onto zero-mean, unit-variance symbols, (delta - mean) / std, and back at the
+AP, std * x_hat + mean; the closed-form optimum of the single-phase no-relay
+scheme; and the two-phase relay chain together with its analytic mean-square
+aggregation error.
 """
 
 from __future__ import annotations
@@ -12,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ChannelRealization, SingularChannelError, _complex_normal
-
-
-class DegenerateUpdateError(ValueError):
-    """All local updates are identical constants; the symbol map is undefined."""
 
 
 class InconsistentMseError(ArithmeticError):
@@ -84,39 +82,19 @@ class TransceiverConfig:
             raise ValueError("a1 and a2 must have equal length")
 
 
-def compute_local_stats(delta: np.ndarray):
-    """Mean and population variance (divisor d) of each device's update vector.
+def symbol_stats(deltas: np.ndarray, weights: DeviceWeights) -> tuple[float, float]:
+    """Global mean and standard deviation of a (K, d) stack of update vectors.
 
-    A (K, d) stack gives two length-K arrays, one entry per row.
+    Each row gives its mean and population variance (divisor d); the global
+    mean and variance are their rho-weighted sums, and std is the square root
+    of that variance.  std is 0 when every row is constant.
     """
-    delta = np.asarray(delta, dtype=float)
-    if delta.ndim == 0 or delta.shape[-1] == 0:
-        raise ValueError("update vectors must be nonempty")
-    mean = delta.mean(axis=-1, keepdims=True)
-    var = np.mean((delta - mean) ** 2, axis=-1)
-    return mean[..., 0], var
-
-
-def compute_global_stats(local_means, local_vars,
-                         weights: DeviceWeights) -> tuple[float, float]:
-    """Weighted global mean and variance from the per-device statistics."""
-    means = np.asarray(local_means, dtype=float).reshape(-1)
-    variances = np.asarray(local_vars, dtype=float).reshape(-1)
-    if means.shape != weights.rho.shape or variances.shape != weights.rho.shape:
-        raise ValueError("statistics and weights must have equal length")
-    return float(weights.rho @ means), float(weights.rho @ variances)
-
-
-def normalize(delta: np.ndarray, global_mean: float, global_std: float) -> np.ndarray:
-    """Map an update vector onto zero-mean symbols: (delta - mean) / std."""
-    if global_std <= 0:
-        raise DegenerateUpdateError("global std must be positive to normalize")
-    return (np.asarray(delta, dtype=float) - global_mean) / global_std
-
-
-def denormalize(x_hat, global_mean: float, global_std: float):
-    """Invert the symbol map: std * x_hat + mean."""
-    return global_std * np.asarray(x_hat, dtype=float) + global_mean
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 2 or deltas.shape[1] == 0:
+        raise ValueError("updates must be a K x d stack with d >= 1")
+    means = deltas.mean(axis=-1, keepdims=True)
+    variances = np.mean((deltas - means) ** 2, axis=-1)
+    return float(weights.rho @ means[:, 0]), float(np.sqrt(weights.rho @ variances))
 
 
 def norelay_optimum(h: np.ndarray, weights: DeviceWeights, p0_total: float,

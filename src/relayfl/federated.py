@@ -255,21 +255,15 @@ def local_update(w: np.ndarray, data: DeviceData, tau: int, lr: float) -> np.nda
     return delta.reshape(lead + (-1,))
 
 
-def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
-    """Squared error of the estimate normalized by the squared norm of the truth.
+def nmse_db(estimate: np.ndarray, truth: np.ndarray) -> float:
+    """Squared error of the estimate over the squared norm of the truth, in dB.
 
-    Raises ZeroDivisionError when the truth is exactly zero (the ratio is
-    undefined).
+    -inf when the estimate is exact, a zero truth included; raises
+    ZeroDivisionError for a nonzero estimate of a zero truth.
     """
-    denom = float(np.sum(np.asarray(truth, dtype=float) ** 2))
     err = float(np.sum((np.asarray(estimate, dtype=float) - truth) ** 2))
-    return err / denom
-
-
-def nmse_db(value: float) -> float:
-    if value == 0.0:
-        return float("-inf")
-    return 10.0 * np.log10(value)
+    value = err / float(np.sum(np.asarray(truth, dtype=float) ** 2)) if err else 0.0
+    return float("-inf") if value == 0.0 else 10.0 * np.log10(value)
 
 
 def evaluate_accuracy(w: np.ndarray, data: DeviceData) -> float:
@@ -304,12 +298,14 @@ def train(scheme: str, task: LearningTask, partition: Partition,
           rng: np.random.Generator, csi_kappa: float | None = None, tau: int = 1):
     """Run federated averaging until the transmission-block budget is spent.
 
-    One round: broadcast the model (ideal), compute local changes, normalize
-    them to unit symbols, draw a fresh block-fading realization, configure the
-    scheme's transceivers, push the symbols through the channel, denormalize,
-    and apply the estimated weighted sum to the global model.  With a CSI
-    error level set, the optimizer sees the perturbed channels while the air
-    interface uses the true ones.  On single-relay layouts every round also
+    One round: broadcast the model (ideal), compute local changes, map them
+    onto unit symbols (delta - mean) / std with the global
+    ``agg.symbol_stats``, draw a fresh block-fading realization, configure the
+    scheme's transceivers, push the symbols through the channel, map the
+    estimate back by std * x_hat + mean, and apply it to the global model.
+    When std is 0 the mean stands for every change and nothing is sent.  With
+    a CSI error level set, the optimizer sees the perturbed channels while the
+    air interface uses the true ones.  On single-relay layouts every round also
     carries the ``single_relay.theorem_certificate`` of the true channels.
     Round t's local steps take the rate ``_learning_rate(lr_base, t)``.
 
@@ -341,19 +337,19 @@ def train(scheme: str, task: LearningTask, partition: Partition,
         perceived = channels if csi_kappa is None else geometry.perturb_channels(
             channels, gains, csi_kappa, rng)
 
-        g_mean, g_var = agg.compute_global_stats(*agg.compute_local_stats(deltas), weights)
+        mean, std = agg.symbol_stats(deltas, weights)
 
         if scheme == "error_free":
             estimate = truth
             mse_pred = 0.0
-        elif g_var <= 0.0:
+        elif std == 0.0:
             # Every device's change is constant, or so small that its variance
             # underflows to zero; the broadcast mean stands for all of them,
             # so nothing is transmitted.
-            estimate = np.full(dim, g_mean)
+            estimate = np.full(dim, mean)
             mse_pred = 0.0
         else:
-            symbols = agg.normalize(deltas, g_mean, np.sqrt(g_var))
+            symbols = (deltas - mean) / std
             if scheme == "no_relay":
                 a, c, _ = agg.norelay_optimum(perceived.h, weights, 2.0 * budget.p0,
                                               budget.sigma2)
@@ -365,7 +361,7 @@ def train(scheme: str, task: LearningTask, partition: Partition,
                            else optimizer.SchemeVariant.RELAY_ONLY)
                 config, _ = optimizer.solve(perceived, weights, budget, solver_cfg, variant)
             x_hat = agg.simulate_round(config, channels, symbols, budget.sigma2, rng).real
-            estimate = agg.denormalize(x_hat, g_mean, np.sqrt(g_var))
+            estimate = std * x_hat + mean
             mse_pred = agg.relay_mse(config, channels, weights, budget.sigma2)
 
         w = w + estimate
@@ -375,7 +371,7 @@ def train(scheme: str, task: LearningTask, partition: Partition,
             _, bound, cond40, cond41 = single_relay.theorem_certificate(
                 channels, weights, budget)
         metrics.append(RoundMetrics(
-            round=t, blocks_used=t * bpr, nmse_db=nmse_db(nmse(estimate, truth)),
+            round=t, blocks_used=t * bpr, nmse_db=nmse_db(estimate, truth),
             test_accuracy=evaluate_accuracy(w, test), mse_predicted=mse_pred,
             mse_norelay_bound=bound, cond40=cond40, cond41=cond41))
     return metrics, w

@@ -22,7 +22,7 @@ from relayfl.aggregation import (
     relay_gains,
     relay_mse,
 )
-from relayfl.geometry import ChannelRealization, stream
+from relayfl.geometry import ChannelRealization, _complex_normal, stream
 from relayfl.optimizer import (
     Problem,
     SchemeVariant,
@@ -77,15 +77,22 @@ def norelay_oracle(h, rho, p0_total, sigma2):
     return norelay_objective(rho / (t * h), t, h, rho, sigma2)
 
 
+def rayleigh_channels(rng, num_devices, num_relays):
+    """Unit-variance Rayleigh fading on every link: h, then g, then f from `rng`.
+
+    With no relays only h takes draws, so ``rayleigh_channels(rng, k, 0).h``
+    is a bare device-to-AP draw.
+    """
+    k, n = num_devices, num_relays
+    return ChannelRealization(h=_complex_normal(rng, k), g=_complex_normal(rng, (k, n)),
+                              f=_complex_normal(rng, n))
+
+
 def random_feasible_setup(seed, num_devices, num_relays):
     """Random channels plus a random strictly feasible transceiver configuration."""
     rng = stream(seed)
     k, n = num_devices, num_relays
-    ch = ChannelRealization(
-        h=(rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(0.5),
-        g=(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) * np.sqrt(0.5),
-        f=(rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5),
-    )
+    ch = rayleigh_channels(rng, k, n)
     budget = PowerBudget(p0=1.0, pr=2.0, sigma2=float(rng.uniform(0.05, 0.5)))
     a1 = np.sqrt(budget.p0) * rng.uniform(0.2, 1.0, k) * np.exp(2j * np.pi * rng.uniform(0, 1, k))
     a2 = np.sqrt(budget.p0) * rng.uniform(0.2, 1.0, k) * np.exp(2j * np.pi * rng.uniform(0, 1, k))
@@ -323,9 +330,8 @@ def single_relay_instance(seed, num_devices=None, enforce_conditions=False):
     """
     rng = stream(seed)
     k = int(rng.integers(2, 7)) if num_devices is None else num_devices
-    h = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(0.5)
-    g = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(0.5)
-    f = complex(rng.standard_normal() + 1j * rng.standard_normal()) * np.sqrt(0.5)
+    ch = rayleigh_channels(rng, k, 1)
+    h, g, f = ch.h, ch.g[:, 0], complex(ch.f[0])
     p0 = float(rng.uniform(0.2, 2.0))
     sigma2 = float(rng.uniform(0.01, 0.5))
     pr = float(rng.uniform(0.2, 5.0))

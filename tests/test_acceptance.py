@@ -24,6 +24,7 @@ from oracles import (
     fd_complex_gradient,
     norelay_oracle,
     random_feasible_setup,
+    rayleigh_channels,
     relay_block,
     single_relay_instance,
     summarize,
@@ -32,17 +33,13 @@ from relayfl import federated
 from relayfl.aggregation import (
     DeviceWeights,
     PowerBudget,
-    compute_global_stats,
-    compute_local_stats,
-    denormalize,
     norelay_optimum,
-    normalize,
     relay_mse,
     simulate_round,
+    symbol_stats,
 )
 from relayfl.experiment import parse_config, run_experiment
 from relayfl.geometry import (
-    ChannelRealization,
     NodeLayout,
     cell_layout,
     line_layout,
@@ -72,20 +69,12 @@ def criterion(num, description):
     print(f"criterion {num:2d} PASS ({time.perf_counter() - start:6.1f}s): {description}")
 
 
-def random_channels(rng, k, n):
-    return ChannelRealization(
-        h=(rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(0.5),
-        g=(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) * np.sqrt(0.5),
-        f=(rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5),
-    )
-
-
 def test_criterion_01_norelay_closed_form_matches_oracle():
     with criterion(1, "no-relay closed form vs aligned brute force, 100 instances, 1e-6"):
         for i in range(100):
             rng = stream(1000, i)
             k = int(rng.integers(1, 4))
-            h = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(0.5)
+            h = rayleigh_channels(rng, k, 0).h
             weights = DeviceWeights.from_counts(rng.integers(1, 9, k))
             p0 = float(rng.uniform(0.05, 2.0))
             sigma2 = float(rng.uniform(0.01, 1.0))
@@ -134,7 +123,7 @@ def test_criterion_04_closed_form_stationarity_and_dominance():
         for i in range(100):
             rng = stream(4000, i)
             k, n = int(rng.integers(1, 6)), int(rng.integers(0, 4))
-            ch = random_channels(rng, k, n)
+            ch = rayleigh_channels(rng, k, n)
             weights = DeviceWeights.uniform(k)
             budget = PowerBudget(p0=1.0, pr=2.0, sigma2=float(rng.uniform(0.05, 0.5)))
             cfg = init_config(ch, weights, budget)
@@ -157,7 +146,7 @@ def test_criterion_04_closed_form_stationarity_and_dominance():
         for i in range(100):
             rng = stream(4100, i)
             k, n = int(rng.integers(1, 6)), int(rng.integers(1, 4))
-            ch = random_channels(rng, k, n)
+            ch = rayleigh_channels(rng, k, n)
             weights = DeviceWeights.uniform(k)
             budget = PowerBudget(p0=1.0, pr=1e6, sigma2=float(rng.uniform(0.05, 0.5)))
             cfg = init_config(ch, weights, budget)
@@ -174,7 +163,7 @@ def test_criterion_04_closed_form_stationarity_and_dominance():
         for i in range(100):
             rng = stream(4200, i)
             k = int(rng.integers(1, 6))
-            ch = random_channels(rng, k, 1)
+            ch = rayleigh_channels(rng, k, 1)
             weights = DeviceWeights.uniform(k)
             budget = PowerBudget(p0=1.0, pr=float(rng.uniform(0.2, 3.0)),
                                  sigma2=float(rng.uniform(0.05, 0.5)))
@@ -194,7 +183,7 @@ def test_criterion_05_device_qcqp_matches_slsqp_oracle():
             rng = stream(5000, i)
             k = int(rng.integers(1, 3))
             n = int(rng.integers(0, 2))
-            ch = random_channels(rng, k, n)
+            ch = rayleigh_channels(rng, k, n)
             weights = DeviceWeights.uniform(k)
             budget = PowerBudget(p0=1.0, pr=float(rng.uniform(0.5, 3.0)),
                                  sigma2=float(rng.uniform(0.05, 0.5)))
@@ -278,10 +267,10 @@ def test_criterion_09_roundtrip_and_noiseless_limit():
             k, dim = int(rng.integers(2, 7)), int(rng.integers(3, 40))
             deltas = 5.0 * rng.standard_normal((k, dim))
             weights = DeviceWeights.from_counts(rng.integers(1, 20, k))
-            means, variances = compute_local_stats(deltas)
-            g_mean, g_var = compute_global_stats(means, variances, weights)
-            symbols = np.stack([normalize(d, g_mean, np.sqrt(g_var)) for d in deltas])
-            recovered = denormalize(weights.rho @ symbols, g_mean, np.sqrt(g_var))
+            mean, std = symbol_stats(deltas, weights)
+            # The map of federated.train: devices send (delta - mean) / std,
+            # the AP returns std * x_hat + mean.
+            recovered = std * (weights.rho @ ((deltas - mean) / std)) + mean
             truth = weights.rho @ deltas
             assert np.all(np.abs(recovered - truth) <= 1e-10 * np.maximum(np.abs(truth), 1.0))
 

@@ -3,22 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relayfl.aggregation import (
-    DegenerateUpdateError,
     DeviceWeights,
     PowerBudget,
     SingularChannelError,
     TransceiverConfig,
     _combined_gains,
     _misalignment_power,
-    compute_global_stats,
-    compute_local_stats,
-    denormalize,
     max_constraint_violation,
     norelay_optimum,
-    normalize,
     relay_mse,
     relay_power_used,
     simulate_round,
+    symbol_stats,
 )
 from relayfl.geometry import (
     ChannelRealization,
@@ -31,73 +27,87 @@ from relayfl.geometry import (
 )
 from relayfl.optimizer import SchemeVariant, SolverConfig, init_config, solve
 
-from oracles import mse_reference, norelay_objective, norelay_oracle, random_feasible_setup
+from oracles import (
+    mse_reference,
+    norelay_objective,
+    norelay_oracle,
+    random_feasible_setup,
+    rayleigh_channels,
+)
 
 
-class TestLocalStats:
+def _symbol_map(deltas, weights):
+    """The symbol map of ``federated.train`` at a round's updates: (symbols, mean, std)."""
+    mean, std = symbol_stats(deltas, weights)
+    return (np.asarray(deltas) - mean) / std, mean, std
+
+
+class TestSymbolStats:
     def test_two_point_vector(self):
-        assert compute_local_stats([1.0, 3.0]) == pytest.approx((2.0, 1.0))
+        assert symbol_stats([[1.0, 3.0]], DeviceWeights([1.0])) == pytest.approx((2.0, 1.0))
 
     def test_second_worked_pair(self):
-        assert compute_local_stats([2.0, 6.0]) == pytest.approx((4.0, 4.0))
+        assert symbol_stats([[2.0, 6.0]], DeviceWeights([1.0])) == pytest.approx((4.0, 2.0))
 
     def test_constant_vector(self):
-        mean, var = compute_local_stats(np.full(17, 3.25))
-        assert (mean, var) == pytest.approx((3.25, 0.0))
+        assert symbol_stats([np.full(17, 3.25)], DeviceWeights([1.0])) == (3.25, 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            compute_local_stats([])
+            symbol_stats(np.zeros((1, 0)), DeviceWeights([1.0]))
 
-    def test_stack_rows_match_single_vectors(self):
+    def test_rows_weigh_their_own_statistics(self):
         deltas = 3.0 * stream(5).standard_normal((6, 41))
-        means, variances = compute_local_stats(deltas)
-        assert means.shape == variances.shape == (6,)
-        for d, m, v in zip(deltas, means, variances):
-            assert m == d.mean()
-            assert v == np.mean((d - d.mean()) ** 2)
+        weights = DeviceWeights.from_counts(np.arange(1, 7))
+        means = [d.mean() for d in deltas]
+        variances = [np.mean((d - d.mean()) ** 2) for d in deltas]
+        assert symbol_stats(deltas, weights) == (weights.rho @ means,
+                                                 np.sqrt(weights.rho @ variances))
 
-
-class TestGlobalStats:
     def test_weighted_pair(self):
+        # Row statistics (2, 1) and (4, 4): global mean 3 and variance 2.5.
         w = DeviceWeights([0.5, 0.5])
-        assert compute_global_stats([2.0, 4.0], [1.0, 4.0], w) == pytest.approx((3.0, 2.5))
+        assert symbol_stats([[1.0, 3.0], [2.0, 6.0]], w) == pytest.approx((3.0, np.sqrt(2.5)))
 
     def test_single_device_identity(self):
-        w = DeviceWeights([1.0])
-        assert compute_global_stats([1.7], [0.3], w) == pytest.approx((1.7, 0.3))
+        # One row of mean 1.7 and variance 0.3.
+        row = [1.7 - np.sqrt(0.3), 1.7 + np.sqrt(0.3)]
+        assert symbol_stats([row], DeviceWeights([1.0])) == pytest.approx((1.7, np.sqrt(0.3)))
 
     def test_all_zero_variances(self):
         w = DeviceWeights([0.25, 0.75])
-        _, var = compute_global_stats([1.0, 2.0], [0.0, 0.0], w)
-        assert var == 0.0
+        assert symbol_stats([[1.0, 1.0], [2.0, 2.0]], w) == (1.75, 0.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            compute_global_stats([1.0], [1.0], DeviceWeights([0.5, 0.5]))
+            symbol_stats([[1.0, 2.0]], DeviceWeights([0.5, 0.5]))
 
 
-class TestNormalization:
-    def test_worked_example(self):
-        out = normalize([1.0, 3.0], 3.0, np.sqrt(2.5))
-        assert out == pytest.approx([-1.2649, 0.0], abs=1e-4)
+class TestSymbolMap:
+    def test_worked_pair(self):
+        # The pair [1, 3], [2, 6] at equal weights: mean 3, std sqrt(2.5).
+        weights = DeviceWeights([0.5, 0.5])
+        symbols, mean, std = _symbol_map([[1.0, 3.0], [2.0, 6.0]], weights)
+        assert symbols[0] == pytest.approx([-1.2649, 0.0], abs=1e-4)
+        x_hat = weights.rho @ symbols
+        assert x_hat[0] == pytest.approx(-0.9486832980505138)
+        # The AP's map back gives the weighted sum [1.5, 4.5].
+        assert std * x_hat + mean == pytest.approx([1.5, 4.5])
 
-    def test_constant_at_mean_gives_zero(self):
-        assert np.all(normalize(np.full(5, 3.0), 3.0, 2.0) == 0.0)
+    def test_row_at_the_mean_maps_to_zero(self):
+        symbols, _, _ = _symbol_map([np.full(5, 3.0), [1.0, 5.0, 1.0, 5.0, 3.0]],
+                                    DeviceWeights([0.5, 0.5]))
+        assert np.all(symbols[0] == 0.0)
 
-    def test_degenerate_std_rejected(self):
-        with pytest.raises(DegenerateUpdateError):
-            normalize([1.0], 1.0, 0.0)
+    def test_zero_symbol_maps_back_to_the_mean(self):
+        _, mean, std = _symbol_map([[1.0, 3.0], [2.0, 6.0]], DeviceWeights([0.5, 0.5]))
+        assert std * 0.0 + mean == 3.0
 
-    def test_denormalize_at_zero_returns_mean(self):
-        assert denormalize(0.0, 3.0, 2.0) == pytest.approx(3.0)
-
-    def test_denormalize_worked_example(self):
-        # matches the weighted sum of the worked update pair [1,3], [2,6]
-        assert denormalize(-0.9486832980505138, 3.0, np.sqrt(2.5)) == pytest.approx(1.5)
-
-    def test_denormalize_identity(self):
-        assert denormalize(0.7, 0.0, 1.0) == pytest.approx(0.7)
+    def test_unit_statistics_give_the_identity(self):
+        symbols, mean, std = _symbol_map([[-1.0, 1.0]], DeviceWeights([1.0]))
+        assert (mean, std) == (0.0, 1.0)
+        assert symbols[0] == pytest.approx([-1.0, 1.0])
+        assert std * 0.7 + mean == pytest.approx(0.7)
 
     @given(st.integers(min_value=2, max_value=6),
            st.integers(min_value=2, max_value=9),
@@ -108,12 +118,8 @@ class TestNormalization:
         deltas = 10.0 * rng.standard_normal((num_devices, dim))
         counts = rng.integers(1, 50, num_devices)
         weights = DeviceWeights.from_counts(counts)
-        means, variances = compute_local_stats(deltas)
-        g_mean, g_var = compute_global_stats(means, variances, weights)
-        if g_var <= 0:
-            return
-        symbols = np.stack([normalize(d, g_mean, np.sqrt(g_var)) for d in deltas])
-        recovered = denormalize(weights.rho @ symbols, g_mean, np.sqrt(g_var))
+        symbols, mean, std = _symbol_map(deltas, weights)
+        recovered = std * (weights.rho @ symbols) + mean
         truth = weights.rho @ deltas
         assert recovered == pytest.approx(truth, rel=1e-10, abs=1e-12)
 
@@ -130,7 +136,7 @@ class TestNoRelayOptimum:
 
     def test_alignment_and_tight_power(self):
         rng = stream(41)
-        h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * np.sqrt(0.5)
+        h = rayleigh_channels(rng, 4, 0).h
         weights = DeviceWeights.from_counts(rng.integers(1, 9, 4))
         p0_total = 0.3
         a, c, _ = norelay_optimum(h, weights, p0_total, 0.01)
@@ -144,7 +150,7 @@ class TestNoRelayOptimum:
         for i in range(20):
             rng = stream(42, i)
             k = int(rng.integers(1, 4))
-            h = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(0.5)
+            h = rayleigh_channels(rng, k, 0).h
             weights = DeviceWeights.from_counts(rng.integers(1, 9, k))
             p0, sigma2 = float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.01, 1.0))
             _, _, mse = norelay_optimum(h, weights, p0, sigma2)
@@ -153,7 +159,7 @@ class TestNoRelayOptimum:
 
     def test_never_beaten_by_random_aligned_points(self):
         rng = stream(43)
-        h = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * np.sqrt(0.5)
+        h = rayleigh_channels(rng, 3, 0).h
         weights = DeviceWeights.uniform(3)
         p0_total, sigma2 = 0.7, 0.05
         a_opt, c_opt, mse = norelay_optimum(h, weights, p0_total, sigma2)

@@ -636,6 +636,19 @@ class TestCli:
     def test_runs_to_a_finite_mse(self, tmp_path, command, document):
         _finite_rows(_cli(tmp_path, command, document))
 
+    # The softmax saturates to one-hot, so every model change of the last round
+    # is exactly zero and its estimate equals its zero truth.  These runs used to
+    # stop on 0 / 0 in the NMSE.
+    @pytest.mark.parametrize("scheme, fl", [
+        ("error_free", {"total_blocks": 40, "lr_base": 1.0, "separation": 100.0}),
+        ("proposed", {"total_blocks": 4, "lr_base": 1000.0, "separation": 40.0}),
+        ("no_relay", {"total_blocks": 8, "lr_base": 1000.0, "separation": 40.0}),
+    ])
+    def test_all_zero_round_reads_minus_infinity(self, tmp_path, scheme, fl):
+        rows = _finite_rows(_cli(tmp_path, "run", {"scheme": scheme, "trials": 1, "fl": fl}))
+        assert rows[-1]["nmse_db"] == float("-inf")
+        assert rows[-1]["mse_predicted"] == 0.0
+
     @pytest.mark.parametrize("command, document", EXTREME_VALUES)
     def test_extreme_value_runs_or_is_config_error(self, tmp_path, capsys, command, document):
         result = _cli(tmp_path, command, document)

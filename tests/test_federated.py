@@ -11,7 +11,6 @@ from relayfl.federated import (
     evaluate_accuracy,
     local_update,
     make_synthetic_task,
-    nmse,
     nmse_db,
     partition_iid,
     partition_shards,
@@ -293,14 +292,17 @@ class TestBatchedLocalUpdate:
 
 
 class TestGlobalUpdateAndNmse:
-    def test_nmse_values(self):
+    def test_nmse_db_values(self):
         truth = np.array([1.0, 2.0])
-        assert nmse(truth, truth) == 0.0
-        assert nmse_db(nmse(truth, truth)) == float("-inf")
-        assert nmse(np.zeros(2), truth) == pytest.approx(1.0)
-        assert nmse(2.0 * truth, truth) == pytest.approx(1.0)
+        assert nmse_db(truth, truth) == float("-inf")
+        # An exact estimate of a zero truth (a round whose every change is 0).
+        assert nmse_db(np.zeros(2), np.zeros(2)) == float("-inf")
+        # A ratio of 1 is 0 dB, and of 1/5 is -10 log10(5) dB.
+        assert nmse_db(np.zeros(2), truth) == pytest.approx(0.0)
+        assert nmse_db(2.0 * truth, truth) == pytest.approx(0.0)
+        assert nmse_db(truth + [1.0, 0.0], truth) == pytest.approx(-10.0 * np.log10(5.0))
         with pytest.raises(ZeroDivisionError):
-            nmse(truth, np.zeros(2))
+            nmse_db(truth, np.zeros(2))
 
     def test_schedule_and_state_validation(self):
         rate = federated._learning_rate

@@ -49,6 +49,7 @@ from oracles import (
     device_update_oracle,
     fd_complex_gradient,
     random_feasible_setup,
+    rayleigh_channels,
     relay_block,
     relay_update_oracle,
     solve_reference,
@@ -61,11 +62,7 @@ def random_instance(seed, num_devices, num_relays, p0=1.0, pr=2.0, sigma2=0.1,
                     uniform=True):
     rng = stream(seed)
     k, n = num_devices, num_relays
-    ch = ChannelRealization(
-        h=(rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(0.5),
-        g=(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) * np.sqrt(0.5),
-        f=(rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5),
-    )
+    ch = rayleigh_channels(rng, k, n)
     weights = (DeviceWeights.uniform(k) if uniform
                else DeviceWeights.from_counts(rng.integers(1, 9, k)))
     return ch, weights, PowerBudget(p0=p0, pr=pr, sigma2=sigma2), rng

@@ -120,11 +120,6 @@ CLI_UNREACHED = {
     "optimizer.SolverTrace.iterations_run": "perfbench/workload.py solve_quality",
     'cli.main: config = override(config, "master_seed", args.seed)':
         "relayfl run --seed; tests/test_experiment.py",
-    "federated.train: estimate = np.full(dim, g_mean)":
-        "library calls whose local updates are constant across devices; "
-        "test_zero_variance_round_sends_the_weighted_mean",
-    "federated.train: elif g_var <= 0.0: mse_pred = 0.0":
-        "as above; test_zero_variance_round_sends_the_weighted_mean",
     "optimizer.update_device_scalars: if base_dual == -np.inf: break":
         "library calls with overflowing relay powers; "
         "test_non_finite_first_dual_keeps_the_fallbacks",

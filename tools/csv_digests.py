@@ -71,6 +71,11 @@ def reference_configs() -> dict[str, tuple[str, dict]]:
                                                     "layout": {"kind": "cell"},
                                                     "budget": {"noise_dbm": 100.0},
                                                     "fl": {"total_blocks": 4}})
+    # The only config with a round whose every model change is exactly zero (the
+    # softmax saturates), so that round sends the mean and transmits nothing.
+    configs["zero-update-proposed"] = ("run", {"scheme": "proposed", "trials": 1,
+                                               "fl": {"total_blocks": 4, "lr_base": 1000.0,
+                                                      "separation": 40.0}})
     return configs
 
 
