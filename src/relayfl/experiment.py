@@ -2,9 +2,11 @@
 
 Configs are JSON documents whose keys match the ExperimentConfig fields; one
 loader checks every value against its field's annotation, type and declared
-range, and rejects unknown keys at any level so typos fail loudly.  Every
-trial derives its own random stream from (master_seed, sweep index, trial
-index), which makes runs reproducible and trial order irrelevant.
+range, and rejects unknown keys at any level so typos fail loudly.  One runner
+loops over the sweep points and trials of both studies.  Every trial derives
+its own random stream, from (master_seed, sweep index, trial index) for a run
+and from (master_seed, trial index) for a theorem sweep, which makes results
+reproducible and trial order irrelevant.
 """
 
 from __future__ import annotations
@@ -323,6 +325,31 @@ def run_trial(config: ExperimentConfig, sweep_index: int, trial: int) -> list:
         fl.lr_base, fl.total_blocks, rng, csi_kappa=config.csi_kappa, tau=fl.tau)[0]
 
 
+def theorem_trial(config: ExperimentConfig, trial: int) -> tuple[float, list]:
+    """Sample one single-relay instance and certify the analytic relaying bound.
+
+    Returns the instance's delta and two rounds of metrics sharing the condition
+    booleans and mse_norelay_bound, the no-relay optimum at the 2*p0 budget
+    (``single_relay.theorem_certificate``): round 0 carries the analytic
+    construction's MSE in mse_predicted, round 1 the last objective of the full
+    solver warm-started from that construction.  The instance is drawn from a
+    stream keyed by (master_seed, trial), so instances can run in any order.
+    """
+    budget = _power_budget(config)
+    weights = agg.DeviceWeights.uniform(config.num_devices)
+    rng = geometry.stream(config.master_seed, trial)
+    layout = _make_layout(config, rng)
+    channels = geometry.realize_channels(geometry.path_gain_profile(layout), rng)
+    delta, bound, cond40, cond41 = single_relay.theorem_certificate(channels, weights, budget)
+    start, start_mse = single_relay.analytic_construction(channels, weights, budget)
+    _, trace = optimizer.solve(channels, weights, budget, config.solver,
+                               optimizer.SchemeVariant.FULL, warm_start=start)
+    return delta, [federated.RoundMetrics(
+        round=rnd, blocks_used=0, nmse_db=None, test_accuracy=None, mse_predicted=mse,
+        mse_norelay_bound=bound, cond40=cond40, cond41=cond41)
+        for rnd, mse in ((0, start_mse), (1, trace.objectives[-1]))]
+
+
 @contextmanager
 def _trial_numerics(where: str):
     """Report a trial whose numbers leave the double range as a configuration error;
@@ -335,54 +362,37 @@ def _trial_numerics(where: str):
                           f"floating-point range ({type(exc).__name__}: {exc})") from exc
 
 
-def run_experiment(config: ExperimentConfig) -> list[dict]:
-    """All sweep points and trials; returns one row dict per round (CSV_COLUMNS)."""
-    if config.sweep is None:
-        key, points = "", [("", config)]
-    else:
-        key, points = config.sweep.key, sweep_points(config)
+def _run_trials(config: ExperimentConfig, key: str, trial_fn) -> list[dict]:
+    """Every trial of every sweep point, in order; one row dict per round (CSV_COLUMNS).
+
+    ``trial_fn(cfg, sweep_index, value, trial)`` runs one trial of sweep point
+    `cfg` and returns the row's sweep value and the trial's per-round metrics;
+    its failures name the sweep point (when there is a sweep) and the trial.
+    """
+    points = [("", config)] if config.sweep is None else sweep_points(config)
     rows = []
     for sweep_index, (value, cfg) in enumerate(points):
+        point = "" if config.sweep is None else f"sweep value {value!r}, "
         for trial in range(cfg.trials):
-            where = f"sweep value {value!r}, trial {trial}" if key else f"trial {trial}"
-            with _trial_numerics(where):
-                metrics = run_trial(cfg, sweep_index, trial)
-            rows.extend(_row(key, value, trial, m) for m in metrics)
+            with _trial_numerics(f"{point}trial {trial}"):
+                row_value, metrics = trial_fn(cfg, sweep_index, value, trial)
+            rows.extend(_row(key, row_value, trial, m) for m in metrics)
     return rows
 
 
-def theorem_sweep(config: ExperimentConfig) -> list[dict]:
-    """Sample single-relay instances and certify the analytic relaying bound.
+def run_experiment(config: ExperimentConfig) -> list[dict]:
+    """All sweep points and trials; returns one row dict per round (CSV_COLUMNS)."""
+    return _run_trials(config, "" if config.sweep is None else config.sweep.key,
+                       lambda cfg, index, value, trial: (value, run_trial(cfg, index, trial)))
 
-    Each instance (one per trial) contributes two rows sharing delta, the
-    condition booleans and mse_norelay_bound, the no-relay optimum at the
-    2*p0 budget (``single_relay.theorem_certificate``): round 0 carries the
-    analytic construction's MSE in mse_predicted, round 1 the last objective
-    of the full solver warm-started from that construction.
-    """
+
+def theorem_sweep(config: ExperimentConfig) -> list[dict]:
+    """``theorem_trial`` for every trial; each instance gives two rows keyed by its delta."""
     if config.num_relays != 1:
         raise ConfigError("theorem sweep requires num_relays = 1")
     if config.sweep is not None:
         raise ConfigError("theorem sweep takes no sweep section")
-    budget = _power_budget(config)
-    weights = agg.DeviceWeights.uniform(config.num_devices)
-    rows = []
-    for trial in range(config.trials):
-        with _trial_numerics(f"trial {trial}"):
-            rng = geometry.stream(config.master_seed, trial)
-            layout = _make_layout(config, rng)
-            gains = geometry.path_gain_profile(layout)
-            channels = geometry.realize_channels(gains, rng)
-            delta, bound, cond40, cond41 = single_relay.theorem_certificate(
-                channels, weights, budget)
-            start, start_mse = single_relay.analytic_construction(channels, weights, budget)
-            _, trace = optimizer.solve(channels, weights, budget, config.solver,
-                                       optimizer.SchemeVariant.FULL, warm_start=start)
-        for rnd, mse in ((0, start_mse), (1, trace.objectives[-1])):
-            rows.append(_row("delta", delta, trial, federated.RoundMetrics(
-                round=rnd, blocks_used=0, nmse_db=None, test_accuracy=None,
-                mse_predicted=mse, mse_norelay_bound=bound, cond40=cond40, cond41=cond41)))
-    return rows
+    return _run_trials(config, "delta", lambda cfg, _i, _v, trial: theorem_trial(cfg, trial))
 
 
 def _row(key: str, value, trial: int, metrics: federated.RoundMetrics) -> dict:

@@ -35,13 +35,12 @@ def snr_summary(channels: ChannelRealization,
     The peak received SNRs at the AP, one per device and one of the relay,
     and the worst-case SNR ratio delta: the worst device-to-AP SNR over the
     worst device-to-relay SNR.  delta at or below one means the relay hears
-    every device at least as well as the AP does.
+    every device at least as well as the AP does.  A worst device-to-relay SNR
+    that underflows to zero leaves delta undefined and raises ZeroDivisionError.
     """
     h2, g2, f2 = _link_powers(channels)
     snr_ap = budget.p0 * h2 / budget.sigma2
     worst_relay = float(np.min(budget.p0 * g2 / budget.sigma2))
-    if worst_relay == 0:
-        raise ValueError("worst device-to-relay SNR is zero; delta undefined")
     delta = float(np.min(snr_ap)) / worst_relay
     return snr_ap, budget.pr * f2 / budget.sigma2, delta
 

@@ -3,9 +3,10 @@
 perfbench/spec.py declares per-layer metrics such as
 ``optimizer.update_device_scalars.busy_s``; the tracer produces one only while
 ``relayfl.optimizer.update_device_scalars`` is a public function defined in
-that module, and it binds ``optimizer.solve``'s arguments by name.  A refactor
-that renames or drops one would otherwise show up only as "per-layer metrics
-not produced" from ``perfbench/run.py --trace 1``.  spec.py is read, never
+that module.  It also binds the arguments of ``optimizer.solve`` by name, and
+those of ``experiment.run_trial``, whose ``sweep_index`` and ``trial`` label
+each traced solve.  A refactor that renames or drops one would otherwise show
+up only when ``perfbench/run.py --trace 1`` runs.  spec.py is read, never
 edited.
 """
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from relayfl import optimizer
+from relayfl import experiment, optimizer
 
 SPEC_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
 
@@ -37,6 +38,9 @@ def test_traced_function_is_public_in_its_module(module, function):
     assert fn.__module__ == f"relayfl.{module}", f"{function} is defined elsewhere"
 
 
-def test_solve_binds_the_traced_arguments_by_name():
-    assert list(inspect.signature(optimizer.solve).parameters) == [
-        "channels", "weights", "budget", "solver_cfg", "variant", "warm_start"]
+@pytest.mark.parametrize("fn, names", [
+    (optimizer.solve, ["channels", "weights", "budget", "solver_cfg", "variant", "warm_start"]),
+    (experiment.run_trial, ["config", "sweep_index", "trial"]),
+], ids=["optimizer.solve", "experiment.run_trial"])
+def test_solve_binds_the_traced_arguments_by_name(fn, names):
+    assert list(inspect.signature(fn).parameters) == names

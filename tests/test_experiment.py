@@ -26,6 +26,7 @@ from relayfl.experiment import (
     run_trial,
     sweep_points,
     theorem_sweep,
+    theorem_trial,
     write_csv,
 )
 from relayfl.geometry import stream
@@ -208,6 +209,13 @@ class TestRunExperiment:
         for metric, row in zip(lone, from_batch):
             assert row["nmse_db"] == pytest.approx(metric.nmse_db)
             assert row["test_accuracy"] == pytest.approx(metric.test_accuracy)
+        # A theorem instance is keyed by (master seed, trial) alone, so one run by
+        # itself gives exactly the sweep's rows of that trial.
+        theorem = tiny_config(scheme="proposed", trials=3)
+        delta, rounds = theorem_trial(theorem, 1)
+        assert [r for r in theorem_sweep(theorem) if r["trial"] == 1] == [
+            {"sweep_key": "delta", "sweep_value": delta, "trial": 1, **dataclasses.asdict(m)}
+            for m in rounds]
 
     def test_sweep_applies_values(self):
         config = tiny_config(scheme="no_relay", trials=1,
@@ -453,6 +461,16 @@ CONFIG_ERRORS = [
     pytest.param("run", _sweep("p0_watts", 0.05, 1e-300),
                  "sweep value 1e-300, trial 0: the configuration drives the computation out "
                  "of the floating-point range (OverflowError", id="numerical-failure"),
+    # Every farthest link passes, but a Rayleigh draw underflows a device-to-relay
+    # SNR to zero, which leaves the certificate's delta undefined.
+    pytest.param("theorem-sweep", {"trials": 1, "budget": {"p0_watts": 1e-306,
+                                                           "noise_dbm": 100.0}},
+                 "trial 0: the configuration drives the computation out of the "
+                 "floating-point range (ZeroDivisionError", id="theorem-relay-snr-underflow"),
+    pytest.param("run", {"scheme": "error_free", "trials": 1, "fl": {"total_blocks": 2},
+                         "budget": {"p0_watts": 1e-306, "noise_dbm": 100.0}},
+                 "trial 0: the configuration drives the computation out of the "
+                 "floating-point range (ZeroDivisionError", id="run-relay-snr-underflow"),
     # The relay's distance leaves a farthest link's gain out of the double range.
     pytest.param("run", _one_trial(layout={"x_relay": 1e308}), "layout.x_relay and ",
                  id="farthest-link-x-relay-huge"),

