@@ -29,7 +29,7 @@ class DeviceWeights:
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=float).reshape(-1)
         object.__setattr__(self, "rho", rho)
-        if rho.size < 1 or np.any(rho <= 0):
+        if not (rho.size >= 1 and np.all(rho > 0)):
             raise ValueError("weights must be positive")
         if abs(rho.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
@@ -53,7 +53,7 @@ class PowerBudget:
     sigma2: float
 
     def __post_init__(self):
-        if self.p0 <= 0 or self.pr <= 0 or self.sigma2 <= 0:
+        if not (self.p0 > 0 and self.pr > 0 and self.sigma2 > 0):
             raise ValueError("powers must be positive")
 
 
@@ -110,7 +110,7 @@ def norelay_optimum(h: np.ndarray, weights: DeviceWeights, p0_total: float,
     rho = weights.rho
     if h.shape != rho.shape:
         raise ValueError("channel and weight lengths differ")
-    if p0_total <= 0 or sigma2 <= 0:
+    if not (p0_total > 0 and sigma2 > 0):
         raise ValueError("powers must be positive")
     mag = np.abs(h)
     if np.any(mag == 0):

@@ -127,7 +127,7 @@ def make_synthetic_task(num_classes: int, feature_dim: int, samples_per_class: i
 
     Returns a deterministic 80/20 train/test split of the shuffled samples.
     """
-    if min(num_classes, feature_dim, samples_per_class) < 1 or separation <= 0:
+    if not (min(num_classes, feature_dim, samples_per_class) >= 1 and separation > 0):
         raise ValueError("task parameters must be positive")
     if num_classes * samples_per_class < 2:
         raise ValueError("task needs at least two samples for a train/test split")
@@ -313,7 +313,7 @@ def train(scheme: str, task: LearningTask, partition: Partition,
     """
     if total_blocks < 1:
         raise ValueError("total_blocks must be at least 1")
-    if lr_base <= 0 or tau < 1:
+    if not (lr_base > 0 and tau >= 1):
         raise ValueError("lr must be positive and tau at least 1")
     if layout.num_devices != partition.num_devices:
         raise ValueError("layout and partition disagree on the device count")

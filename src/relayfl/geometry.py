@@ -142,7 +142,7 @@ def path_loss(distance):
     Accepts scalars or arrays; distances must be strictly positive.
     """
     d = np.asarray(distance, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):
         raise ValueError("path loss requires a positive distance")
     gain = ANTENNA_GAIN * (SPEED_OF_LIGHT / (4.0 * np.pi * CARRIER_FREQ * d)) ** PATHLOSS_EXPONENT
     return gain if gain.ndim else float(gain)

@@ -90,7 +90,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.j_max < 1:
             raise ValueError("j_max must be at least 1")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
 
 

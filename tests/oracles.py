@@ -242,17 +242,15 @@ def local_update_reference(w, task, device_indices, tau, lr):
 
 
 def local_update_row_major(w, task, device_indices, tau, lr):
-    """The same model change with sample-major logits (n, C) and row softmax,
-    whose class sum NumPy groups pairwise for C >= 8."""
-    x = np.column_stack([task.train_features[device_indices], np.ones(len(device_indices))])
+    """The same model change as tau steps of `cross_entropy_gradient`, with
+    sample-major logits (n, C) and row softmax, whose class sum NumPy groups
+    pairwise for C >= 8."""
+    features = task.train_features[device_indices]
     labels = task.train_labels[device_indices]
-    w_local = w.copy()
+    w_local = w
     for _ in range(tau):
-        logits = x @ w_local.reshape(task.num_classes, x.shape[1]).T
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs = e / e.sum(axis=1, keepdims=True)
-        probs[np.arange(labels.size), labels] -= 1.0
-        w_local = w_local - lr * ((probs.T @ x).reshape(-1) / labels.size)
+        w_local = w_local - lr * cross_entropy_gradient(w_local, features, labels,
+                                                        task.num_classes)
     return w_local - w
 
 
@@ -298,6 +296,14 @@ def summarize(rows, column, final_round_only=False):
             stderr = float("nan") if not np.all(np.isfinite(arr)) else 0.0
         out[value] = {"mean": float(arr.mean()), "stderr": stderr, "count": arr.size}
     return out
+
+
+def misalignment_of(config, ch, weights):
+    """The misalignment |c1 h a1 + c2 h a2 + c2 a1 path - rho|^2, summed with ``np.sum``."""
+    relay_path = ch.g @ (ch.f * config.b) if config.b.size else 0.0
+    gains = (config.c1 * ch.h * config.a1 + config.c2 * ch.h * config.a2
+             + config.c2 * config.a1 * relay_path)
+    return float(np.sum(np.abs(gains - weights.rho) ** 2))
 
 
 def mse_reference(config, ch, weights, sigma2):

@@ -14,7 +14,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from oracles import (
     c1_block,
@@ -22,6 +21,7 @@ from oracles import (
     device_block,
     device_update_oracle,
     fd_complex_gradient,
+    misalignment_of,
     norelay_oracle,
     random_feasible_setup,
     rayleigh_channels,
@@ -33,6 +33,7 @@ from relayfl import federated
 from relayfl.aggregation import (
     DeviceWeights,
     PowerBudget,
+    max_constraint_violation,
     norelay_optimum,
     relay_mse,
     simulate_round,
@@ -99,7 +100,7 @@ def test_criterion_02_analytic_mse_matches_monte_carlo():
 
 
 def test_criterion_03_solver_monotone_and_converges():
-    with criterion(3, "200 solves (K=20, N in {1,4}): monotone traces, >=95% epsilon-converged"):
+    with criterion(3, "200 solves (K=20, N in {1,4}): feasible, monotone, >=95% epsilon-converged"):
         solver_cfg = SolverConfig(j_max=100, epsilon=1e-4)
         weights = DeviceWeights.uniform(20)
         converged = 0
@@ -110,7 +111,8 @@ def test_criterion_03_solver_monotone_and_converges():
             else:
                 layout = cell_layout(20, 4, rng)
             ch = realize_channels(path_gain_profile(layout), rng)
-            _, trace = solve(ch, weights, TABLE_BUDGET, solver_cfg)
+            cfg, trace = solve(ch, weights, TABLE_BUDGET, solver_cfg)
+            assert max_constraint_violation(cfg, ch, TABLE_BUDGET) <= 1e-9
             diffs = np.diff(trace.objectives)
             assert np.all(diffs <= 1e-9 * np.abs(trace.objectives[:-1]))
             converged += trace.terminated_by == "converged"
@@ -191,10 +193,7 @@ def test_criterion_05_device_qcqp_matches_slsqp_oracle():
             cfg = replace(cfg, c1=c1_block(cfg, ch, weights, budget))
             cfg = replace(cfg, c2=c2_block(cfg, ch, weights, budget))
             a1, a2, _ = device_block(cfg, ch, weights, budget)
-            relay_path = ch.g @ (ch.f * cfg.b) if n else np.zeros(k)
-            theta = cfg.c1 * ch.h + cfg.c2 * relay_path
-            phi = cfg.c2 * ch.h
-            mine = float(np.sum(np.abs(theta * a1 + phi * a2 - weights.rho) ** 2))
+            mine = misalignment_of(replace(cfg, a1=a1, a2=a2), ch, weights)
             oracle = device_update_oracle(cfg, ch, weights, budget, seed=i)
             assert np.isfinite(oracle)
             assert abs(mine - oracle) <= 1e-4 * max(oracle, 1e-12)

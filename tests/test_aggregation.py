@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from relayfl.aggregation import (
     DeviceWeights,
     PowerBudget,
-    SingularChannelError,
     TransceiverConfig,
     _combined_gains,
     _misalignment_power,
@@ -52,10 +51,6 @@ class TestSymbolStats:
     def test_constant_vector(self):
         assert symbol_stats([np.full(17, 3.25)], DeviceWeights([1.0])) == (3.25, 0.0)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            symbol_stats(np.zeros((1, 0)), DeviceWeights([1.0]))
-
     def test_rows_weigh_their_own_statistics(self):
         deltas = 3.0 * stream(5).standard_normal((6, 41))
         weights = DeviceWeights.from_counts(np.arange(1, 7))
@@ -77,10 +72,6 @@ class TestSymbolStats:
     def test_all_zero_variances(self):
         w = DeviceWeights([0.25, 0.75])
         assert symbol_stats([[1.0, 1.0], [2.0, 2.0]], w) == (1.75, 0.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            symbol_stats([[1.0, 2.0]], DeviceWeights([0.5, 0.5]))
 
 
 class TestSymbolMap:
@@ -170,10 +161,6 @@ class TestNoRelayOptimum:
             a = weights.rho / (c * h)
             assert np.all(np.abs(a) ** 2 <= p0_total * (1 + 1e-12))
             assert norelay_objective(a, c, h, weights.rho, sigma2) >= mse - 1e-12
-
-    def test_zero_channel_rejected(self):
-        with pytest.raises(SingularChannelError):
-            norelay_optimum(np.array([0j, 1 + 0j]), DeviceWeights([0.5, 0.5]), 1.0, 0.1)
 
 
 class TestRelayMse:
@@ -335,15 +322,28 @@ def _one_device_round(symbols):
 
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: DeviceWeights([1.5, -0.5]), "positive", id="weights-negative"),
+    pytest.param(lambda: DeviceWeights([np.nan]), "positive", id="weights-nan"),
     pytest.param(lambda: DeviceWeights([0.3, 0.3]), "sum to one", id="weights-sum"),
     pytest.param(lambda: PowerBudget(p0=0.0, pr=1.0, sigma2=0.1), "positive",
                  id="budget-zero-p0"),
+    pytest.param(lambda: PowerBudget(p0=np.nan, pr=1.0, sigma2=0.1), "positive",
+                 id="budget-nan-p0"),
     pytest.param(lambda: TransceiverConfig(a1=[1.0], a2=[1.0, 1.0], b=[], c1=1.0, c2=1.0),
                  "equal length", id="config-lengths"),
     pytest.param(lambda: norelay_optimum(np.ones(2, dtype=complex), DeviceWeights([1.0]),
                                          1.0, 0.1), "lengths differ", id="norelay-lengths"),
     pytest.param(lambda: norelay_optimum(np.ones(1, dtype=complex), DeviceWeights([1.0]),
                                          0.0, 0.1), "positive", id="norelay-zero-power"),
+    pytest.param(lambda: norelay_optimum(np.ones(1, dtype=complex), DeviceWeights([1.0]),
+                                         np.nan, 0.1), "positive", id="norelay-nan-power"),
+    pytest.param(lambda: norelay_optimum(np.array([0j, 1 + 0j]), DeviceWeights([0.5, 0.5]),
+                                         1.0, 0.1), "zero device-to-AP channel",
+                 id="norelay-zero-channel"),
+    pytest.param(lambda: symbol_stats(np.zeros((1, 0)), DeviceWeights([1.0])), "K x d stack",
+                 id="symbol-stats-empty"),
+    # symbol_stats leaves the row count to NumPy's product with the weights.
+    pytest.param(lambda: symbol_stats([[1.0, 2.0]], DeviceWeights([0.5, 0.5])),
+                 "mismatch in its core dimension", id="symbol-stats-lengths"),
     pytest.param(lambda: _one_device_round(np.zeros(3)), "K x d", id="round-symbols-1d"),
 ])
 def test_bad_input_raises_value_error(call, match):

@@ -67,10 +67,6 @@ class TestConfig:
         assert dbm_to_watts(-70.0) == pytest.approx(1e-10)
         assert dbm_to_watts(30.0) == pytest.approx(1.0)
 
-    def test_zero_trials_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config({"trials": 0})
-
     @pytest.mark.parametrize("solver", [
         {"epsilon": float("nan")}, {"epsilon": float("inf")}, {"epsilon": float("-inf")},
         {"epsilon": "1e-4"}, {"j_max": 1.5}, {"j_max": 2.0}, {"j_max": True}, {"j_max": False},
@@ -100,26 +96,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^fl\.lr_base must be at least 1e-05$"):
             parse_config({"fl": {"lr_base": np.nextafter(federated.LR_FLOOR, 0.0)}})
 
-    def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError, match="colour"):
-            parse_config({"colour": "red"})
-
-    def test_unknown_nested_key(self):
-        with pytest.raises(ConfigError, match="budget.p9"):
-            parse_config({"budget": {"p9_watts": 1.0}})
-
-    def test_bad_scheme(self):
-        with pytest.raises(ConfigError):
-            parse_config({"scheme": "wishful"})
-
-    def test_sweep_key_validated(self):
-        with pytest.raises(ConfigError):
-            parse_config({"sweep": {"key": "nonsense", "values": [1]}})
-
-    def test_kappa_range(self):
-        with pytest.raises(ConfigError):
-            parse_config({"csi_kappa": 1.5})
-
     def test_line_layout_requires_one_relay(self):
         with pytest.raises(ConfigError, match="one relay"):
             parse_config({"num_relays": 3})
@@ -131,12 +107,6 @@ class TestConfig:
         config = load_config(str(path))
         assert config.scheme == "no_relay"
         assert config.trials == 3
-
-    def test_load_config_bad_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_config(str(path))
 
 
 JSON_VALUES = st.recursive(
@@ -486,7 +456,10 @@ CONFIG_ERRORS = [
                                    budget={"p0_watts": 5e-324}),
                  "budget.p0_watts must give finite, nonzero path gains and power-to-noise "
                  "ratios on every link\n", id="farthest-link-relay-free-p0-tiny"),
+    pytest.param("run", {"colour": "red"}, "unknown key colour\n", id="unknown-top-level-key"),
     # Files the JSON reader refuses.
+    pytest.param("run", b"{not json", "configuration is not readable JSON: ",
+                 id="unparseable-syntax"),
     pytest.param("run", b'{"trials": 1, "x": "\xff"}', "configuration is not readable JSON: ",
                  id="unparseable-not-utf8"),
     pytest.param("run", b"[" * 200_000 + b"]" * 200_000, "configuration is not readable JSON: ",

@@ -112,11 +112,6 @@ class TestPartitions:
         for idx in part.assignments:
             assert np.unique(task.train_labels[idx]).size <= 2 * c
 
-    def test_too_many_shards_rejected(self):
-        task = small_task(samples_per_class=5, num_classes=2, feature_dim=2)
-        with pytest.raises(ValueError):
-            partition_shards(task, 8, 2)
-
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3))
     @settings(max_examples=20, deadline=None)
     def test_partition_disjoint_covering(self, devices, shards):
@@ -304,23 +299,6 @@ class TestGlobalUpdateAndNmse:
         with pytest.raises(ZeroDivisionError):
             nmse_db(truth, np.zeros(2))
 
-    def test_schedule_and_state_validation(self):
-        rate = federated._learning_rate
-        assert rate(0.05, 1) == pytest.approx(0.05)
-        assert rate(0.05, 49) == pytest.approx(0.05)
-        assert rate(0.05, 50) == pytest.approx(0.045)
-        assert rate(0.05, 10**9) == pytest.approx(1e-5)
-        task = small_task(seed=30, num_classes=3, feature_dim=5, samples_per_class=40)
-        rng = stream(30, 1)
-        layout = line_layout(4, rng)
-        partition = partition_iid(task, 4, rng)
-        for lr_base, tau in ((0.0, 1), (0.05, 0)):
-            with pytest.raises(ValueError, match="lr must be positive and tau at least 1"):
-                train("error_free", task, partition, layout, BUDGET, SolverConfig(),
-                      lr_base, 2, rng, tau=tau)
-        with pytest.raises(ValueError):
-            Partition(assignments=(np.array([1, 2]), np.array([2, 3])))
-
 
 # (lr_base, round, rate): the first decay at round LR_STEP = 50, the second at 100,
 # the floor 1e-5 first reached at round 4050, and a base under the floor lifted to it.
@@ -468,32 +446,42 @@ class TestTrain:
         assert [m.mse_predicted for m in metrics] == [0.0, 0.0, 0.0]
         assert w == pytest.approx(np.full(task.model_dim, 3 * mean), rel=1e-15)
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            self._run("shout_louder")
 
-
-def _train_four_devices(blocks=2, layout_devices=4):
+def _train_four_devices(scheme="error_free", lr_base=0.05, blocks=2, layout_devices=4, tau=1):
     task = small_task(seed=30, num_classes=3, feature_dim=5, samples_per_class=40)
     rng = stream(30, 1)
     partition = partition_iid(task, 4, rng)
-    return train("error_free", task, partition, line_layout(layout_devices, rng), BUDGET,
-                 SolverConfig(), 0.05, blocks, rng)
+    return train(scheme, task, partition, line_layout(layout_devices, rng), BUDGET,
+                 SolverConfig(), lr_base, blocks, rng, tau=tau)
 
 
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: Partition(assignments=(np.array([0, 1]), np.array([], dtype=int))),
                  "at least one sample", id="partition-empty-device"),
+    pytest.param(lambda: Partition(assignments=(np.array([1, 2]), np.array([2, 3]))),
+                 "overlap", id="partition-overlap"),
     pytest.param(lambda: make_synthetic_task(0, 4, 10, 1.0, stream(1)), "positive",
                  id="task-no-classes"),
+    pytest.param(lambda: make_synthetic_task(2, 2, 5, np.nan, stream(1)), "positive",
+                 id="task-nan-separation"),
     pytest.param(lambda: make_synthetic_task(1, 4, 1, 1.0, stream(1)), "two samples",
                  id="task-one-sample"),
     pytest.param(lambda: partition_iid(small_task(), 1000, stream(1)), "fewer training samples",
                  id="iid-too-many-devices"),
+    pytest.param(lambda: partition_shards(small_task(samples_per_class=5, num_classes=2,
+                                                     feature_dim=2), 8, 2),
+                 "shard count", id="shards-too-many"),
     pytest.param(lambda: local_update(np.zeros(small_task().model_dim),
                                       small_task().train_data(np.arange(5)), 0, 0.1),
                  "tau", id="local-update-tau-zero"),
     pytest.param(lambda: _train_four_devices(blocks=0), "total_blocks", id="train-zero-blocks"),
+    pytest.param(lambda: _train_four_devices("shout_louder"), "unknown scheme",
+                 id="train-unknown-scheme"),
+    pytest.param(lambda: _train_four_devices(lr_base=0.0), "lr must be positive",
+                 id="train-zero-lr"),
+    pytest.param(lambda: _train_four_devices(lr_base=np.nan), "lr must be positive",
+                 id="train-nan-lr"),
+    pytest.param(lambda: _train_four_devices(tau=0), "tau at least 1", id="train-zero-tau"),
     pytest.param(lambda: _train_four_devices(layout_devices=3), "disagree",
                  id="train-device-count-mismatch"),
 ])

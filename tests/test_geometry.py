@@ -25,11 +25,6 @@ class TestPathLoss:
         assert path_loss(100.0) == pytest.approx(7.300e-11, rel=1e-3)
         assert path_loss(100.0) == pytest.approx(path_loss(1.0) / 1e6)
 
-    @pytest.mark.parametrize("distance", [0.0, -1.0])
-    def test_nonpositive_distance_rejected(self, distance):
-        with pytest.raises(ValueError):
-            path_loss(distance)
-
     @given(st.floats(min_value=0.1, max_value=1e4),
            st.floats(min_value=1.01, max_value=10.0))
     @settings(max_examples=50, deadline=None)
@@ -109,14 +104,6 @@ class TestRealizeChannels:
 
 
 class TestChannelRealization:
-    @pytest.mark.parametrize("link", ["h", "g", "f"])
-    def test_zero_gain_rejected(self, link):
-        gains = {"h": np.ones(3, dtype=complex), "g": np.full((3, 2), 0.5 - 0.5j),
-                 "f": np.array([1j, 2.0])}
-        gains[link].flat[1] = 0
-        with pytest.raises(SingularChannelError):
-            ChannelRealization(**gains)
-
     def test_error_is_the_one_aggregation_raises(self):
         assert aggregation.SingularChannelError is SingularChannelError
         assert issubclass(SingularChannelError, ValueError)
@@ -152,12 +139,6 @@ class TestCsiError:
         diff = _entries(perceived) - np.sqrt(kappa) * _entries(ch)
         assert np.mean(np.abs(diff) ** 2 / _entries(gains)) == pytest.approx(1 - kappa, rel=0.02)
 
-    @pytest.mark.parametrize("kappa", [-0.1, 1.1])
-    def test_kappa_out_of_range(self, kappa):
-        ch, gains = _many_device_channels(1, num_devices=3)
-        with pytest.raises(ValueError):
-            perturb_channels(ch, gains, kappa, stream(1))
-
     def test_perturb_channels_perfect_csi(self):
         layout = _toy_layout()
         gains = path_gain_profile(layout)
@@ -190,11 +171,6 @@ class TestLayouts:
         spacing = np.diff(angles)
         assert spacing == pytest.approx(np.full(3, np.pi / 2))
 
-    def test_coincident_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            NodeLayout(ap_position=[0, 0], relay_positions=[[0, 0]],
-                       device_positions=[[1, 1]])
-
     def test_stream_is_order_independent(self):
         a = stream(42, 0, 5).standard_normal(4)
         _ = stream(42, 0, 3).standard_normal(4)
@@ -202,7 +178,21 @@ class TestLayouts:
         assert np.array_equal(a, b)
 
 
+def _zero_gain(link):
+    """A one-relay realization whose `link` ("h", "g" or "f") has one zero gain."""
+    gains = {"h": np.ones(3, dtype=complex), "g": np.full((3, 2), 0.5 - 0.5j),
+             "f": np.array([1j, 2.0])}
+    gains[link].flat[1] = 0
+    return ChannelRealization(**gains)
+
+
 @pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: path_loss(0.0), "positive distance", id="path-loss-zero"),
+    pytest.param(lambda: path_loss(-1.0), "positive distance", id="path-loss-negative"),
+    pytest.param(lambda: path_loss(np.nan), "positive distance", id="path-loss-nan"),
+    pytest.param(lambda: NodeLayout(ap_position=[0, 0], relay_positions=[[0, 0]],
+                                    device_positions=[[1, 1]]),
+                 "coincident nodes", id="layout-coincident-nodes"),
     pytest.param(lambda: NodeLayout(ap_position=[0, 0], relay_positions=[[50, 0]],
                                     device_positions=np.zeros((0, 2))),
                  "at least one device", id="layout-no-devices"),
@@ -211,6 +201,14 @@ class TestLayouts:
                  "finite", id="layout-infinite-device"),
     pytest.param(lambda: ChannelRealization(h=[np.inf + 0j], g=[[1.0 + 0j]], f=[1.0 + 0j]),
                  "finite", id="channel-infinite-gain"),
+    # SingularChannelError, a ValueError.
+    pytest.param(lambda: _zero_gain("h"), "nonzero", id="channel-zero-h"),
+    pytest.param(lambda: _zero_gain("g"), "nonzero", id="channel-zero-g"),
+    pytest.param(lambda: _zero_gain("f"), "nonzero", id="channel-zero-f"),
+    pytest.param(lambda: perturb_channels(*_many_device_channels(1, 3), -0.1, stream(1)),
+                 r"\[0, 1\]", id="kappa-negative"),
+    pytest.param(lambda: perturb_channels(*_many_device_channels(1, 3), 1.1, stream(1)),
+                 r"\[0, 1\]", id="kappa-above-one"),
     pytest.param(lambda: line_layout(0, stream(1)), "at least one device", id="line-no-devices"),
     pytest.param(lambda: cell_layout(0, 2, stream(1)), "at least one device",
                  id="cell-no-devices"),

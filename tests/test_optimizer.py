@@ -4,12 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from dataclasses import replace
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from relayfl.aggregation import (
     DeviceWeights,
     PowerBudget,
-    SingularChannelError,
     TransceiverConfig,
     _combined_gains,
     _misalignment_power,
@@ -48,6 +47,7 @@ from oracles import (
     device_block,
     device_update_oracle,
     fd_complex_gradient,
+    misalignment_of,
     random_feasible_setup,
     rayleigh_channels,
     relay_block,
@@ -66,13 +66,6 @@ def random_instance(seed, num_devices, num_relays, p0=1.0, pr=2.0, sigma2=0.1,
     weights = (DeviceWeights.uniform(k) if uniform
                else DeviceWeights.from_counts(rng.integers(1, 9, k)))
     return ch, weights, PowerBudget(p0=p0, pr=pr, sigma2=sigma2), rng
-
-
-def misalignment_of(config, ch, weights):
-    relay_path = ch.g @ (ch.f * config.b) if config.b.size else 0.0
-    gains = (config.c1 * ch.h * config.a1 + config.c2 * ch.h * config.a2
-             + config.c2 * config.a1 * relay_path)
-    return float(np.sum(np.abs(gains - weights.rho) ** 2))
 
 
 class TestInitConfig:
@@ -96,11 +89,6 @@ class TestInitConfig:
         assert cfg.a1[0] == pytest.approx(cfg.a1[1])
         assert cfg.a2[0] == pytest.approx(cfg.a2[1])
 
-    def test_zero_channel_rejected(self):
-        with pytest.raises(SingularChannelError):
-            ch = ChannelRealization(h=[0j, 1 + 0j], g=np.ones((2, 1)), f=[1.0 + 0j])
-            init_config(ch, DeviceWeights.uniform(2), PowerBudget(p0=1.0, pr=1.0, sigma2=0.1))
-
     def test_direct_paths_align_perfectly(self):
         ch, weights, budget, _ = random_instance(82, 5, 0)
         cfg = init_config(ch, weights, budget)
@@ -121,11 +109,6 @@ class TestInitConfig:
         a, c, _ = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)
         assert np.array_equal(cfg.a1, a) and cfg.c2 == c
         assert cfg.c1 == 0 and not cfg.a2.any()
-
-    def test_length_mismatch_rejected(self):
-        ch, _, budget, _ = random_instance(86, 3, 1)
-        with pytest.raises(ValueError, match="lengths differ"):
-            init_config(ch, DeviceWeights.uniform(2), budget)
 
 
 class TestDeviceUpdate:
@@ -569,12 +552,6 @@ class TestRelayUpdate:
         b2 = relay_block(replace(cfg, b=b1), ch, weights, budget)
         assert b2 == pytest.approx(b1, rel=1e-12)
 
-    def test_requires_nonzero_c2(self):
-        ch, weights, budget, _ = random_instance(143, 2, 1)
-        cfg = replace(init_config(ch, weights, budget), c2=0.0)
-        with pytest.raises(ValueError):
-            relay_block(cfg, ch, weights, budget)
-
     @pytest.mark.parametrize("n,seed", [(2, 0), (2, 2), (2, 5), (3, 3), (3, 4), (3, 6),
                                         (4, 0), (4, 2), (4, 4)])
     def test_matches_slsqp_oracle_with_two_caps_binding(self, n, seed):
@@ -587,12 +564,6 @@ class TestRelayUpdate:
         assert max_constraint_violation(new, ch, budget) <= 1e-9
         assert relay_mse(new, ch, weights, budget.sigma2) == pytest.approx(
             relay_update_oracle(cfg, ch, weights, budget), rel=1e-6)
-
-    def test_zero_relay_to_ap_gain_is_rejected(self):
-        # Every relay reaches the AP: a realization with f_n = 0 is never built.
-        _, ch, _, _ = random_feasible_setup(6310, 6, 2)
-        with pytest.raises(SingularChannelError):
-            replace(ch, f=np.array([0.0, ch.f[1]]))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_layout_of_g_does_not_change_b(self, seed):
@@ -943,3 +914,21 @@ class TestSolveMatchesReference:
         weights = DeviceWeights.uniform(20)
         for ch, budget, _, cfg, trace in reference_grid_cell(kind, noise_dbm, pr, variant):
             assert trace.objectives[-1] == relay_mse(cfg, ch, weights, budget.sigma2)
+
+
+def _relay_update_at_zero_c2():
+    ch, weights, budget, _ = random_instance(143, 2, 1)
+    return relay_block(replace(init_config(ch, weights, budget), c2=0.0), ch, weights, budget)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: SolverConfig(epsilon=np.nan), "epsilon", id="solver-nan-epsilon"),
+    pytest.param(lambda: init_config(random_instance(86, 3, 1)[0], DeviceWeights.uniform(2),
+                                     PowerBudget(p0=1.0, pr=2.0, sigma2=0.1)),
+                 "lengths differ", id="init-lengths"),
+    pytest.param(_relay_update_at_zero_c2, "nonzero phase-2 receive scalar",
+                 id="relay-update-zero-c2"),
+])
+def test_bad_input_raises_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -10,7 +10,7 @@ from relayfl.aggregation import (
     norelay_optimum,
     relay_mse,
 )
-from relayfl.geometry import ChannelRealization, stream
+from relayfl.geometry import ChannelRealization
 from relayfl.optimizer import Problem, SchemeVariant, SolverConfig, solve
 from oracles import single_relay_instance
 from relayfl.single_relay import (
@@ -40,12 +40,6 @@ class TestSnrSummary:
         _, _, base = snr_summary(ch, budget)
         scaled = ChannelRealization(h=3.0 * ch.h, g=3.0 * ch.g, f=ch.f)
         assert snr_summary(scaled, budget)[2] == pytest.approx(base)
-
-    def test_requires_single_relay(self):
-        ch = ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j, 1.0 + 0j]],
-                                f=[1.0 + 0j, 1.0 + 0j])
-        with pytest.raises(ValueError):
-            snr_summary(ch, PowerBudget(p0=1.0, pr=1.0, sigma2=1.0))
 
     def test_relay_snr_takes_the_constructions_link_power(self):
         # The construction and the SNR summary read |f|^2 as NumPy's abs
@@ -177,11 +171,6 @@ class TestAnalyticConstruction:
         with pytest.raises(InconsistentMseError, match="disagree"):
             analytic_construction(ch, weights, budget)
 
-    def test_nonuniform_weights_rejected(self):
-        ch, _, budget = single_relay_instance(3, num_devices=2)
-        with pytest.raises(ValueError):
-            analytic_construction(ch, DeviceWeights([0.3, 0.7]), budget)
-
 
 def test_snr_underflow_raises_zero_division_error():
     # |g|^2 of 1e-170 underflows to 0, so the device-to-relay SNR is zero and delta
@@ -191,11 +180,18 @@ def test_snr_underflow_raises_zero_division_error():
         snr_summary(channels, PowerBudget(p0=1.0, pr=1.0, sigma2=1.0))
 
 
+TWO_RELAYS = ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j, 1.0 + 0j]], f=[1.0 + 0j, 1.0 + 0j])
+UNIT_BUDGET = PowerBudget(p0=1.0, pr=1.0, sigma2=1.0)
+
+
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: analytic_construction(
-        ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j, 1.0 + 0j]], f=[1.0 + 0j, 1.0 + 0j]),
-        DeviceWeights([1.0]), PowerBudget(p0=1.0, pr=1.0, sigma2=1.0)),
+    pytest.param(lambda: analytic_construction(TWO_RELAYS, DeviceWeights([1.0]), UNIT_BUDGET),
                  "exactly one relay", id="construction-two-relays"),
+    pytest.param(lambda: snr_summary(TWO_RELAYS, UNIT_BUDGET), "exactly one relay",
+                 id="summary-two-relays"),
+    pytest.param(lambda: analytic_construction(single_relay_instance(3, num_devices=2)[0],
+                                               DeviceWeights([0.3, 0.7]), UNIT_BUDGET),
+                 "uniform weights", id="construction-nonuniform-weights"),
 ])
 def test_bad_input_raises_value_error(call, match):
     with pytest.raises(ValueError, match=match):
