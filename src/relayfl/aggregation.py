@@ -16,10 +16,6 @@ import numpy as np
 from .geometry import ChannelRealization, SingularChannelError, _complex_normal
 
 
-class InconsistentMseError(ArithmeticError):
-    """Two computations of the same configuration's MSE disagree beyond rounding."""
-
-
 @dataclass(frozen=True)
 class DeviceWeights:
     """Aggregation weights rho_k = D_k / D, strictly positive and summing to one."""
@@ -112,6 +108,8 @@ def norelay_optimum(h: np.ndarray, weights: DeviceWeights, p0_total: float,
         raise ValueError("channel and weight lengths differ")
     if not (p0_total > 0 and sigma2 > 0):
         raise ValueError("powers must be positive")
+    if not np.isfinite(h).all():
+        raise ValueError("channel gains must be finite")
     mag = np.abs(h)
     if np.any(mag == 0):
         raise SingularChannelError("zero device-to-AP channel")

@@ -330,10 +330,11 @@ def theorem_trial(config: ExperimentConfig, trial: int) -> tuple[float, list]:
 
     Returns the instance's delta and two rounds of metrics sharing the condition
     booleans and mse_norelay_bound, the no-relay optimum at the 2*p0 budget
-    (``single_relay.theorem_certificate``): round 0 carries the analytic
-    construction's MSE in mse_predicted, round 1 the last objective of the full
-    solver warm-started from that construction.  The instance is drawn from a
-    stream keyed by (master_seed, trial), so instances can run in any order.
+    (``single_relay.theorem_certificate``).  mse_predicted reads off the trace of
+    the full solver warm-started from the analytic construction: round 0 its
+    first objective, the construction's signal-chain MSE, and round 1 its last.
+    The instance is drawn from a stream keyed by (master_seed, trial), so
+    instances can run in any order.
     """
     budget = _power_budget(config)
     weights = agg.DeviceWeights.uniform(config.num_devices)
@@ -341,13 +342,13 @@ def theorem_trial(config: ExperimentConfig, trial: int) -> tuple[float, list]:
     layout = _make_layout(config, rng)
     channels = geometry.realize_channels(geometry.path_gain_profile(layout), rng)
     delta, bound, cond40, cond41 = single_relay.theorem_certificate(channels, weights, budget)
-    start, start_mse = single_relay.analytic_construction(channels, weights, budget)
+    start = single_relay.analytic_construction(channels, weights, budget)
     _, trace = optimizer.solve(channels, weights, budget, config.solver,
                                optimizer.SchemeVariant.FULL, warm_start=start)
     return delta, [federated.RoundMetrics(
         round=rnd, blocks_used=0, nmse_db=None, test_accuracy=None, mse_predicted=mse,
         mse_norelay_bound=bound, cond40=cond40, cond41=cond41)
-        for rnd, mse in ((0, start_mse), (1, trace.objectives[-1]))]
+        for rnd, mse in ((0, trace.objectives[0]), (1, trace.objectives[-1]))]
 
 
 @contextmanager

@@ -51,6 +51,7 @@ scalars are NumPy complex inside the loop.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -88,6 +89,8 @@ class SolverConfig:
     epsilon: float = 1e-4
 
     def __post_init__(self):
+        if not isinstance(self.j_max, numbers.Integral):
+            raise ValueError("j_max must be an integer")
         if self.j_max < 1:
             raise ValueError("j_max must be at least 1")
         if not self.epsilon > 0:

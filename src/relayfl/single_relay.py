@@ -9,14 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .aggregation import (
-    DeviceWeights,
-    InconsistentMseError,
-    PowerBudget,
-    TransceiverConfig,
-    norelay_optimum,
-    relay_mse,
-)
+from .aggregation import DeviceWeights, PowerBudget, TransceiverConfig, norelay_optimum
 from .geometry import ChannelRealization
 
 
@@ -72,8 +65,8 @@ def theorem_certificate(channels: ChannelRealization, weights: DeviceWeights,
 
 
 def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,
-                          budget: PowerBudget) -> tuple[TransceiverConfig, float]:
-    """(config, mse) of the perfectly aligned phase-2-only configuration.
+                          budget: PowerBudget) -> TransceiverConfig:
+    """The perfectly aligned phase-2-only configuration.
 
     Requires uniform weights and a single relay.  The relayed copy carries a
     fraction alpha of each weight and the direct phase-2 copy the remaining
@@ -82,6 +75,8 @@ def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,
     relay-power limit allows it, otherwise the boundary value alpha_bar at
     which the direct-link and relay-power limits on eta = |c2|^2 coincide;
     gamma = |c2 b|^2.  The split and both levels can be read off the config.
+    Its MSE is ``relay_mse`` of the config: the closed form
+    (eta + gamma |f|^2) sigma^2 plus the rounding floor of the misalignment.
     """
     h2, g2, f2 = _link_powers(channels)
     rho_vec = weights.rho
@@ -109,13 +104,7 @@ def analytic_construction(channels: ChannelRealization, weights: DeviceWeights,
     c2 = complex(np.sqrt(eta))
     b_mag = np.sqrt(gamma / eta)
     f = complex(channels.f[0])
-    b = b_mag * np.conj(f) / abs(f)  # Python's abs: NumPy's moves mse_predicted ~3e-15
+    b = b_mag * np.conj(f) / np.abs(f)
     a1 = alpha * rho / (c2 * f * b * channels.g[:, 0])
     a2 = beta * rho / (c2 * channels.h)
-    config = TransceiverConfig(a1=a1, a2=a2, b=np.array([b]), c1=0.0 + 0.0j, c2=c2)
-
-    mse = (eta + gamma * f2) * budget.sigma2
-    cross = relay_mse(config, channels, weights, budget.sigma2)
-    if abs(cross - mse) > 1e-9 * max(mse, 1e-300):
-        raise InconsistentMseError("analytic MSE and signal-chain MSE disagree")
-    return config, mse
+    return TransceiverConfig(a1=a1, a2=a2, b=np.array([b]), c1=0.0 + 0.0j, c2=c2)

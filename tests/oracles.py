@@ -22,7 +22,15 @@ from relayfl.aggregation import (
     relay_gains,
     relay_mse,
 )
-from relayfl.geometry import ChannelRealization, _complex_normal, stream
+from relayfl.geometry import (
+    ChannelRealization,
+    _complex_normal,
+    cell_layout,
+    line_layout,
+    path_gain_profile,
+    realize_channels,
+    stream,
+)
 from relayfl.optimizer import (
     Problem,
     SchemeVariant,
@@ -86,6 +94,14 @@ def rayleigh_channels(rng, num_devices, num_relays):
     k, n = num_devices, num_relays
     return ChannelRealization(h=_complex_normal(rng, k), g=_complex_normal(rng, (k, n)),
                               f=_complex_normal(rng, n))
+
+
+def paper_channels(rng, kind, num_relays=4):
+    """Channels of K = 20 devices at the paper's geometry, drawn from `rng`
+    positions first: on a line with one relay (kind "line") or in a cell with
+    `num_relays` relays (any other kind)."""
+    layout = line_layout(20, rng) if kind == "line" else cell_layout(20, num_relays, rng)
+    return realize_channels(path_gain_profile(layout), rng)
 
 
 def random_feasible_setup(seed, num_devices, num_relays):

@@ -23,6 +23,7 @@ from oracles import (
     fd_complex_gradient,
     misalignment_of,
     norelay_oracle,
+    paper_channels,
     random_feasible_setup,
     rayleigh_channels,
     relay_block,
@@ -40,14 +41,7 @@ from relayfl.aggregation import (
     symbol_stats,
 )
 from relayfl.experiment import parse_config, run_experiment
-from relayfl.geometry import (
-    NodeLayout,
-    cell_layout,
-    line_layout,
-    path_gain_profile,
-    realize_channels,
-    stream,
-)
+from relayfl.geometry import NodeLayout, stream
 from relayfl.optimizer import (
     SchemeVariant,
     SolverConfig,
@@ -106,11 +100,7 @@ def test_criterion_03_solver_monotone_and_converges():
         converged = 0
         for i in range(200):
             rng = stream(3000, i)
-            if i % 2 == 0:
-                layout = line_layout(20, rng)
-            else:
-                layout = cell_layout(20, 4, rng)
-            ch = realize_channels(path_gain_profile(layout), rng)
+            ch = paper_channels(rng, "line" if i % 2 == 0 else "cell")
             cfg, trace = solve(ch, weights, TABLE_BUDGET, solver_cfg)
             assert max_constraint_violation(cfg, ch, TABLE_BUDGET) <= 1e-9
             diffs = np.diff(trace.objectives)
@@ -206,7 +196,8 @@ def test_criterion_06_single_relay_bound_certification():
             ch, weights, budget = single_relay_instance(6000 + i, enforce_conditions=True)
             cond40, cond41 = check_theorem_conditions(*snr_summary(ch, budget))
             assert cond40 and cond41
-            start, start_mse = analytic_construction(ch, weights, budget)
+            start = analytic_construction(ch, weights, budget)
+            start_mse = relay_mse(start, ch, weights, budget.sigma2)
             _, _, bound = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)
             assert start_mse <= bound * (1.0 + 1e-12)
             _, trace = solve(ch, weights, budget, solver_cfg, SchemeVariant.FULL,

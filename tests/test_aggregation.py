@@ -15,21 +15,14 @@ from relayfl.aggregation import (
     simulate_round,
     symbol_stats,
 )
-from relayfl.geometry import (
-    ChannelRealization,
-    _complex_normal,
-    cell_layout,
-    line_layout,
-    path_gain_profile,
-    realize_channels,
-    stream,
-)
+from relayfl.geometry import ChannelRealization, _complex_normal, stream
 from relayfl.optimizer import SchemeVariant, SolverConfig, init_config, solve
 
 from oracles import (
     mse_reference,
     norelay_objective,
     norelay_oracle,
+    paper_channels,
     random_feasible_setup,
     rayleigh_channels,
 )
@@ -188,9 +181,7 @@ class TestRelayMse:
         weights = DeviceWeights.uniform(20)
         for seed in range(3):
             rng = stream(6500, seed)
-            layout = (line_layout(20, rng) if kind == "line"
-                      else cell_layout(20, 0 if kind == "cell-no-relay" else 4, rng))
-            ch = realize_channels(path_gain_profile(layout), rng)
+            ch = paper_channels(rng, kind, 0 if kind == "cell-no-relay" else 4)
             for sigma2 in (1e-10, 1e-13):
                 budget = PowerBudget(p0=0.05, pr=0.1, sigma2=sigma2)
                 cfg, trace = solve(ch, weights, budget, SolverConfig(j_max=20), variant)
@@ -339,6 +330,10 @@ def _one_device_round(symbols):
     pytest.param(lambda: norelay_optimum(np.array([0j, 1 + 0j]), DeviceWeights([0.5, 0.5]),
                                          1.0, 0.1), "zero device-to-AP channel",
                  id="norelay-zero-channel"),
+    pytest.param(lambda: norelay_optimum(np.array([complex(np.nan)]), DeviceWeights([1.0]),
+                                         1.0, 0.1), "finite", id="norelay-nan-channel"),
+    pytest.param(lambda: norelay_optimum(np.array([complex(np.inf)]), DeviceWeights([1.0]),
+                                         np.inf, 0.1), "finite", id="norelay-inf-channel"),
     pytest.param(lambda: symbol_stats(np.zeros((1, 0)), DeviceWeights([1.0])), "K x d stack",
                  id="symbol-stats-empty"),
     # symbol_stats leaves the row count to NumPy's product with the weights.

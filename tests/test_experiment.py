@@ -412,9 +412,6 @@ CONFIG_ERRORS = [
                  id="block-budget-sweep"),
     pytest.param("theorem-sweep", {"trials": 1, "fl": {"total_blocks": 1}},
                  "fl.total_blocks", id="block-budget-theorem-sweep"),
-    # The analytic and signal-chain MSEs of the construction disagree at this scale.
-    pytest.param("theorem-sweep", {"trials": 1, "budget": {"p0_watts": 1e100}}, "trial 0: ",
-                 id="theorem-p0-huge-ratio"),
     # The certificate is defined for one relay only.
     pytest.param("theorem-sweep", {"trials": 1, "num_relays": 2, "layout": {"kind": "cell"}},
                  "theorem sweep requires num_relays = 1", id="theorem-cell-two-relays"),
@@ -623,7 +620,12 @@ class TestCli:
                        id=f"zero-relay-cell-{scheme}")
           for scheme in ["proposed", "relay_only", "no_relay", "error_free"]),
         *(pytest.param("theorem-sweep", case.values[0], id=f"theorem-sweep-{case.id}")
-          for case in MALFORMED if case.id in NO_TASK_RUNS)])
+          for case in MALFORMED if case.id in NO_TASK_RUNS),
+        # The construction's MSE reaches the rounding floor of its misalignment.
+        pytest.param("theorem-sweep", {"trials": 1, "budget": {"p0_watts": 1e100}},
+                     id="theorem-p0-huge-ratio"),
+        pytest.param("theorem-sweep", {"trials": 2, "budget": {"noise_dbm": -330}},
+                     id="theorem-noise-tiny")])
     def test_runs_to_a_finite_mse(self, tmp_path, command, document):
         _finite_rows(_cli(tmp_path, command, document))
 

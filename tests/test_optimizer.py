@@ -21,7 +21,6 @@ from relayfl.aggregation import (
 from relayfl.geometry import (
     ChannelRealization,
     cell_layout,
-    line_layout,
     path_gain_profile,
     realize_channels,
     stream,
@@ -48,6 +47,7 @@ from oracles import (
     device_update_oracle,
     fd_complex_gradient,
     misalignment_of,
+    paper_channels,
     random_feasible_setup,
     rayleigh_channels,
     relay_block,
@@ -284,7 +284,7 @@ class TestDeviceUpdate:
         weights = DeviceWeights.uniform(20)
         for seed in range(3):
             rng = stream(9800, seed)
-            ch = realize_channels(path_gain_profile(line_layout(20, rng)), rng)
+            ch = paper_channels(rng, "line")
             extra = (rng.standard_normal(20) + 1j * rng.standard_normal(20)) * np.abs(ch.g[:, 0])
             two = ChannelRealization(h=ch.h, g=np.column_stack([ch.g[:, 0], extra]),
                                      f=np.append(ch.f, 1j * ch.f))
@@ -408,7 +408,7 @@ class TestDualSolveAtScale:
         budget = PowerBudget(p0=0.05, pr=0.01, sigma2=1e-10)
         weights = DeviceWeights.uniform(20)
         rng = stream(7100, seed)
-        ch = realize_channels(path_gain_profile(line_layout(20, rng)), rng)
+        ch = paper_channels(rng, "line")
         cfg = off_start(ch, weights, budget)
         a1, a2, ok = device_block(cfg, ch, weights, budget)
 
@@ -448,7 +448,7 @@ class TestDualSolveAtScale:
         budget = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
         weights = DeviceWeights.uniform(20)
         rng = stream(7200, 0)
-        ch = realize_channels(path_gain_profile(cell_layout(20, 4, rng)), rng)
+        ch = paper_channels(rng, "cell")
         cfg = off_start(ch, weights, budget)
         a1, a2, ok = device_block(cfg, ch, weights, budget)
         final = replace(cfg, a1=a1, a2=a2)
@@ -466,7 +466,7 @@ class TestDualSolveAtScale:
         budget = PowerBudget(p0=0.05, pr=0.1, sigma2=1e-10)
         weights = DeviceWeights.uniform(20)
         rng = stream(5000, seed)
-        ch = realize_channels(path_gain_profile(cell_layout(20, 4, rng)), rng)
+        ch = paper_channels(rng, "cell")
         cfg, trace = solve(ch, weights, budget, SOLVER)
         assert not [w for w in trace.warnings if "QCQP" in w]
         assert np.all(np.diff(trace.objectives) <= 1e-9 * np.abs(trace.objectives[:-1]))
@@ -621,8 +621,7 @@ class TestRelayUpdate:
         weights = DeviceWeights.uniform(20)
         for seed in range(10):
             rng = stream(9200, seed)
-            layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
-            ch = realize_channels(path_gain_profile(layout), rng)
+            ch = paper_channels(rng, kind)
             solve(ch, weights, budget, SOLVER)
         before, after, violation, load = np.array(checked).T
         assert np.all(after <= before * (1 + 1e-12))
@@ -726,8 +725,7 @@ class TestSolve:
         weights = DeviceWeights.uniform(20)
         for seed in range(8):
             rng = stream(7300, seed)
-            layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
-            ch = realize_channels(path_gain_profile(layout), rng)
+            ch = paper_channels(rng, kind)
             _, trace = solve(ch, weights, budget, SOLVER)
             _, _, bound = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)
             assert np.all(np.diff(trace.objectives) <= 1e-9 * np.abs(trace.objectives[:-1]))
@@ -777,7 +775,7 @@ class TestSolve:
             raise AssertionError("solve called relay_mse")
 
         ch, weights, budget, _ = random_instance(178, 3, 1)
-        start, _ = analytic_construction(ch, weights, budget)
+        start = analytic_construction(ch, weights, budget)
         monkeypatch.setattr(optimizer, "relay_mse", fail)
         for variant, warm in [(SchemeVariant.FULL, None), (SchemeVariant.RELAY_ONLY, None),
                               (SchemeVariant.FULL, start)]:
@@ -808,8 +806,7 @@ def symmetry_instance(kind, noise_dbm, pr, seed):
     """(channels, unequal weights, budget, trace of the cold FULL solve) of one
     instance: K = 20 devices on a line with one relay or in a cell with four."""
     rng = stream(9600, seed)
-    layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
-    ch = realize_channels(path_gain_profile(layout), rng)
+    ch = paper_channels(rng, kind)
     weights = DeviceWeights.from_counts(rng.integers(1, 9, 20))
     budget = PowerBudget(p0=0.05, pr=pr, sigma2=dbm_to_watts(noise_dbm))
     return ch, weights, budget, solve(ch, weights, budget, SOLVER)[1]
@@ -857,11 +854,10 @@ def reference_grid_cell(kind, noise_dbm, pr, variant):
     solves = []
     for seed in range(2):
         rng = stream(9500, seed)
-        layout = line_layout(20, rng) if kind == "line" else cell_layout(20, 4, rng)
-        ch = realize_channels(path_gain_profile(layout), rng)
+        ch = paper_channels(rng, kind)
         starts = [None]
         if kind == "line":
-            starts.append(analytic_construction(ch, weights, budget)[0])
+            starts.append(analytic_construction(ch, weights, budget))
         for start in starts:
             cfg, trace = solve(ch, weights, budget, SOLVER, variant, warm_start=start)
             solves.append((ch, budget, start, cfg, trace))
@@ -923,6 +919,8 @@ def _relay_update_at_zero_c2():
 
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: SolverConfig(epsilon=np.nan), "epsilon", id="solver-nan-epsilon"),
+    pytest.param(lambda: SolverConfig(j_max=2.5), "j_max must be", id="solver-fractional-j-max"),
+    pytest.param(lambda: SolverConfig(j_max=np.nan), "j_max must be", id="solver-nan-j-max"),
     pytest.param(lambda: init_config(random_instance(86, 3, 1)[0], DeviceWeights.uniform(2),
                                      PowerBudget(p0=1.0, pr=2.0, sigma2=0.1)),
                  "lengths differ", id="init-lengths"),

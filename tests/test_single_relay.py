@@ -4,7 +4,6 @@ import pytest
 from relayfl import single_relay
 from relayfl.aggregation import (
     DeviceWeights,
-    InconsistentMseError,
     PowerBudget,
     max_constraint_violation,
     norelay_optimum,
@@ -102,7 +101,7 @@ class TestAnalyticConstruction:
     def test_alignment_is_exact(self):
         for seed in range(20):
             ch, weights, budget = single_relay_instance(seed)
-            cfg, _ = analytic_construction(ch, weights, budget)
+            cfg = analytic_construction(ch, weights, budget)
             assert cfg.c1 == 0
             combined = (cfg.c2 * ch.f[0] * cfg.b[0] * ch.g[:, 0] * cfg.a1
                         + cfg.c2 * ch.h * cfg.a2)
@@ -111,18 +110,17 @@ class TestAnalyticConstruction:
     def test_symmetric_unit_instance(self):
         ch = ChannelRealization(h=[1.0 + 0j], g=[[1.0 + 0j]], f=[1.0 + 0j])
         budget = PowerBudget(p0=1.0, pr=1.0, sigma2=1.0)
-        cfg, mse = analytic_construction(ch, DeviceWeights([1.0]), budget)
+        cfg = analytic_construction(ch, DeviceWeights([1.0]), budget)
         alpha, _, _, _ = _split(cfg, ch, DeviceWeights([1.0]))
         # the relay-power limit binds, so alpha is the boundary split alpha_bar
         assert alpha == pytest.approx(1.0 / (1.0 + np.sqrt(2.0)), abs=1e-12)
-        assert mse == pytest.approx(3.0 / (3.0 + 2.0 * np.sqrt(2.0)))
-        assert mse == pytest.approx(
-            relay_mse(cfg, ch, DeviceWeights([1.0]), budget.sigma2), rel=1e-9)
+        assert relay_mse(cfg, ch, DeviceWeights([1.0]), budget.sigma2) == pytest.approx(
+            3.0 / (3.0 + 2.0 * np.sqrt(2.0)))
 
     def test_split_sums_to_one_and_feasible(self):
         for seed in range(40, 60):
             ch, weights, budget = single_relay_instance(seed)
-            cfg, _ = analytic_construction(ch, weights, budget)
+            cfg = analytic_construction(ch, weights, budget)
             alpha, beta, _, _ = _split(cfg, ch, weights)
             assert alpha + beta == pytest.approx(1.0, abs=1e-12)
             assert -1e-12 <= alpha <= 0.5 + 1e-12
@@ -132,7 +130,7 @@ class TestAnalyticConstruction:
         found = 0
         for seed in range(200):
             ch, weights, budget = single_relay_instance(seed)
-            cfg, _ = analytic_construction(ch, weights, budget)
+            cfg = analytic_construction(ch, weights, budget)
             alpha, beta, gamma, eta = _split(cfg, ch, weights)
             if alpha < 0.5 - 1e-12:  # boundary split: both limits on eta coincide
                 k = weights.rho.size
@@ -152,24 +150,23 @@ class TestAnalyticConstruction:
             ch, weights, budget = single_relay_instance(seed, enforce_conditions=True)
             cond40, cond41 = check_theorem_conditions(*snr_summary(ch, budget))
             assert cond40 and cond41
-            _, mse = analytic_construction(ch, weights, budget)
+            cfg = analytic_construction(ch, weights, budget)
+            mse = relay_mse(cfg, ch, weights, budget.sigma2)
+            # the signal chain's MSE is the paper's, exact alignment leaving
+            # only the noise amplified by |c2|^2 + |c2 f b|^2
+            assert mse == pytest.approx(
+                (abs(cfg.c2) ** 2 + abs(cfg.c2 * ch.f[0] * cfg.b[0]) ** 2) * budget.sigma2,
+                rel=1e-12, abs=0)
             _, _, bound = norelay_optimum(ch.h, weights, 2.0 * budget.p0, budget.sigma2)
             assert mse <= bound * (1.0 + 1e-9)
 
     def test_solver_warm_started_never_worse(self):
         for seed in range(5):
             ch, weights, budget = single_relay_instance(seed, enforce_conditions=True)
-            start, start_mse = analytic_construction(ch, weights, budget)
-            solved, trace = solve(ch, weights, budget, SolverConfig(),
-                                  SchemeVariant.FULL, warm_start=start)
-            assert trace.objectives[-1] <= start_mse + 1e-9
-
-    def test_signal_chain_disagreement_raises_typed_error(self, monkeypatch):
-        ch, weights, budget = single_relay_instance(11)
-        monkeypatch.setattr(single_relay, "relay_mse",
-                            lambda config, *args: 2.0 * relay_mse(config, *args))
-        with pytest.raises(InconsistentMseError, match="disagree"):
-            analytic_construction(ch, weights, budget)
+            start = analytic_construction(ch, weights, budget)
+            _, trace = solve(ch, weights, budget, SolverConfig(),
+                             SchemeVariant.FULL, warm_start=start)
+            assert trace.objectives[-1] <= relay_mse(start, ch, weights, budget.sigma2) + 1e-9
 
 
 def test_snr_underflow_raises_zero_division_error():
